@@ -26,7 +26,15 @@
 //! byte allowance with bounded carry-over, so a stalled tick cannot bank
 //! an unbounded burst.
 
-use crate::time::{scale, Micros};
+use crate::time::{scale, Micros, MS};
+
+/// Line time an event-driven transmitter that has run out of credit lets
+/// accrue before it asks to run again: one millisecond of the current
+/// rate (and never less than the packet it would send). A millisecond is
+/// the resolution of the reactor's readiness wait and the quantum Linux
+/// TCP pacing uses, so a backlogged sender wakes about a thousand times a
+/// second whatever its rate instead of once per packet.
+pub const PACING_QUANTUM_US: Micros = MS;
 
 /// Growth phase of the transmission rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,6 +248,48 @@ impl RateController {
         let cap = 2 * (self.rate as u128) * (tick.max(1) as u128);
         self.credit_us_bytes = (self.credit_us_bytes + bytes as u128 * 1_000_000).min(cap);
     }
+
+    /// This controller as a transmitter pass at `at` would leave it —
+    /// [`RateController::on_tick`] then [`RateController::budget`] run on
+    /// a copy — and the allowance that pass would be granted.
+    fn preview(&self, at: Micros, rtt: Micros, tick: Micros) -> (RateController, usize) {
+        let mut c = self.clone();
+        c.on_tick(at, rtt);
+        let granted = c.budget(at, tick);
+        (c, granted)
+    }
+
+    /// The byte allowance a transmitter pass at `at` would be granted,
+    /// without running one: rate growth, an expiring urgent stop,
+    /// overdraft repayment and the carry cap all applied as the pass
+    /// itself would apply them.
+    pub fn credit_at(&self, at: Micros, rtt: Micros, tick: Micros) -> usize {
+        self.preview(at, rtt, tick).1
+    }
+
+    /// When an event-driven transmitter whose next packet is `packet`
+    /// wire bytes long should next run: `now` if a pass at `now` would be
+    /// granted anything at all (a pass finishes the packet it starts and
+    /// carries the excess as overdraft, so one byte of allowance sends);
+    /// otherwise the instant the overdraft is repaid and a pacing quantum
+    /// has accrued at the current rate — [`PACING_QUANTUM_US`] of it, at
+    /// least the packet — or the end of an urgent stop. A future answer
+    /// is a lower bound to re-ask at, not a promise: growth or a halving
+    /// in between moves it.
+    pub fn pacing_deadline(&self, now: Micros, rtt: Micros, tick: Micros, packet: usize) -> Micros {
+        let (c, granted) = self.preview(now, rtt, tick);
+        if granted > 0 {
+            return now;
+        }
+        if let RatePhase::Stopped { until } = c.phase {
+            // `on_tick` ends a stop that has run out, so this one has not.
+            return until;
+        }
+        let rate = c.rate.max(1) as u128;
+        let quantum = (rate * PACING_QUANTUM_US as u128).max(packet as u128 * 1_000_000);
+        let short = quantum.saturating_sub(c.credit_us_bytes) + c.deficit_us_bytes;
+        now + short.div_ceil(rate) as Micros
+    }
 }
 
 #[cfg(test)]
@@ -351,6 +401,58 @@ mod tests {
         let b = c.budget(10_000, 10_000);
         c.refund(b, 10_000);
         assert_eq!(c.budget(10_000, 10_000), b);
+    }
+
+    /// The preview is the pass: whatever state growth, an overdraft, a
+    /// refund, a halving or an urgent stop left behind, `credit_at`
+    /// reads exactly what `on_tick` + `budget` then grant, and leaves
+    /// the controller untouched.
+    #[test]
+    fn credit_at_previews_exactly_what_the_pass_is_granted() {
+        let mut c = ctl(0);
+        let rtt = 10_000;
+        for (i, t) in [
+            137u64, 9_000, 10_000, 10_001, 31_000, 31_400, 80_000, 200_000,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            match i {
+                2 => c.overdraw(900),
+                4 => c.on_congestion(t, rtt, None),
+                5 => c.refund(300, 10_000),
+                6 => c.on_urgent(t, rtt),
+                _ => {}
+            }
+            let before = format!("{c:?}");
+            let previewed = c.credit_at(t, rtt, 10_000);
+            assert_eq!(format!("{c:?}"), before, "preview mutated the controller");
+            c.on_tick(t, rtt);
+            assert_eq!(c.budget(t, 10_000), previewed, "at {t}");
+        }
+    }
+
+    #[test]
+    fn pacing_deadline_is_now_with_credit_else_a_quantum_away() {
+        let mut c = ctl(0);
+        // An RTT long enough that the rate does not grow in this window.
+        let rtt = 1_000_000;
+        // No credit at the instant of creation: one packet of line time
+        // (1420 B at 64 000 B/s; a millisecond of rate is only 64 B).
+        assert_eq!(c.pacing_deadline(0, rtt, 10_000, 1_420), 22_188);
+        // A byte of credit is enough to run now.
+        assert_eq!(c.pacing_deadline(16, rtt, 10_000, 1_420), 16);
+        // After a pass that overdrew, the overdraft is waited out too.
+        assert_eq!(c.budget(1_000, 10_000), 64);
+        c.overdraw(1_356);
+        assert_eq!(c.pacing_deadline(1_000, rtt, 10_000, 1_420), 1_000 + 43_375);
+        // At a high rate the quantum is a millisecond of it, not a packet.
+        let mut fast = RateController::new(8_000_000, 8_000_000, 1.0, 0, 1.0, 2, 0);
+        assert_eq!(fast.budget(500, 10_000), 4_000);
+        assert_eq!(fast.pacing_deadline(500, rtt, 10_000, 1_420), 1_500);
+        // An urgent stop gates until it ends.
+        fast.on_urgent(600, 2_000);
+        assert_eq!(fast.pacing_deadline(700, rtt, 10_000, 1_420), 4_600);
     }
 
     #[test]

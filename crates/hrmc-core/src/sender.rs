@@ -6,10 +6,16 @@
 //! | Paper task | Engine entry point |
 //! |------------|--------------------|
 //! | Application Interface (`hrmc_sendmsg`) | [`SenderEngine::submit`] / [`SenderEngine::close`] |
-//! | Transmitter (`transmit_timer`, every jiffy) | [`SenderEngine::on_tick`] |
+//! | Transmitter (`transmit_timer`, every jiffy) | [`SenderEngine::transmit`], first half of [`SenderEngine::on_tick`] |
 //! | Feedback Processor (`hrmc_master_rcv`) | [`SenderEngine::handle_packet`] |
-//! | Retransmitter (`retrans_timer`) | retransmission pass inside [`SenderEngine::on_tick`] |
+//! | Retransmitter (`retrans_timer`) | retransmission pass inside [`SenderEngine::transmit`] |
 //! | Keepalive Controller (`ka_timer`) | keepalive pass inside [`SenderEngine::on_tick`] |
+//!
+//! [`SenderEngine::on_tick`] is the paper's jiffy: one transmitter pass,
+//! then the housekeeping that releases, probes, ejects and keeps alive. A
+//! driver that would rather send when data and credit exist than wait for
+//! the jiffy calls [`SenderEngine::transmit`] at the instants
+//! [`SenderEngine::next_transmit`] names, and `on_tick` once a jiffy.
 //!
 //! Outgoing packets accumulate on an output queue drained with
 //! [`SenderEngine::poll_output`]; application-visible events with
@@ -505,9 +511,75 @@ impl SenderEngine {
     // Transmitter + Retransmitter + Keepalive (transmit_timer, every jiffy)
     // ------------------------------------------------------------------
 
-    /// Run one transmitter tick at `now`. Drivers call this every jiffy.
+    /// Run one jiffy tick at `now`: a transmitter pass, then the
+    /// housekeeping (eject, release, probe, keepalive, finish).
     pub fn on_tick(&mut self, now: Micros) {
-        let probes_at_entry = self.stats.probes_sent;
+        self.transmit(now);
+        self.housekeeping(now);
+    }
+
+    /// When a transmitter pass would next send something: `None` while
+    /// nothing is unsent and no retransmission that can still go out is
+    /// queued; `now` (or earlier) when [`SenderEngine::transmit`] at `now`
+    /// will emit at least one packet; otherwise the first instant worth
+    /// asking again at — the rate controller's
+    /// [`pacing_deadline`](RateController::pacing_deadline), the end of
+    /// an urgent stop, or the expiry of the local-recovery hold on the
+    /// retransmission at the head of the queue.
+    ///
+    /// One case falls outside the `now` promise: with local recovery on,
+    /// a queued repair whose requester has left the group is cancelled by
+    /// the pass if everyone still present has the data. The pass consumes
+    /// the entry, so a driver re-asking afterwards cannot spin on it.
+    pub fn next_transmit(&self, now: Micros) -> Option<Micros> {
+        let mut held_until = None;
+        let mut packet = None;
+        for &(seq, ready_at, requester) in &self.retrans_queue {
+            if ready_at > now {
+                // A held-back head blocks the retransmissions behind it.
+                held_until = Some(ready_at);
+                break;
+            }
+            // Entries the pass will drop instead of sending are skipped:
+            // released segments and peer-repaired ones. (A NAK can name a
+            // segment still in the backlog; that one goes out as new
+            // data, so counting it here changes nothing.)
+            packet = self
+                .window
+                .get(seq)
+                .filter(|_| !self.peer_repaired(seq, requester));
+            if packet.is_some() {
+                break;
+            }
+        }
+        match packet.or_else(|| self.window.peek_unsent()) {
+            Some(slot) => Some(self.rate.pacing_deadline(
+                now,
+                self.rtt.rtt(),
+                JIFFY_US,
+                hrmc_wire::HEADER_LEN + slot.payload.len(),
+            )),
+            None => held_until,
+        }
+    }
+
+    /// Local recovery: `true` when `requester` confirmed `seq` while the
+    /// sender held its repair back — a peer answered first.
+    fn peer_repaired(&self, seq: Seq, requester: PeerId) -> bool {
+        self.config.local_recovery
+            && self
+                .membership
+                .get(requester)
+                .is_some_and(|m| hrmc_wire::seq_lt(seq, m.next_expected))
+    }
+
+    /// Run one transmitter pass at `now`: grow the rate, take the byte
+    /// budget accrued since the last pass, and spend it on queued
+    /// retransmissions, then on new data. Sends nothing the rate
+    /// controller has not granted (beyond finishing the packet that
+    /// straddles the allowance, charged to the next pass), so it may be
+    /// called at any instant, not only on the jiffy grid.
+    pub fn transmit(&mut self, now: Micros) {
         self.rate.on_tick(now, self.rtt.rtt());
         self.note_rate_events(now);
         let allowance = self.rate.budget(now, JIFFY_US);
@@ -526,15 +598,11 @@ impl SenderEngine {
             // Local recovery: if the requester (or the whole group)
             // confirmed the data while the sender held back, a peer
             // repair won — drop the entry.
-            if self.config.local_recovery {
-                let requester_has = self
-                    .membership
-                    .get(requester)
-                    .is_some_and(|m| hrmc_wire::seq_lt(seq, m.next_expected));
-                if requester_has || self.membership.all_have(seq) {
-                    self.stats.retransmissions_cancelled += 1;
-                    continue;
-                }
+            if self.config.local_recovery
+                && (self.peer_repaired(seq, requester) || self.membership.all_have(seq))
+            {
+                self.stats.retransmissions_cancelled += 1;
+                continue;
             }
             let Some(slot) = self.window.mark_retransmitted(seq, now) else {
                 continue; // released or still unsent; nothing to resend
@@ -602,7 +670,12 @@ impl SenderEngine {
         } else if spent > allowance {
             self.rate.overdraw(spent - allowance);
         }
+    }
 
+    /// The jiffy's work besides transmitting: failure-domain ejection,
+    /// buffer release and the PROBEs it asks for, keepalive, completion.
+    fn housekeeping(&mut self, now: Micros) {
+        let probes_at_entry = self.stats.probes_sent;
         self.maybe_eject(now);
         self.try_release(now);
         self.maybe_early_probe(now);
@@ -1016,6 +1089,108 @@ mod tests {
         let _ = run_until(&mut s, 3_010_000, 6_000_000);
         assert!(s.is_finished());
         assert_eq!(s.next_wakeup(6_000_000), None);
+    }
+
+    /// `on_tick` is a transmitter pass followed by the housekeeping and
+    /// nothing else: driven either way at the same instants, through
+    /// joins, a NAK, confirmations, releases and the FIN, two senders
+    /// emit the same packets in the same order and count the same stats.
+    #[test]
+    fn on_tick_is_transmit_then_housekeeping() {
+        fn feedback(s: &mut SenderEngine, t: Micros) {
+            match t {
+                0 => {
+                    join(s, P1, 0, t);
+                    join(s, PeerId(2), 0, t);
+                    s.submit(&vec![7u8; 40_000], t);
+                }
+                150_000 => {
+                    let mut nak = Packet::control(PacketType::Nak, 9, 7000, 3);
+                    nak.header.length = 2;
+                    nak.header.rate_adv = 3;
+                    s.handle_packet(&nak, P1, t);
+                }
+                300_000 => {
+                    update(s, P1, 20, t);
+                    update(s, PeerId(2), 12, t);
+                    s.close(t);
+                }
+                450_000 => {
+                    update(s, P1, 30, t);
+                    update(s, PeerId(2), 30, t);
+                }
+                _ => {}
+            }
+        }
+        let sent = |s: &mut SenderEngine| -> Vec<(Dest, Packet)> {
+            drain(s).into_iter().map(|o| (o.dest, o.packet)).collect()
+        };
+        let mut ticked = engine(ReliabilityMode::Hybrid);
+        let mut split = engine(ReliabilityMode::Hybrid);
+        let (mut out_ticked, mut out_split) = (Vec::new(), Vec::new());
+        // The NAK's RTT sample stretches MINBUF past a second: run on
+        // until the window has drained.
+        let mut t = 0;
+        while t <= 4_000_000 {
+            feedback(&mut ticked, t);
+            ticked.on_tick(t);
+            out_ticked.extend(sent(&mut ticked));
+            feedback(&mut split, t);
+            split.transmit(t);
+            split.housekeeping(t);
+            out_split.extend(sent(&mut split));
+            t += JIFFY_US;
+        }
+        assert!(ticked.stats.retransmissions > 0 && ticked.stats.probes_sent > 0);
+        assert!(ticked.stats.segments_released > 0 && ticked.is_finished());
+        assert_eq!(out_ticked, out_split);
+        assert_eq!(ticked.stats, split.stats);
+    }
+
+    #[test]
+    fn next_transmit_names_the_gate() {
+        let mut s = engine(ReliabilityMode::Hybrid);
+        // Nothing queued: nothing to wait for.
+        assert_eq!(s.next_transmit(0), None);
+        // Data but no credit yet: a pacing quantum away (at the 64 KiB/s
+        // floor one full segment is 1420 wire bytes of line time).
+        s.submit(&vec![0u8; 20_000], 0);
+        let t = s.next_transmit(0).expect("unsent data");
+        assert_eq!(t, (1420u64 * 1_000_000).div_ceil(64 * 1024));
+        // Any credit at all sends now, and the pass then waits out the
+        // overdraft plus a quantum.
+        assert_eq!(s.next_transmit(500), Some(500));
+        s.transmit(500);
+        assert_eq!(drain(&mut s).len(), 1);
+        let again = s.next_transmit(500).expect("backlog left");
+        assert!(again > 500 + t, "overdraft not charged: {again}");
+        // An urgent stop gates until it ends.
+        let mut ctl = Packet::control(PacketType::Control, 9, 7000, 0);
+        ctl.header.flags.urg = true;
+        s.handle_packet(&ctl, P1, 1_000);
+        assert_eq!(s.next_transmit(1_000), Some(1_000 + 2 * s.rtt()));
+    }
+
+    #[test]
+    fn next_transmit_waits_out_the_local_recovery_hold() {
+        let cfg = ProtocolConfig::hrmc()
+            .with_buffer(64 * 1024)
+            .with_local_recovery();
+        let mut s = SenderEngine::new(cfg, 7000, 7001, 0, 0);
+        join(&mut s, P1, 0, 0);
+        s.submit(&vec![0u8; 1400], 0);
+        run_until(&mut s, 0, 100_000);
+        assert_eq!(s.next_transmit(100_000), None, "all sent, none queued");
+        let mut nak = Packet::control(PacketType::Nak, 9, 7000, 0);
+        nak.header.length = 1;
+        s.handle_packet(&nak, P1, 100_000);
+        let (_, ready_at, _) = s.retrans_queue[0];
+        assert!(ready_at > 100_000);
+        assert_eq!(s.next_transmit(100_000), Some(ready_at));
+        // A peer repaired it meanwhile: the entry will be dropped, so
+        // there is nothing to wake for.
+        update(&mut s, P1, 1, 100_500);
+        assert_eq!(s.next_transmit(ready_at), None);
     }
 
     #[test]

@@ -5,8 +5,32 @@ use hrmc_core::membership::Membership;
 use hrmc_core::nak::NakManager;
 use hrmc_core::rate::RateController;
 use hrmc_core::rxwindow::{Offer, ReceiveWindow};
-use hrmc_core::PeerId;
+use hrmc_core::{PeerId, ProtocolConfig, SenderEngine, JIFFY_US};
+use hrmc_wire::{Packet, PacketType, HEADER_LEN};
 use proptest::prelude::*;
+
+const P1: PeerId = PeerId(1);
+
+/// Feed the sender one feedback packet from `P1`.
+fn feedback(s: &mut SenderEngine, ptype: PacketType, seq: u32, now: u64, urg: bool) {
+    let mut pkt = Packet::control(ptype, 9, 7000, seq);
+    pkt.header.length = 1;
+    pkt.header.flags.urg = urg;
+    s.handle_packet(&pkt, P1, now);
+}
+
+/// Drain the output queue; returns how many DATA packets it held and
+/// their wire bytes.
+fn drain_data(s: &mut SenderEngine) -> (usize, usize) {
+    let (mut packets, mut bytes) = (0, 0);
+    while let Some(out) = s.poll_output() {
+        if out.packet.header.ptype == PacketType::Data {
+            packets += 1;
+            bytes += out.packet.wire_len();
+        }
+    }
+    (packets, bytes)
+}
 
 // ----------------------------------------------------------------------
 // ReceiveWindow: any arrival order of any subset (with duplicates) of a
@@ -195,5 +219,110 @@ proptest! {
         let lacking = m.lacking(probe);
         let expected: usize = peers.iter().filter(|&&ne| ne <= probe).count();
         prop_assert_eq!(lacking.len(), expected);
+    }
+
+    // ------------------------------------------------------------------
+    // Event-driven transmitter: `next_transmit` never lies to a driver.
+    // Whatever the interleaving of submits, NAKs (for sent, unsent and
+    // released segments), confirmations, urgent stops and housekeeping
+    // jiffies at sub-jiffy spacing: an answer at or before `now` means a
+    // pass at `now` emits (so a driver that runs a pass whenever the
+    // answer is due cannot spin), and `None` means there is nothing a
+    // pass could ever send — checked against a pass at `now` and, at the
+    // end, against one far enough ahead that no gate is still closed.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn next_transmit_due_means_a_pass_emits(
+        ops in proptest::collection::vec((0u8..8, 1u32..64, 50u64..4_000), 1..300),
+    ) {
+        let mut cfg = ProtocolConfig::hrmc().with_buffer(256 * 1024);
+        cfg.max_rate = 4 * 1024 * 1024;
+        let mut s = SenderEngine::new(cfg, 7000, 7001, 0, 0);
+        feedback(&mut s, PacketType::Join, 0, 0, false);
+        let mut now = 0u64;
+        let mut confirmed = 0u32;
+        for (op, arg, dt) in ops {
+            now += dt;
+            match op {
+                0 | 1 => {
+                    s.submit(&vec![op; arg as usize * 200], now);
+                }
+                2 => feedback(&mut s, PacketType::Nak, confirmed + arg % 8, now, false),
+                3 => {
+                    confirmed += arg % 4;
+                    feedback(&mut s, PacketType::Update, confirmed, now, false);
+                }
+                4 => feedback(&mut s, PacketType::Control, confirmed, now, arg % 5 == 0),
+                5 => s.on_tick(now),
+                _ => {}
+            }
+            drain_data(&mut s);
+            let answer = s.next_transmit(now);
+            s.transmit(now);
+            let (emitted, _) = drain_data(&mut s);
+            match answer {
+                Some(t) if t <= now => prop_assert!(emitted >= 1, "due at {t}, pass at {now} sent nothing"),
+                Some(_) => {}
+                None => prop_assert_eq!(emitted, 0, "nothing sendable, yet the pass at {} sent", now),
+            }
+        }
+        let answer = s.next_transmit(now);
+        s.transmit(now + 10_000_000);
+        let (emitted, _) = drain_data(&mut s);
+        prop_assert_eq!(answer.is_some(), emitted >= 1, "answer {:?} at {}", answer, now);
+    }
+
+    // ------------------------------------------------------------------
+    // Rate conformance off the jiffy grid: passes at random sub-jiffy
+    // instants over one second, always backlogged, through a halving and
+    // an urgent stop, never put more on the wire than the rate in force
+    // accrued, plus the two-jiffy carry, plus the one packet a pass may
+    // finish past its allowance.
+    // ------------------------------------------------------------------
+
+    #[test]
+    fn transmit_at_any_instants_conforms_to_the_rate(
+        gaps in proptest::collection::vec(20u64..9_000, 120..400),
+        halve_at in 100_000u64..450_000,
+        stop_at in 500_000u64..900_000,
+    ) {
+        let max_rate = 1024 * 1024u64;
+        let mut cfg = ProtocolConfig::hrmc().with_buffer(4 * 1024 * 1024);
+        cfg.min_rate = 256 * 1024;
+        cfg.max_rate = max_rate;
+        let segment = cfg.segment_size + HEADER_LEN;
+        let mut s = SenderEngine::new(cfg, 7000, 7001, 0, 0);
+        feedback(&mut s, PacketType::Join, 0, 0, false);
+        s.submit(&vec![0u8; 2 * 1024 * 1024], 0);
+        let carry = 2 * JIFFY_US as u128 * max_rate as u128 / 1_000_000;
+        let (mut now, mut sent, mut accrued) = (0u64, 0u128, 0u128);
+        let (mut halved, mut stopped) = (false, false);
+        for dt in gaps.into_iter().cycle() {
+            if now + dt > 1_000_000 {
+                break;
+            }
+            now += dt;
+            if !halved && now >= halve_at {
+                halved = true;
+                feedback(&mut s, PacketType::Nak, 0, now, false);
+            }
+            if !stopped && now >= stop_at {
+                stopped = true;
+                feedback(&mut s, PacketType::Control, 0, now, true);
+            }
+            s.transmit(now);
+            // A pass accrues the whole gap at the rate it leaves in force.
+            accrued += s.rate() as u128 * dt as u128;
+            sent += drain_data(&mut s).1 as u128;
+            let bound = accrued / 1_000_000 + carry + segment as u128;
+            prop_assert!(sent <= bound, "{sent} B on the wire by {now} µs, bound {bound}");
+        }
+        prop_assert!(halved && stopped && s.rate_halvings() == 1 && s.urgent_stops() == 1);
+        let ceiling = max_rate as u128 + carry + segment as u128;
+        prop_assert!(sent <= ceiling, "{sent} B in one second at {max_rate} B/s");
+        // And the pacer is not merely silent: a second at these rates
+        // moves at least the floor rate's worth outside the stop.
+        prop_assert!(sent >= 128 * 1024, "only {sent} B sent");
     }
 }

@@ -19,7 +19,7 @@
 //!            │                                                         │
 //!   eventfd kick ──► re-fold dirty sessions' deadlines (min-heap)      │
 //!   socket ready ──► recvmmsg burst ─► engine.handle_packet ─► flush   │
-//!   deadline due ──► engine.on_tick ──────────────────────────► flush  │
+//!   deadline due ──► engine.on_tick / transmit ───────────────► flush  │
 //!            │                                                         │
 //!            └── flush = poll_output ─► sendmmsg batches ─► events ────┘
 //! ```
@@ -28,7 +28,11 @@
 //! threads used: an active engine's "one jiffy from now" wish recedes on
 //! every re-read, so the heap keeps the earliest deadline promised so
 //! far per session (stale entries are skipped lazily on pop) and a fresh
-//! deadline is taken only after servicing a tick.
+//! deadline is taken only after servicing a tick. A sender's deadline is
+//! the earlier of its housekeeping jiffy and the instant its transmitter
+//! has both data and credit, so a kick or a NAK that makes that instant
+//! "now" is served on the loop's next pass over due timers, before it
+//! sleeps again.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -503,9 +507,24 @@ impl Core {
         }
     }
 
+    /// Mark `id` for a deadline re-fold. Only the push that makes
+    /// `dirty` non-empty rings the eventfd: the loop drains the eventfd
+    /// *before* it takes `dirty`, so an id that joins a non-empty list is
+    /// taken by the pass the first ring pays for, and an id that finds
+    /// the list empty rings for itself — none is lost, and a burst of
+    /// `send`s costs one `write(2)` and one fold, not one each.
     fn kick(&self, id: u64) {
-        self.dirty.lock().push(id);
-        self.wake();
+        let first = {
+            let mut dirty = self.dirty.lock();
+            let first = dirty.is_empty();
+            if !dirty.contains(&id) {
+                dirty.push(id);
+            }
+            first
+        };
+        if first {
+            self.wake();
+        }
     }
 
     /// Ring the eventfd so the reactor's readiness wait returns.
@@ -956,8 +975,11 @@ fn run(core: &Arc<Core>, dp: Box<dyn Datapath>) {
             .store(deadlines.len() as u64, Ordering::Relaxed);
         let busy_before_wait = now.elapsed();
 
-        // 2. Sleep until the earliest remaining deadline (rounded up to
-        //    the next millisecond — a jiffy is 10 ms) or an event.
+        // 2. Sleep until the earliest remaining deadline or an event. The
+        //    wait takes whole milliseconds and the remainder is rounded
+        //    up (rounding down would spin on a sub-millisecond rest), so
+        //    a deadline fires up to a millisecond late: the resolution a
+        //    sender's pacing quantum is sized to.
         let timeout_ms = match heap.peek() {
             Some(&Reverse((t, _))) => t
                 .saturating_duration_since(now)

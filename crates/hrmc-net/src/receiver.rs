@@ -49,8 +49,10 @@ struct Inner {
     reactor_gone: AtomicBool,
     /// The socket error that killed the session, kept for diagnostics.
     fatal: Mutex<Option<io::Error>>,
+    /// Application threads blocked in `recv` wait here on the `engine`
+    /// mutex itself: the predicate they sleep on is engine state, and
+    /// every notifier holds that mutex.
     wakeup: Condvar,
-    wakeup_lock: Mutex<()>,
     /// Per-session traffic totals for telemetry.
     counters: SessionCounters,
 }
@@ -234,6 +236,9 @@ impl ReactorSession for Inner {
             Fatal::ReactorClosed => self.reactor_gone.store(true, Ordering::SeqCst),
             Fatal::Io(e) => *self.fatal.lock() = Some(e),
         }
+        // Under the engine mutex, like every other notifier, so a waiter
+        // that has just checked `failed` is already in its wait.
+        let _engine = self.engine.lock();
         self.failed.store(true, Ordering::SeqCst);
         self.wakeup.notify_all();
     }
@@ -306,7 +311,6 @@ pub(crate) fn join_with(
         reactor_gone: AtomicBool::new(false),
         fatal: Mutex::new(None),
         wakeup: Condvar::new(),
-        wakeup_lock: Mutex::new(()),
         counters: SessionCounters::default(),
     });
     let (id, reactor) = reactor.register(Arc::clone(&inner) as Arc<dyn ReactorSession>)?;
@@ -342,16 +346,14 @@ impl ReceiverHandle {
     /// stream completes (returns `Ok(0)`), or `timeout` elapses.
     pub fn recv(&self, buf: &mut [u8], timeout: Duration) -> Result<usize, NetError> {
         let deadline = Instant::now() + timeout;
+        let mut engine = self.inner.engine.lock();
         loop {
-            {
-                let mut engine = self.inner.engine.lock();
-                let n = engine.read(buf, self.inner.clock.now());
-                if n > 0 {
-                    return Ok(n);
-                }
-                if engine.fully_consumed() {
-                    return Ok(0);
-                }
+            let n = engine.read(buf, self.inner.clock.now());
+            if n > 0 {
+                return Ok(n);
+            }
+            if engine.fully_consumed() {
+                return Ok(0);
             }
             if self.inner.failed.load(Ordering::SeqCst) {
                 return Err(self.inner.failure());
@@ -359,13 +361,15 @@ impl ReceiverHandle {
             if self.inner.lost.load(Ordering::SeqCst) {
                 return Err(NetError::DataLost);
             }
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(NetError::Timeout);
             }
-            let mut guard = self.inner.wakeup_lock.lock();
+            // Everything checked above changes only under the guard this
+            // wait releases, so no DataReady can fall between the two.
             self.inner
                 .wakeup
-                .wait_for(&mut guard, Duration::from_millis(10));
+                .wait_for(&mut engine, left.min(Duration::from_millis(10)));
         }
     }
 

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,11 +65,21 @@ struct Inner {
     reactor_gone: AtomicBool,
     /// The socket error that killed the session, kept for diagnostics.
     fatal: Mutex<Option<io::Error>>,
+    /// Application threads blocked in `send` / `close_and_wait` wait
+    /// here on the `engine` mutex itself: the predicate they sleep on is
+    /// engine state, and every notifier holds that mutex.
     wakeup: Condvar,
-    wakeup_lock: Mutex<()>,
+    /// Session-clock instant of the next housekeeping jiffy, `NO_JIFFY`
+    /// until pinned. The engine's "one jiffy from now" wish recedes on
+    /// every re-read, so it is pinned here once and held until served.
+    /// Reactor thread only (`next_deadline` / `on_tick`), hence relaxed.
+    housekeeping_at: AtomicU64,
     /// Per-session traffic totals for telemetry.
     counters: SessionCounters,
 }
+
+/// `housekeeping_at` when no jiffy is pinned.
+const NO_JIFFY: u64 = u64::MAX;
 
 impl Inner {
     /// The error a blocked application call should surface once the
@@ -173,18 +183,33 @@ impl ReactorSession for Inner {
         Ok(())
     }
 
+    /// The transmitter runs whenever data and credit exist; release,
+    /// probing and keepalive keep the paper's jiffy cadence (releasing
+    /// more often would only buy more PROBEs).
     fn on_tick(&self, io: &mut IoBatch) {
         let now = self.clock.now();
-        self.engine.lock().on_tick(now);
+        {
+            let mut engine = self.engine.lock();
+            if now >= self.housekeeping_at.load(Ordering::Relaxed) {
+                self.housekeeping_at.store(NO_JIFFY, Ordering::Relaxed);
+                engine.on_tick(now);
+            } else {
+                engine.transmit(now);
+            }
+        }
         self.flush(io);
     }
 
     fn next_deadline(&self) -> Option<Instant> {
         let now = self.clock.now();
-        self.engine
-            .lock()
-            .next_wakeup(now)
-            .map(|us| self.clock.at(us))
+        let engine = self.engine.lock();
+        let jiffy = self
+            .housekeeping_at
+            .load(Ordering::Relaxed)
+            .min(engine.next_wakeup(now).unwrap_or(NO_JIFFY));
+        self.housekeeping_at.store(jiffy, Ordering::Relaxed);
+        let due = jiffy.min(engine.next_transmit(now).unwrap_or(NO_JIFFY));
+        (due != NO_JIFFY).then(|| self.clock.at(due))
     }
 
     fn on_fatal(&self, reason: Fatal) {
@@ -192,6 +217,9 @@ impl ReactorSession for Inner {
             Fatal::ReactorClosed => self.reactor_gone.store(true, Ordering::SeqCst),
             Fatal::Io(e) => *self.fatal.lock() = Some(e),
         }
+        // Under the engine mutex, like every other notifier, so a waiter
+        // that has just checked `failed` is already in its wait.
+        let _engine = self.engine.lock();
         self.failed.store(true, Ordering::SeqCst);
         self.wakeup.notify_all();
     }
@@ -255,7 +283,7 @@ pub(crate) fn bind_with(
         reactor_gone: AtomicBool::new(false),
         fatal: Mutex::new(None),
         wakeup: Condvar::new(),
-        wakeup_lock: Mutex::new(()),
+        housekeeping_at: AtomicU64::new(NO_JIFFY),
         counters: SessionCounters::default(),
     });
     let (id, reactor) = reactor.register(Arc::clone(&inner) as Arc<dyn ReactorSession>)?;
@@ -292,28 +320,26 @@ impl SenderHandle {
     pub fn send(&self, data: &[u8]) -> Result<(), NetError> {
         let mut offset = 0;
         while offset < data.len() {
+            let mut engine = self.inner.engine.lock();
             if self.inner.failed.load(Ordering::SeqCst) {
                 return Err(self.inner.failure());
             }
-            let n = {
-                let mut engine = self.inner.engine.lock();
-                engine.submit(&data[offset..], self.inner.clock.now())
-            };
-            offset += n;
-            if n > 0 {
-                // New data re-arms the engine: kick the reactor so it
-                // re-reads the deadline and starts transmitting this
-                // jiffy instead of finishing an idle sleep.
-                self.reactor.kick(self.id);
-            }
+            let n = engine.submit(&data[offset..], self.inner.clock.now());
             if n == 0 {
-                // Wait for SendSpaceAvailable (with a safety timeout so a
-                // vanished group cannot wedge the application forever).
-                let mut guard = self.inner.wakeup_lock.lock();
+                // Wait for SendSpaceAvailable on the guard the refusal
+                // was read under (with a safety timeout so a vanished
+                // group cannot wedge the application forever).
                 self.inner
                     .wakeup
-                    .wait_for(&mut guard, Duration::from_millis(50));
+                    .wait_for(&mut engine, Duration::from_millis(50));
+                continue;
             }
+            drop(engine);
+            offset += n;
+            // New data arms the transmitter: kick the reactor so it
+            // re-reads the deadline and sends as soon as the rate
+            // controller allows instead of finishing an idle sleep.
+            self.reactor.kick(self.id);
         }
         Ok(())
     }
@@ -331,22 +357,23 @@ impl SenderHandle {
     pub fn close_and_wait(&self, timeout: Duration) -> Result<SenderStats, NetError> {
         self.close();
         let deadline = Instant::now() + timeout;
+        let mut engine = self.inner.engine.lock();
         while !self.inner.finished.load(Ordering::SeqCst) {
             if self.inner.failed.load(Ordering::SeqCst) {
                 return Err(self.inner.failure());
             }
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(NetError::Timeout);
             }
-            let mut guard = self.inner.wakeup_lock.lock();
             self.inner
                 .wakeup
-                .wait_for(&mut guard, Duration::from_millis(20));
+                .wait_for(&mut engine, left.min(Duration::from_millis(20)));
         }
         if self.inner.lost.load(Ordering::SeqCst) {
             return Err(NetError::DataLost);
         }
-        Ok(self.stats())
+        Ok(engine.stats.clone())
     }
 
     /// Snapshot of the engine's counters.

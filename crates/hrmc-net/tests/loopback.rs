@@ -4,7 +4,7 @@
 //! multicast (some CI sandboxes do).
 
 use std::net::{Ipv4Addr, SocketAddrV4};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hrmc_core::ProtocolConfig;
 use hrmc_net::{McastSocket, Session};
@@ -392,4 +392,51 @@ fn membership_gauges_flow_through_reactor_metrics() {
     assert!(reg.gauge("probes_last_tick").is_some());
     tx.close_and_wait(Duration::from_secs(30)).expect("close");
     assert_eq!(reader.join().expect("reader"), payload.len());
+}
+
+/// A small send leaves when it is submitted, not at the next jiffy:
+/// 500 one-segment messages 2 ms apart (a trickle under the rate cap)
+/// reach the application within 2 ms of `send()` more often than not.
+/// A transmitter that waited for the jiffy would hold each for up to
+/// 10 ms, so this pins the event-driven one.
+#[test]
+fn small_sends_are_delivered_within_two_milliseconds() {
+    if !multicast_available(46180) {
+        eprintln!("skipping: multicast loopback unavailable");
+        return;
+    }
+    const MESSAGES: usize = 500;
+    const SPACING: Duration = Duration::from_millis(2);
+    let group = SocketAddrV4::new(Ipv4Addr::new(239, 255, 88, 20), 46181);
+    let r = receiver(group);
+    let sender = sender(group);
+    let message = pattern(1_000);
+    let mut buf = [0u8; 4096];
+    let mut latencies = Vec::with_capacity(MESSAGES);
+    let start = Instant::now();
+    for i in 0..MESSAGES {
+        std::thread::sleep((start + SPACING * i as u32).saturating_duration_since(Instant::now()));
+        let submitted = Instant::now();
+        sender.send(&message).expect("send");
+        let mut got = 0;
+        while got < message.len() {
+            let n = r
+                .recv(&mut buf[got..], Duration::from_secs(10))
+                .expect("recv");
+            assert!(n > 0, "stream ended early");
+            got += n;
+        }
+        latencies.push(submitted.elapsed());
+        assert_eq!(&buf[..got], &message[..], "message {i} corrupted");
+    }
+    latencies.sort_unstable();
+    let median = latencies[MESSAGES / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "median submit→recv latency {median:?} (p90 {:?})",
+        latencies[MESSAGES * 9 / 10]
+    );
+    sender
+        .close_and_wait(Duration::from_secs(30))
+        .expect("close");
 }

@@ -8,6 +8,7 @@
 //!   reactor must observe `recvmmsg` batches larger than one datagram.
 
 use std::net::{Ipv4Addr, SocketAddrV4};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use hrmc_core::ProtocolConfig;
@@ -47,13 +48,30 @@ fn pattern(seed: usize, len: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Threads currently alive in this process (Linux: task directories).
+/// Threads currently alive in this process (Linux: task directories),
+/// the sibling test's own thread aside: the harness names each test's
+/// thread after the test, and that one may still be winding down after
+/// it gave up its turn.
 fn thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
+    const SIBLING: &str = "dropping_the_reactor_fails_live_sessions";
+    std::fs::read_dir("/proc/self/task").map_or(0, |d| {
+        d.flatten()
+            .filter(|task| {
+                // The kernel keeps the first 15 bytes of a thread's name.
+                std::fs::read_to_string(task.path().join("comm"))
+                    .is_ok_and(|comm| comm.trim_end() != &SIBLING[..15])
+            })
+            .count()
+    })
 }
+
+/// The two tests take turns: one compares process-wide thread counts
+/// while the other spawns and joins a reactor thread of its own.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 #[test]
 fn sixteen_sessions_share_one_reactor_thread() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     if !multicast_available(48100) {
         eprintln!("skipping: multicast loopback unavailable");
         return;
@@ -176,6 +194,7 @@ fn sixteen_sessions_share_one_reactor_thread() {
 /// than wedging their application threads.
 #[test]
 fn dropping_the_reactor_fails_live_sessions() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     if !multicast_available(48200) {
         eprintln!("skipping: multicast loopback unavailable");
         return;

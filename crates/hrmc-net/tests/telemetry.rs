@@ -50,7 +50,9 @@ fn loopback_transfer_serves_prometheus_and_json() {
     let reactor = Reactor::new().expect("reactor");
     let telemetry = Telemetry::builder()
         .listen(SocketAddr::V4(SocketAddrV4::new(LO, 0)))
-        .sample_interval(Duration::from_millis(50))
+        // Well under the transfer's few tens of milliseconds, so the
+        // periodic sampler fires during it.
+        .sample_interval(Duration::from_millis(5))
         .reactor(reactor.clone())
         .start()
         .expect("telemetry");
