@@ -42,7 +42,7 @@
 //!
 //! Finally, a `datapath` row compares the pluggable syscall backends
 //! head-to-head: the same 2-pair transfer workload on a 2-shard
-//! [`ReactorPool`] under epoll and (when built with `--features uring`
+//! [`Reactor`] under epoll and (when built with `--features uring`
 //! on a kernel that has io_uring) under io_uring, recording backend,
 //! shard count, and syscalls per packet. The `--check` gate here is
 //! *self-relative*: the uring row must come in strictly below the epoll
@@ -52,7 +52,7 @@
 
 use hrmc_core::membership::Membership;
 use hrmc_core::{PeerId, ProtocolConfig};
-use hrmc_net::{DatapathKind, McastSocket, Reactor, ReactorConfig, ReactorPool, Session};
+use hrmc_net::{DatapathKind, McastSocket, Reactor, ReactorConfig, Session};
 use hrmc_sim::{SimParams, SimReport, Simulation, TopologyBuilder};
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::{Duration, Instant};
@@ -192,7 +192,7 @@ fn reactor_microbench(pairs: usize, payload: usize) -> Option<ReactorBench> {
 }
 
 /// One datapath-backend row: the same live transfer workload as the
-/// reactor micro-bench, but on a sharded pool with an explicitly chosen
+/// reactor micro-bench, but on a sharded reactor with an explicitly chosen
 /// syscall backend, so epoll and io_uring are directly comparable.
 struct DatapathBench {
     backend: &'static str,
@@ -202,8 +202,8 @@ struct DatapathBench {
     syscalls_per_packet: f64,
 }
 
-/// Run `pairs` transfers of `payload` bytes on a fresh 2-shard pool
-/// using `kind`, and read the aggregated stats. `None` when multicast
+/// Run `pairs` transfers of `payload` bytes on a fresh 2-shard reactor
+/// using `kind`, and read its summed stats. `None` when multicast
 /// is unavailable, or when `kind` was requested but the build/kernel
 /// fell back to a different backend (the caller reports the skip).
 fn datapath_microbench(
@@ -216,14 +216,13 @@ fn datapath_microbench(
     if !multicast_available(49001) {
         return None;
     }
-    let pool = ReactorPool::with_config(ReactorConfig {
+    let reactor = Reactor::with_config(ReactorConfig {
         datapath: kind,
         shards: 2,
         ..ReactorConfig::default()
     })
-    .expect("pool");
-    let agg = pool.aggregate();
-    if agg.backend != kind.to_string() {
+    .expect("reactor");
+    if reactor.stats().backend != kind.to_string() {
         return None; // requested backend unavailable; fell back
     }
     let mut protocol = ProtocolConfig::hrmc().with_buffer(256 * 1024);
@@ -243,20 +242,20 @@ fn datapath_microbench(
     let workers: Vec<_> = groups
         .iter()
         .map(|&g| {
-            let pool = pool.clone();
+            let reactor = reactor.clone();
             let data = data.clone();
             let protocol = protocol.clone();
             std::thread::spawn(move || {
                 let rx = Session::receiver(g)
                     .interface(LO)
                     .config(protocol.clone())
-                    .reactor_pool(&pool)
+                    .reactor(reactor.clone())
                     .bind()
                     .expect("join receiver");
                 let tx = Session::sender(g)
                     .interface(LO)
                     .config(protocol)
-                    .reactor_pool(&pool)
+                    .reactor(reactor.clone())
                     .bind()
                     .expect("bind sender");
                 tx.send(&data).expect("bench send");
@@ -279,14 +278,14 @@ fn datapath_microbench(
     for w in workers {
         w.join().expect("bench worker panicked");
     }
-    let st = pool.aggregate();
+    let st = reactor.stats();
     Some(DatapathBench {
         backend: if kind == DatapathKind::Uring {
             "uring"
         } else {
             "epoll"
         },
-        shards: pool.shards(),
+        shards: reactor.shards(),
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         packets: st.packets_rx + st.packets_tx,
         syscalls_per_packet: st.syscalls_per_packet(),

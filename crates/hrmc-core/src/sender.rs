@@ -230,6 +230,12 @@ impl SenderEngine {
         self.window.buffered_bytes()
     }
 
+    /// `true` once [`SenderEngine::close`] was called: `submit` accepts
+    /// nothing more, whatever the window holds.
+    pub fn is_closed(&self) -> bool {
+        self.closed
+    }
+
     /// `true` once the stream is closed and every segment released.
     pub fn is_finished(&self) -> bool {
         self.closed && self.window.is_empty() && !self.window.has_unsent()

@@ -3,9 +3,9 @@
 //! The reactor owns protocol dispatch and timer logic; everything that
 //! actually crosses into the kernel — readiness waits, batched receive
 //! drains, batched transmit submits, socket registration, the wakeup
-//! kick — goes through one [`Datapath`] object. Two backends exist:
+//! kick — goes through one `Datapath` object. Two backends exist:
 //!
-//! * [`EpollDatapath`] — the original path: `epoll_wait` readiness plus
+//! * `EpollDatapath` — the original path: `epoll_wait` readiness plus
 //!   `recvmmsg`/`sendmmsg` batches on nonblocking sockets. Always
 //!   available; the default.
 //! * `UringDatapath` (behind the `uring` feature) — io_uring submission

@@ -18,18 +18,22 @@
 //!   group, and the recv system call to receive data" —
 //!   `Session::receiver(group).bind()`, then [`ReceiverHandle::recv`].
 //!
-//! Every session is driven by a shared [`Reactor`]: one poll-driven
-//! event loop that owns all session sockets, drains RX in `recvmmsg`
-//! batches, flushes engine output in `sendmmsg` batches, and services
-//! every engine's `next_wakeup` deadline from a single timer heap — the
+//! Every session is driven by a [`Reactor`]: a poll-driven event loop
+//! that owns its sessions' sockets, drains RX in `recvmmsg` batches,
+//! flushes engine output in `sendmmsg` batches, and services every
+//! engine's `next_wakeup` deadline from a single timer heap — the
 //! user-space equivalent of the kernel servicing all H-RMC sockets from
 //! one softirq path and one timer wheel. Thread count is O(1) per
-//! reactor, not O(sessions); by default all sessions in a process share
-//! [`Reactor::global`].
+//! reactor shard, not O(sessions): a process with many sessions builds
+//! one [`Reactor`] and hands each session builder a clone
+//! (`.reactor(r.clone())`); a session built without one owns a private
+//! one-shard reactor for its handle's lifetime. Both roles share one
+//! crate-private session driver (`driver.rs`); `sender.rs` and
+//! `receiver.rs` add only the engine and its addressing.
 
 pub mod clock;
 pub mod datapath;
-pub mod pool;
+mod driver;
 pub mod reactor;
 pub mod receiver;
 pub mod sender;
@@ -40,10 +44,9 @@ pub mod telemetry;
 
 pub use clock::DriverClock;
 pub use datapath::DatapathKind;
-pub use pool::ReactorPool;
 pub use reactor::{Reactor, ReactorConfig, ReactorStats, SessionHealth};
-pub use receiver::{HrmcReceiver, ReceiverHandle};
-pub use sender::{HrmcSender, SenderHandle};
+pub use receiver::ReceiverHandle;
+pub use sender::SenderHandle;
 pub use session::{ReceiverBuilder, SenderBuilder, Session};
 pub use socket::McastSocket;
 #[cfg(feature = "telemetry")]
@@ -68,7 +71,8 @@ pub enum NetError {
     /// the JOIN retry budget ran out, or the session's socket died under
     /// the reactor.
     SessionFailed,
-    /// The endpoint was already closed.
+    /// The stream was already closed: [`SenderHandle::send`] after
+    /// [`SenderHandle::close`].
     Closed,
     /// The reactor driving this session has shut down; the session can
     /// make no further progress.

@@ -1,16 +1,19 @@
-//! The shared multi-session reactor: one poll-driven event loop that
-//! owns every session's sockets, drains RX in `recvmmsg` batches,
+//! The shared multi-session reactor: a poll-driven event loop that
+//! owns its sessions' sockets, drains RX in `recvmmsg` batches,
 //! flushes engine output in `sendmmsg` batches, and services every
 //! engine's `next_wakeup` deadline from a single min-heap timer — the
 //! user-space analog of the paper's kernel placement (§4, Fig. 4),
 //! where all H-RMC sockets share one softirq delivery path and one
 //! timer wheel instead of spawning threads per endpoint.
 //!
-//! Thread count is O(1) per reactor, not O(sessions): a process serving
-//! thousands of H-RMC sessions runs one reactor thread (plus whatever
-//! application threads call `send`/`recv`). Sessions register at bind
-//! time and deregister when their handle drops; `SenderHandle` /
-//! `ReceiverHandle` are thin fronts over reactor-owned state.
+//! A [`Reactor`] is 1..N such loops ("shards"), each a thread with its
+//! own datapath, timer heap and counters. A session is assigned by a
+//! hash of its multicast group, so all endpoints of one group in one
+//! process share a shard (their loopback traffic stays on one thread)
+//! while distinct groups spread across cores. Thread count is O(shards),
+//! not O(sessions). Sessions register at bind time and deregister when
+//! their handle drops; `SenderHandle` / `ReceiverHandle` are thin fronts
+//! over reactor-owned state.
 //!
 //! ## Event loop
 //!
@@ -37,9 +40,9 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, SocketAddrV4};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -47,7 +50,7 @@ use hrmc_core::{Histogram, MetricsRegistry};
 use parking_lot::Mutex;
 
 use crate::datapath::{make_datapath, Datapath, DatapathKind};
-use crate::socket::{McastSocket, RxBatch, TX_SLOTS};
+use crate::socket::{is_transient, McastSocket, RxBatch, TX_SLOTS};
 use crate::NetError;
 
 /// Sockets per session the token scheme supports (receiver = 2).
@@ -71,9 +74,9 @@ pub struct ReactorConfig {
     /// falls back to epoll when the build or kernel lacks io_uring
     /// support — [`ReactorStats::backend`] reports what actually runs.
     pub datapath: DatapathKind,
-    /// Reactor threads a [`crate::ReactorPool`] built from this config
-    /// runs (sessions are hash-assigned per shard). A plain [`Reactor`]
-    /// ignores this and always runs one thread.
+    /// Event-loop threads the reactor runs (at least one); sessions are
+    /// hash-assigned to a shard by multicast group. The datapath choice
+    /// and its probe-and-fallback apply per shard.
     pub shards: usize,
 }
 
@@ -303,14 +306,6 @@ impl IoBatch {
     }
 }
 
-/// `true` for errors a loaded kernel returns transiently on UDP sends.
-fn is_transient(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
-    ) || e.raw_os_error() == Some(ENOBUFS)
-}
-
 /// `true` for receive-side errors that clear themselves: an empty queue,
 /// a signal, or an asynchronous ICMP error queued against the socket
 /// (port/host/net unreachable after a feedback send to a dead peer).
@@ -339,7 +334,6 @@ pub(crate) enum RxError {
     Fatal,
 }
 
-const ENOBUFS: i32 = 105;
 const ENETUNREACH: i32 = 101;
 const EHOSTUNREACH: i32 = 113;
 
@@ -378,9 +372,10 @@ pub(crate) struct StatsCells {
     pub(crate) timer_slippage_us: Mutex<Histogram>,
 }
 
-/// Point-in-time snapshot of a reactor's gauges: how many sessions it
-/// carries, how hard the event loop is working, and — the batching
-/// payoff — how many packets each `recvmmsg`/`sendmmsg` syscall moved.
+/// Point-in-time snapshot of a reactor's gauges (one shard's, or all
+/// shards' summed): how many sessions it carries, how hard the event
+/// loop is working, and — the batching payoff — how many packets each
+/// `recvmmsg`/`sendmmsg` syscall moved.
 #[derive(Debug, Clone, Default)]
 pub struct ReactorStats {
     /// The syscall backend actually driving this reactor: `"epoll"` or
@@ -471,7 +466,12 @@ enum DpCmd {
     },
 }
 
-struct Core {
+/// One shard's shared state. A session handle holds this (so kicks and
+/// deregistration work) but NOT the shard's thread: dropping the last
+/// user-held [`Reactor`] shuts the loops down even while sessions are
+/// live, and those sessions fail over to
+/// [`crate::NetError::ReactorClosed`].
+pub(crate) struct Core {
     wakefd: i32,
     /// Backend actually running (after any io_uring→epoll fallback);
     /// resolved before the reactor thread spawns.
@@ -492,7 +492,9 @@ impl Core {
         self.sessions.lock().get(&id).cloned()
     }
 
-    fn deregister(&self, id: u64, session: &dyn ReactorSession) {
+    /// Remove a session: its sockets leave the datapath's watch set,
+    /// the loop drops its timer state lazily.
+    pub(crate) fn deregister(&self, id: u64, session: &dyn ReactorSession) {
         let removed = self.sessions.lock().remove(&id);
         if let Some(owner) = removed {
             let mut cmds = self.dp_cmds.lock();
@@ -507,13 +509,15 @@ impl Core {
         }
     }
 
-    /// Mark `id` for a deadline re-fold. Only the push that makes
-    /// `dirty` non-empty rings the eventfd: the loop drains the eventfd
-    /// *before* it takes `dirty`, so an id that joins a non-empty list is
-    /// taken by the pass the first ring pays for, and an id that finds
-    /// the list empty rings for itself — none is lost, and a burst of
-    /// `send`s costs one `write(2)` and one fold, not one each.
-    fn kick(&self, id: u64) {
+    /// Ask the loop to re-read `id`'s deadline: a submit, close, or
+    /// application event may have armed an earlier timer. Only the push
+    /// that makes `dirty` non-empty rings the eventfd: the loop drains
+    /// the eventfd *before* it takes `dirty`, so an id that joins a
+    /// non-empty list is taken by the pass the first ring pays for, and
+    /// an id that finds the list empty rings for itself — none is lost,
+    /// and a burst of `send`s costs one `write(2)` and one fold, not one
+    /// each.
+    pub(crate) fn kick(&self, id: u64) {
         let first = {
             let mut dirty = self.dirty.lock();
             let first = dirty.is_empty();
@@ -544,53 +548,24 @@ impl Drop for Core {
     }
 }
 
-/// Joins the reactor thread when the last user-held [`Reactor`] handle
-/// drops. Sessions hold only the [`Core`], so the thread's lifetime is
-/// tied to the handles, not to straggling sessions.
-struct ThreadGuard {
+/// One event loop. Dropped (flagged, woken, joined) when the last
+/// user-held [`Reactor`] clone drops. Sessions hold only the [`Core`],
+/// so the thread's lifetime is tied to those clones, not to straggling
+/// sessions.
+struct Shard {
     core: Arc<Core>,
-    thread: Mutex<Option<JoinHandle<()>>>,
+    thread: Option<JoinHandle<()>>,
 }
 
-impl Drop for ThreadGuard {
-    fn drop(&mut self) {
-        self.core.shutdown.store(true, Ordering::SeqCst);
-        self.core.wake();
-        if let Some(t) = self.thread.lock().take() {
-            let _ = t.join();
-        }
-    }
-}
-
-/// Handle to a shared reactor. Cheap to clone; the reactor thread runs
-/// until the last handle drops ([`Reactor::global`]'s never does).
-#[derive(Clone)]
-pub struct Reactor {
-    core: Arc<Core>,
-    _guard: Arc<ThreadGuard>,
-}
-
-impl Reactor {
-    /// Spawn a dedicated reactor (its own epoll instance and thread).
-    /// Most applications want [`Reactor::global`] instead and should
-    /// only build private reactors to shard very large session counts
-    /// across cores.
-    pub fn new() -> io::Result<Reactor> {
-        Reactor::with_config(ReactorConfig::default())
-    }
-
-    /// Spawn a dedicated reactor with explicit tunables. The datapath
-    /// backend is probed here, before the thread starts: an io_uring
-    /// request on a kernel (or build) without support falls back to
-    /// epoll, and [`Reactor::stats`] reports the backend that actually
-    /// runs.
-    pub fn with_config(config: ReactorConfig) -> io::Result<Reactor> {
+impl Shard {
+    /// The datapath backend is probed here, before the thread starts.
+    fn spawn(config: ReactorConfig, make: &MakeDatapath) -> io::Result<Shard> {
         let wakefd = unsafe { libc::eventfd(0, libc::EFD_CLOEXEC | libc::EFD_NONBLOCK) };
         if wakefd < 0 {
             return Err(io::Error::last_os_error());
         }
         let stats = Arc::new(StatsCells::default());
-        let dp = match make_datapath(config.datapath, wakefd, Arc::clone(&stats)) {
+        let dp = match make(config.datapath, wakefd, Arc::clone(&stats)) {
             Ok(dp) => dp,
             Err(e) => {
                 unsafe { libc::close(wakefd) };
@@ -614,89 +589,137 @@ impl Reactor {
                 .name("hrmc-reactor".into())
                 .spawn(move || run(&core, dp))?
         };
-        Ok(Reactor {
-            _guard: Arc::new(ThreadGuard {
-                core: Arc::clone(&core),
-                thread: Mutex::new(Some(thread)),
-            }),
+        Ok(Shard {
             core,
+            thread: Some(thread),
+        })
+    }
+}
+
+impl Drop for Shard {
+    fn drop(&mut self) {
+        self.core.shutdown.store(true, Ordering::SeqCst);
+        self.core.wake();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+/// How a shard obtains its syscall backend ([`make_datapath`] outside
+/// tests).
+type MakeDatapath = dyn Fn(DatapathKind, i32, Arc<StatsCells>) -> io::Result<Box<dyn Datapath>>;
+
+/// Bits reserved for the per-shard session id inside a
+/// [`SessionHealth::id`]: the shard index lives above them, so ids stay
+/// unique across shards in one telemetry dump.
+const SHARD_ID_SHIFT: u32 = 32;
+
+/// Handle to a reactor of one or more shards. Cheap to clone; the
+/// threads run until the last clone drops.
+#[derive(Clone)]
+pub struct Reactor {
+    shards: Arc<Vec<Shard>>,
+}
+
+impl Reactor {
+    /// Spawn a one-shard reactor with default tunables: one epoll
+    /// instance, one thread.
+    pub fn new() -> io::Result<Reactor> {
+        Reactor::with_config(ReactorConfig::default())
+    }
+
+    /// Spawn a reactor of `config.shards` event loops (at least one).
+    /// An io_uring request on a kernel (or build) without support falls
+    /// back to epoll, and [`Reactor::stats`] reports the backend that
+    /// actually runs.
+    pub fn with_config(config: ReactorConfig) -> io::Result<Reactor> {
+        Reactor::with_datapath(config, &make_datapath)
+    }
+
+    pub(crate) fn with_datapath(config: ReactorConfig, make: &MakeDatapath) -> io::Result<Reactor> {
+        let shards = (0..config.shards.max(1))
+            .map(|_| Shard::spawn(config.clone(), make))
+            .collect::<io::Result<Vec<Shard>>>()?;
+        Ok(Reactor {
+            shards: Arc::new(shards),
         })
     }
 
-    /// The process-wide shared reactor, created on first use. Every
-    /// session built without an explicit [`crate::Session`] `.reactor(..)`
-    /// lands here — one thread no matter how many sessions the process
-    /// runs.
-    ///
-    /// # Panics
-    /// Panics if the kernel refuses the epoll/eventfd setup on first
-    /// use (a process-fatal condition).
-    pub fn global() -> Reactor {
-        static GLOBAL: OnceLock<Reactor> = OnceLock::new();
-        GLOBAL
-            .get_or_init(|| Reactor::new().expect("cannot create the global hrmc reactor"))
-            .clone()
+    /// Number of shards (event-loop threads).
+    pub fn shards(&self) -> usize {
+        self.shards.len()
     }
 
-    /// Sessions currently registered.
-    pub fn session_count(&self) -> usize {
-        self.core.sessions.lock().len()
-    }
-
-    /// Snapshot of the reactor's counters and batch-size distributions.
-    pub fn stats(&self) -> ReactorStats {
-        let s = &self.core.stats;
-        let rx = s.rx_batches.lock();
-        let tx = s.tx_batches.lock();
-        let loop_us = s.loop_us.lock();
-        let slip = s.timer_slippage_us.lock();
-        ReactorStats {
-            backend: self.core.backend,
-            sessions: self.session_count(),
-            sessions_hwm: s.sessions_hwm.load(Ordering::Relaxed),
-            epoll_wakeups: s.epoll_wakeups.load(Ordering::Relaxed),
-            timer_fires: s.timer_fires.load(Ordering::Relaxed),
-            kicks: s.kicks.load(Ordering::Relaxed),
-            recvmmsg_calls: s.recvmmsg_calls.load(Ordering::Relaxed),
-            sendmmsg_calls: s.sendmmsg_calls.load(Ordering::Relaxed),
-            uring_enters: s.uring_enters.load(Ordering::Relaxed),
-            packets_rx: s.packets_rx.load(Ordering::Relaxed),
-            packets_tx: s.packets_tx.load(Ordering::Relaxed),
-            tx_retries: s.tx_retries.load(Ordering::Relaxed),
-            tx_drops: s.tx_drops.load(Ordering::Relaxed),
-            timer_heap_len: s.timer_heap_len.load(Ordering::Relaxed),
-            timers_armed: s.timers_armed.load(Ordering::Relaxed),
-            rx_batch_mean: rx.mean(),
-            rx_batch_max: rx.max().unwrap_or(0),
-            tx_batch_mean: tx.mean(),
-            tx_batch_max: tx.max().unwrap_or(0),
-            loop_p99_us: loop_us.p99(),
-            timer_slippage_p99_us: slip.p99(),
-            idle_cap_ms: self.core.config.idle_deadline_cap.as_millis() as u64,
+    /// The shard a session for `group` is assigned to: FNV-1a over the
+    /// group address and port, modulo the shard count. Deterministic, so
+    /// every endpoint of one group in one process lands on the same
+    /// shard.
+    pub fn shard_index(&self, group: SocketAddrV4) -> usize {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in group
+            .ip()
+            .octets()
+            .iter()
+            .chain(group.port().to_be_bytes().iter())
+        {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
+        // FNV alone leaves correlated inputs (addr and port stepping
+        // together, the typical group-allocation pattern) correlated
+        // mod small shard counts; a murmur-style finalizer avalanches
+        // the low bits.
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        (h % self.shards.len() as u64) as usize
+    }
+
+    /// Sessions currently registered, all shards.
+    pub fn session_count(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.core.sessions.lock().len())
+            .sum()
+    }
+
+    /// Reactor-wide counters and batch-size distributions: counters
+    /// summed over shards (including `sessions_hwm`, so this is exactly
+    /// the sum of [`Reactor::shard_stats`]), batch and latency figures
+    /// taken from the merged histograms (never averaged).
+    pub fn stats(&self) -> ReactorStats {
+        snapshot(&self.shards).0
+    }
+
+    /// One [`ReactorStats`] per shard, in shard order.
+    pub fn shard_stats(&self) -> Vec<ReactorStats> {
+        self.shards
+            .iter()
+            .map(|s| snapshot(std::slice::from_ref(s)).0)
+            .collect()
     }
 
     /// The tunables this reactor was built with.
     pub fn config(&self) -> &ReactorConfig {
-        &self.core.config
+        &self.shards[0].core.config
     }
 
-    /// Per-session traffic totals, ordered by session id — the basis
-    /// for per-session rate displays (`hrmc top`) and the `/json`
-    /// telemetry dump.
+    /// Per-session traffic totals across every shard — the basis for
+    /// per-session rate displays (`hrmc top`) and the `/json` telemetry
+    /// dump. Ordered by shard, then session id; each id carries its
+    /// shard (`shard << 32 | id`), so ids are unique reactor-wide.
     pub fn session_health(&self) -> Vec<SessionHealth> {
-        let mut out: Vec<SessionHealth> = self
-            .core
-            .sessions
-            .lock()
-            .iter()
-            .map(|(&id, s)| {
-                let mut h = s.health();
-                h.id = id;
+        let mut out = Vec::new();
+        for (shard, s) in self.shards.iter().enumerate() {
+            let from = out.len();
+            out.extend(s.core.sessions.lock().iter().map(|(&id, session)| {
+                let mut h = session.health();
+                h.id = id | (shard as u64) << SHARD_ID_SHIFT;
                 h
-            })
-            .collect();
-        out.sort_by_key(|h| h.id);
+            }));
+            out[from..].sort_by_key(|h| h.id);
+        }
         out
     }
 
@@ -705,119 +728,132 @@ impl Reactor {
     /// histograms replaced), so a telemetry sampler can call it on
     /// every sampling interval without double-counting.
     pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
-        // A single reactor is one shard; `ReactorPool::publish_metrics`
-        // uses the same helpers with its aggregate and width.
-        publish_reactor_gauges(reg, &self.stats(), 1);
-        reg.set_histogram("reactor_rx_batch", &self.core.stats.rx_batches.lock());
-        reg.set_histogram("reactor_tx_batch", &self.core.stats.tx_batches.lock());
-        reg.set_histogram("reactor_loop_us", &self.core.stats.loop_us.lock());
-        reg.set_histogram(
-            "reactor_timer_slippage_us",
-            &self.core.stats.timer_slippage_us.lock(),
-        );
-        publish_session_gauges(reg, &self.sessions_snapshot());
+        let (st, histograms) = snapshot(&self.shards);
+        publish_reactor_gauges(reg, &st, self.shards.len() as u64);
+        for (name, h) in HISTOGRAM_NAMES.into_iter().zip(&histograms) {
+            reg.set_histogram(name, h);
+        }
+        // Sessions are cloned out of the lock first: a session's own
+        // engine lock is taken inside `publish_metrics`, and holding the
+        // registry lock across it would order those locks against the
+        // reactor thread's.
+        let mut sessions = Vec::new();
+        for s in self.shards.iter() {
+            sessions.extend(s.core.sessions.lock().values().cloned());
+        }
+        publish_session_gauges(reg, &sessions);
     }
 
-    /// Clone out the live session list. Sessions are cloned out of the
-    /// lock first: a session's own engine lock is taken inside
-    /// `publish_metrics`, and holding the registry lock across it would
-    /// order those locks against the reactor thread's.
-    pub(crate) fn sessions_snapshot(&self) -> Vec<Arc<dyn ReactorSession>> {
-        self.core.sessions.lock().values().cloned().collect()
-    }
-
-    /// The shared counter cells (for [`crate::ReactorPool`]'s
-    /// cross-shard histogram merges).
-    pub(crate) fn stats_cells(&self) -> Arc<StatsCells> {
-        Arc::clone(&self.core.stats)
-    }
-
-    /// Register a session: its sockets are queued for the reactor
-    /// thread's datapath (nonblocking first, for the epoll backend —
-    /// io_uring keeps them blocking, since a nonblocking fd makes
-    /// `RECVMSG` complete `-EAGAIN` instead of arming an internal poll)
-    /// and its first deadline is folded into the timer heap. Returns
-    /// the session id and the [`ReactorRef`] the handle drives kicks
-    /// and deregistration through — deliberately *not* a full
-    /// [`Reactor`], so live sessions do not keep the reactor thread
-    /// alive past the last user-held handle. A socket the datapath
-    /// cannot watch surfaces asynchronously via
+    /// Register a session on the shard `group` hashes to: its sockets
+    /// are queued for that shard's datapath (nonblocking first, for the
+    /// epoll backend — io_uring keeps them blocking, since a nonblocking
+    /// fd makes `RECVMSG` complete `-EAGAIN` instead of arming an
+    /// internal poll) and its first deadline is folded into the timer
+    /// heap. Returns the session id and the shard's [`Core`], which
+    /// the handle drives kicks and deregistration through — deliberately
+    /// *not* a full [`Reactor`], so live sessions do not keep the
+    /// reactor threads alive past the last user-held handle. A socket
+    /// the datapath cannot watch surfaces asynchronously via
     /// [`ReactorSession::on_fatal`].
     pub(crate) fn register(
         &self,
+        group: SocketAddrV4,
         session: Arc<dyn ReactorSession>,
-    ) -> Result<(u64, ReactorRef), NetError> {
-        if self.core.shutdown.load(Ordering::SeqCst) {
+    ) -> Result<(u64, Arc<Core>), NetError> {
+        let core = &self.shards[self.shard_index(group)].core;
+        if core.shutdown.load(Ordering::SeqCst) {
             return Err(NetError::ReactorClosed);
         }
-        let id = self.core.next_id.fetch_add(1, Ordering::Relaxed);
+        let id = core.next_id.fetch_add(1, Ordering::Relaxed);
         {
             let sockets = session.sockets();
             assert!(
                 sockets.len() as u64 <= MAX_ROLES,
                 "too many session sockets"
             );
-            if self.core.backend == "epoll" {
+            if core.backend == "epoll" {
                 for sock in &sockets {
                     sock.set_nonblocking(true).map_err(NetError::Io)?;
                 }
             }
         }
         {
-            let mut map = self.core.sessions.lock();
+            let mut map = core.sessions.lock();
             map.insert(id, session);
             let n = map.len() as u64;
-            self.core.stats.sessions_hwm.fetch_max(n, Ordering::Relaxed);
+            core.stats.sessions_hwm.fetch_max(n, Ordering::Relaxed);
         }
-        self.core.dp_cmds.lock().push(DpCmd::Register { id });
-        self.core.kick(id);
-        Ok((
-            id,
-            ReactorRef {
-                core: Arc::clone(&self.core),
-            },
-        ))
+        core.dp_cmds.lock().push(DpCmd::Register { id });
+        core.kick(id);
+        Ok((id, Arc::clone(core)))
     }
 }
 
-/// A session handle's grip on its reactor: shares the [`Core`] (so
-/// kicks and deregistration work) but NOT the thread guard — dropping
-/// the last user-held [`Reactor`] shuts the loop down even while
-/// sessions are live, and those sessions fail over to
-/// [`crate::NetError::ReactorClosed`].
-#[derive(Clone)]
-pub(crate) struct ReactorRef {
-    core: Arc<Core>,
-}
+/// The distributions a shard records, in [`snapshot`]'s order, under
+/// the names they are published by.
+const HISTOGRAM_NAMES: [&str; 4] = [
+    "reactor_rx_batch",
+    "reactor_tx_batch",
+    "reactor_loop_us",
+    "reactor_timer_slippage_us",
+];
 
-impl ReactorRef {
-    /// Ask the reactor to re-read `id`'s deadline: a submit, close, or
-    /// application event may have armed an earlier timer. The eventfd's
-    /// counter semantics make the kick impossible to lose — the old
-    /// per-endpoint drivers needed a lock dance for the same guarantee.
-    pub(crate) fn kick(&self, id: u64) {
-        self.core.kick(id);
+/// Sum `shards`' counters and merge their histograms.
+fn snapshot(shards: &[Shard]) -> (ReactorStats, [Histogram; 4]) {
+    let mut st = ReactorStats::default();
+    let mut merged: [Histogram; 4] = Default::default();
+    for shard in shards {
+        let core = &shard.core;
+        let s = &core.stats;
+        st.backend = core.backend;
+        st.idle_cap_ms = core.config.idle_deadline_cap.as_millis() as u64;
+        st.sessions += core.sessions.lock().len();
+        st.sessions_hwm += s.sessions_hwm.load(Ordering::Relaxed);
+        st.epoll_wakeups += s.epoll_wakeups.load(Ordering::Relaxed);
+        st.timer_fires += s.timer_fires.load(Ordering::Relaxed);
+        st.kicks += s.kicks.load(Ordering::Relaxed);
+        st.recvmmsg_calls += s.recvmmsg_calls.load(Ordering::Relaxed);
+        st.sendmmsg_calls += s.sendmmsg_calls.load(Ordering::Relaxed);
+        st.uring_enters += s.uring_enters.load(Ordering::Relaxed);
+        st.packets_rx += s.packets_rx.load(Ordering::Relaxed);
+        st.packets_tx += s.packets_tx.load(Ordering::Relaxed);
+        st.tx_retries += s.tx_retries.load(Ordering::Relaxed);
+        st.tx_drops += s.tx_drops.load(Ordering::Relaxed);
+        st.timer_heap_len += s.timer_heap_len.load(Ordering::Relaxed);
+        st.timers_armed += s.timers_armed.load(Ordering::Relaxed);
+        let recorded = [
+            &s.rx_batches,
+            &s.tx_batches,
+            &s.loop_us,
+            &s.timer_slippage_us,
+        ];
+        for (sum, cell) in merged.iter_mut().zip(recorded) {
+            sum.merge(&cell.lock());
+        }
     }
-
-    /// Remove a session: its sockets leave the epoll set, the reactor
-    /// drops its timer state lazily.
-    pub(crate) fn deregister(&self, id: u64, session: &dyn ReactorSession) {
-        self.core.deregister(id, session);
-    }
+    let [rx, tx, loop_us, slip] = &merged;
+    st.rx_batch_mean = rx.mean();
+    st.rx_batch_max = rx.max().unwrap_or(0);
+    st.tx_batch_mean = tx.mean();
+    st.tx_batch_max = tx.max().unwrap_or(0);
+    st.loop_p99_us = loop_us.p99();
+    st.timer_slippage_p99_us = slip.p99();
+    (st, merged)
 }
 
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reactor")
+            .field("shards", &self.shards.len())
             .field("sessions", &self.session_count())
             .finish()
     }
 }
 
-/// Set the `reactor_*` gauges from a stats snapshot (a single reactor's
-/// or a pool aggregate). Backend identity is a numeric gauge — the
-/// exposition formats carry no strings: 0 = epoll, 1 = uring.
-pub(crate) fn publish_reactor_gauges(reg: &mut MetricsRegistry, st: &ReactorStats, shards: u64) {
+/// Set the `reactor_*` gauges from a stats snapshot. Backend identity is
+/// a numeric gauge — the exposition formats carry no strings: 0 = epoll,
+/// 1 = uring.
+fn publish_reactor_gauges(reg: &mut MetricsRegistry, st: &ReactorStats, shards: u64) {
     reg.set_gauge("datapath_backend", u64::from(st.backend == "uring"));
     reg.set_gauge("reactor_shards", shards);
     reg.set_gauge("reactor_sessions", st.sessions as u64);
@@ -841,10 +877,7 @@ pub(crate) fn publish_reactor_gauges(reg: &mut MetricsRegistry, st: &ReactorStat
 /// session publish its own gauges. With several publishing sessions the
 /// last writer wins per gauge, matching the common one-sender-per-
 /// process deployment.
-pub(crate) fn publish_session_gauges(
-    reg: &mut MetricsRegistry,
-    sessions: &[Arc<dyn ReactorSession>],
-) {
+fn publish_session_gauges(reg: &mut MetricsRegistry, sessions: &[Arc<dyn ReactorSession>]) {
     let mut agg = SessionHealth::default();
     let mut failed = 0u64;
     for s in sessions {
@@ -1059,7 +1092,14 @@ fn run(core: &Arc<Core>, dp: Box<dyn Datapath>) {
 
 #[cfg(test)]
 mod tests {
+    use std::net::Ipv4Addr;
+    use std::sync::mpsc;
+
+    use hrmc_core::ProtocolConfig;
+
     use super::*;
+    use crate::datapath::EpollDatapath;
+    use crate::{ReceiverHandle, SenderHandle, Session};
 
     #[test]
     fn reactor_spins_up_and_down() {
@@ -1080,11 +1120,64 @@ mod tests {
         let _ = r2.stats();
     }
 
+    fn group(a: u8, port: u16) -> SocketAddrV4 {
+        SocketAddrV4::new(std::net::Ipv4Addr::new(239, 255, 80, a), port)
+    }
+
+    fn sharded(n: usize) -> Reactor {
+        Reactor::with_config(ReactorConfig {
+            shards: n,
+            ..ReactorConfig::default()
+        })
+        .expect("reactor")
+    }
+
     #[test]
-    fn global_reactor_is_a_singleton() {
-        let a = Reactor::global();
-        let b = Reactor::global();
-        assert!(Arc::ptr_eq(&a.core, &b.core));
+    fn shards_spawn_and_assign_deterministically() {
+        let r = sharded(4);
+        assert_eq!(r.shards(), 4);
+        assert_eq!(r.session_count(), 0);
+        let g = group(1, 45001);
+        assert_eq!(r.shard_index(g), r.shard_index(g));
+        // Distinct groups spread: with 64 groups over 4 shards, every
+        // shard gets at least one (FNV mixes the low octets well).
+        let mut hit = [false; 4];
+        for i in 0..64u8 {
+            hit[r.shard_index(group(i, 45000 + u16::from(i)))] = true;
+        }
+        assert!(hit.iter().all(|&h| h), "all shards reachable: {hit:?}");
+    }
+
+    #[test]
+    fn zero_shards_is_clamped_to_one() {
+        assert_eq!(sharded(0).shards(), 1);
+    }
+
+    #[test]
+    fn stats_sum_the_shard_counters() {
+        let r = sharded(2);
+        // Idle shards still wake on their idle cap; the summed wakeups
+        // must equal the sum of the per-shard snapshots (both counters
+        // only grow, so take the per-shard sum *after* the total —
+        // sum >= total proves no double-count, total >= earlier
+        // per-shard readings proves no loss).
+        let per_shard =
+            |r: &Reactor| -> u64 { r.shard_stats().iter().map(|s| s.epoll_wakeups).sum() };
+        let before = per_shard(&r);
+        let total = r.stats().epoll_wakeups;
+        let after = per_shard(&r);
+        assert!(total >= before, "total lost counts: {before} -> {total}");
+        assert!(after >= total, "total double-counted: {total} -> {after}");
+    }
+
+    #[test]
+    fn publishes_shard_count_and_backend() {
+        let mut reg = MetricsRegistry::new();
+        sharded(3).publish_metrics(&mut reg);
+        assert_eq!(reg.gauge("reactor_shards"), Some(3));
+        let backend = reg.gauge("datapath_backend");
+        assert!(backend == Some(0) || backend == Some(1));
+        assert_eq!(reg.gauge("reactor_sessions"), Some(0));
     }
 
     #[test]
@@ -1100,7 +1193,7 @@ mod tests {
             RxError::Retry
         );
         // The busy-spin bug: EBADF must be fatal, never retried.
-        assert_eq!(d(io::Error::from_raw_os_error(9)), RxError::Fatal);
+        assert_eq!(d(io::Error::from_raw_os_error(EBADF)), RxError::Fatal);
         assert_eq!(d(io::Error::from(K::PermissionDenied)), RxError::Fatal);
     }
 
@@ -1118,27 +1211,59 @@ mod tests {
     }
 
     /// A scripted datapath: counts `send_batch` invocations and plays
-    /// back a canned verdict per call — the trait seam that lets the
-    /// retry loop be tested without provoking real kernel pressure.
+    /// back a canned verdict per call (swallowing the packets once the
+    /// script runs out) — the trait seam that lets the retry loop and
+    /// the teardown paths be tested without provoking the kernel.
+    #[derive(Default)]
     struct ScriptedDatapath {
         calls: Arc<AtomicU64>,
         verdicts: Mutex<std::collections::VecDeque<Result<usize, io::ErrorKind>>>,
+        /// Real readiness underneath, when a running reactor is driven
+        /// through the script rather than a bare [`IoBatch`].
+        live: Option<EpollDatapath>,
+        /// Once set, every watched socket reads as ready and fails with
+        /// `EBADF`: a socket dying under the reactor, without a raced fd.
+        rx_dead: Arc<AtomicBool>,
+        tokens: Vec<u64>,
     }
 
     impl Datapath for ScriptedDatapath {
         fn backend(&self) -> &'static str {
             "scripted"
         }
-        fn register(&mut self, _fd: i32, _token: u64) -> io::Result<()> {
-            Ok(())
+        fn register(&mut self, fd: i32, token: u64) -> io::Result<()> {
+            self.tokens.push(token);
+            self.live
+                .as_mut()
+                .map_or(Ok(()), |dp| dp.register(fd, token))
         }
-        fn deregister(&mut self, _fd: i32, _keepalive: Arc<dyn ReactorSession>) {}
-        fn wait(&mut self, _timeout_ms: i32, ready: &mut Vec<u64>) -> io::Result<()> {
+        fn deregister(&mut self, fd: i32, keepalive: Arc<dyn ReactorSession>) {
+            if let Some(dp) = &mut self.live {
+                dp.deregister(fd, keepalive);
+            }
+        }
+        fn wait(&mut self, timeout_ms: i32, ready: &mut Vec<u64>) -> io::Result<()> {
             ready.clear();
+            if let Some(dp) = &mut self.live {
+                dp.wait(timeout_ms, ready)?;
+            }
+            if self.rx_dead.load(Ordering::SeqCst) {
+                for t in &self.tokens {
+                    if !ready.contains(t) {
+                        ready.push(*t);
+                    }
+                }
+            }
             Ok(())
         }
-        fn recv_batch(&mut self, _sock: &McastSocket, _rx: &mut RxBatch) -> io::Result<usize> {
-            Err(io::Error::from(io::ErrorKind::WouldBlock))
+        fn recv_batch(&mut self, sock: &McastSocket, rx: &mut RxBatch) -> io::Result<usize> {
+            if self.rx_dead.load(Ordering::SeqCst) {
+                return Err(io::Error::from_raw_os_error(EBADF));
+            }
+            match &mut self.live {
+                Some(dp) => dp.recv_batch(sock, rx),
+                None => Err(io::Error::from(io::ErrorKind::WouldBlock)),
+            }
         }
         fn send_batch(
             &mut self,
@@ -1154,6 +1279,8 @@ mod tests {
             }
         }
     }
+
+    const EBADF: i32 = 9;
 
     fn loopback_sender() -> McastSocket {
         let group = std::net::SocketAddrV4::new(std::net::Ipv4Addr::new(239, 255, 87, 1), 47001);
@@ -1176,6 +1303,7 @@ mod tests {
             Box::new(ScriptedDatapath {
                 calls: Arc::clone(&calls),
                 verdicts: Mutex::new(verdicts),
+                ..ScriptedDatapath::default()
             }),
         );
         let sock = loopback_sender();
@@ -1212,6 +1340,7 @@ mod tests {
             Box::new(ScriptedDatapath {
                 calls: Arc::clone(&calls),
                 verdicts: Mutex::new(verdicts),
+                ..ScriptedDatapath::default()
             }),
         );
         let sock = loopback_sender();
@@ -1239,7 +1368,7 @@ mod tests {
         let wakefd = unsafe { libc::eventfd(0, libc::EFD_NONBLOCK | libc::EFD_CLOEXEC) };
         assert!(wakefd >= 0);
         let stats = Arc::new(StatsCells::default());
-        let mut dp = crate::datapath::EpollDatapath::new(wakefd, Arc::clone(&stats)).expect("dp");
+        let mut dp = EpollDatapath::new(wakefd, Arc::clone(&stats)).expect("dp");
         let sock = loopback_sender();
         let good = SocketAddr::V4(std::net::SocketAddrV4::new(
             std::net::Ipv4Addr::LOCALHOST,
@@ -1304,7 +1433,7 @@ mod tests {
         let r = Reactor::new().expect("reactor");
         // Let the loop run a few iterations so loop_us has samples.
         std::thread::sleep(Duration::from_millis(5));
-        r.core.wake();
+        r.shards[0].core.wake();
         std::thread::sleep(Duration::from_millis(5));
         let mut reg = MetricsRegistry::new();
         r.publish_metrics(&mut reg);
@@ -1316,6 +1445,134 @@ mod tests {
         if let (Some(a), Some(b)) = (first, second) {
             assert!(b >= a, "count shrank: {a} -> {b}");
             assert!(b < 2 * a.max(1) + 16, "double-counted: {a} -> {b}");
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Teardown: what a dying session does to its blocked callers
+    // -----------------------------------------------------------------
+
+    const LO: Ipv4Addr = Ipv4Addr::LOCALHOST;
+
+    /// What kills the session under the blocked call.
+    #[derive(Clone, Copy, Debug)]
+    enum Cause {
+        /// The last user-held `Reactor` drops.
+        ReactorDropped,
+        /// The session's socket starts failing with `EBADF`.
+        SocketDies,
+    }
+
+    /// A reactor whose sockets swallow every packet (so nothing ever
+    /// joins or acknowledges) and die when `rx_dead` is set.
+    fn scripted_reactor(rx_dead: &Arc<AtomicBool>) -> Reactor {
+        let rx_dead = Arc::clone(rx_dead);
+        let config = ReactorConfig {
+            idle_deadline_cap: Duration::from_millis(5),
+            ..ReactorConfig::default()
+        };
+        Reactor::with_datapath(config, &move |_, wakefd, stats| {
+            Ok(Box::new(ScriptedDatapath {
+                live: Some(EpollDatapath::new(wakefd, stats)?),
+                rx_dead: Arc::clone(&rx_dead),
+                ..ScriptedDatapath::default()
+            }))
+        })
+        .expect("reactor")
+    }
+
+    /// A window of a few segments that, with no receiver ever heard
+    /// from, is not released while the test runs.
+    fn config() -> ProtocolConfig {
+        let mut c = ProtocolConfig::hrmc().with_buffer(8 * 1024);
+        c.anonymous_release_hold = 60_000_000;
+        c
+    }
+
+    /// Run `call` on a thread of its own, kill the session by `cause`
+    /// once the call has had time to block, and return what it
+    /// returned. The watchdog is the assertion that no caller is left
+    /// parked on the condvar.
+    fn outcome<H: Send + Sync + 'static, T: Send + 'static>(
+        cause: Cause,
+        bind: impl FnOnce(Reactor) -> H,
+        call: impl FnOnce(&H) -> Result<T, NetError> + Send + 'static,
+    ) -> (Result<T, NetError>, Arc<H>) {
+        let rx_dead = Arc::new(AtomicBool::new(false));
+        let reactor = scripted_reactor(&rx_dead);
+        let handle = Arc::new(bind(reactor.clone()));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (done_tx, done_rx) = mpsc::channel();
+        let h = Arc::clone(&handle);
+        std::thread::spawn(move || {
+            started_tx.send(()).expect("test thread alive");
+            let _ = done_tx.send(call(&h));
+        });
+        started_rx.recv().expect("caller started");
+        std::thread::sleep(Duration::from_millis(50));
+        match cause {
+            Cause::ReactorDropped => drop(reactor),
+            Cause::SocketDies => rx_dead.store(true, Ordering::SeqCst),
+        }
+        let result = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{cause:?}: the blocked call never returned"));
+        (result, handle)
+    }
+
+    fn sender(group: SocketAddrV4) -> impl FnOnce(Reactor) -> SenderHandle {
+        move |reactor| {
+            let b = Session::sender(group).interface(LO).config(config());
+            b.reactor(reactor).bind().expect("bind sender")
+        }
+    }
+
+    fn receiver(group: SocketAddrV4) -> impl FnOnce(Reactor) -> ReceiverHandle {
+        move |reactor| {
+            let b = Session::receiver(group).interface(LO).config(config());
+            b.reactor(reactor).bind().expect("join receiver")
+        }
+    }
+
+    /// {sender, receiver} × {reactor dropped, socket dies} × the blocked
+    /// call: each returns the error that names the cause, and
+    /// `fatal_error` tells a broken socket from a stopped reactor.
+    #[test]
+    fn a_dying_session_fails_every_blocked_call() {
+        let ebadf = io::Error::from_raw_os_error(EBADF).kind();
+        let mut port = 47100;
+        for cause in [Cause::ReactorDropped, Cause::SocketDies] {
+            let mut group = || {
+                port += 1;
+                SocketAddrV4::new(Ipv4Addr::new(239, 255, 87, 2), port)
+            };
+            let check = |call: &str, err: NetError, fatal: Option<io::ErrorKind>| match cause {
+                Cause::ReactorDropped => {
+                    assert!(matches!(err, NetError::ReactorClosed), "{call}: {err:?}");
+                    assert_eq!(fatal, None, "{call}");
+                }
+                Cause::SocketDies => {
+                    assert!(matches!(err, NetError::SessionFailed), "{call}: {err:?}");
+                    assert_eq!(fatal, Some(ebadf), "{call}");
+                }
+            };
+
+            // Four windows' worth: `send` blocks once the first is full.
+            let (r, tx) = outcome(cause, sender(group()), |tx| tx.send(&[7u8; 32 * 1024]));
+            check("send", r.expect_err("send"), tx.fatal_error());
+            // A dead session refuses new data at once, not when full.
+            assert!(tx.send(b"x").is_err());
+
+            let (r, tx) = outcome(cause, sender(group()), |tx| {
+                tx.close_and_wait(Duration::from_secs(30))
+            });
+            check("close_and_wait", r.expect_err("close"), tx.fatal_error());
+
+            let (r, rx) = outcome(cause, receiver(group()), |rx| {
+                rx.recv(&mut [0u8; 64], Duration::from_secs(30))
+            });
+            check("recv", r.expect_err("recv"), rx.fatal_error());
+            assert!(rx.has_failed());
         }
     }
 }

@@ -1,10 +1,8 @@
-//! The unified session builder: one construction path for both
-//! endpoint roles, replacing the `HrmcSender::bind` / `HrmcReceiver::join`
-//! pair and the racy post-bind `set_observer` / `attach_flight_recorder`
-//! calls. Everything a session needs — interface, protocol config,
-//! observers, flight recorder, reactor — is declared *before* `bind()`,
-//! so the engine is fully instrumented before the reactor can deliver
-//! its first packet or tick.
+//! The session builder: one construction path for both endpoint roles.
+//! Everything a session needs (interface, protocol config, observers,
+//! flight recorder, reactor) is declared *before* `bind()`, so the
+//! engine is fully instrumented before the reactor can deliver its
+//! first packet or tick.
 //!
 //! ```no_run
 //! use hrmc_net::Session;
@@ -21,8 +19,6 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 
 use hrmc_core::{MultiObserver, ProtocolConfig, ProtocolObserver, SharedRecorder};
 
-use crate::datapath::DatapathKind;
-use crate::pool::ReactorPool;
 use crate::reactor::Reactor;
 use crate::receiver::{self, ReceiverHandle};
 use crate::sender::{self, SenderHandle};
@@ -55,9 +51,6 @@ struct Common {
     observers: Vec<Box<dyn ProtocolObserver>>,
     flight_capacity: Option<usize>,
     reactor: Option<Reactor>,
-    pool: Option<ReactorPool>,
-    reactor_threads: Option<usize>,
-    datapath: Option<DatapathKind>,
 }
 
 impl Common {
@@ -69,33 +62,12 @@ impl Common {
             observers: Vec::new(),
             flight_capacity: None,
             reactor: None,
-            pool: None,
-            reactor_threads: None,
-            datapath: None,
         }
     }
 
-    /// Resolve the reactor, the flight recorder, and the composed
-    /// observer stack (user observers first, recorder last).
-    ///
-    /// Reactor resolution, most specific first: an explicit
-    /// [`Reactor`], the group's shard of an explicit [`ReactorPool`],
-    /// the shared pool for the requested `(reactor_threads, datapath)`
-    /// shape, the process-wide [`Reactor::global`].
-    fn finish(self, flight_label: &str) -> Result<Resolved, NetError> {
-        let group = self.group;
-        let reactor = match (self.reactor, self.pool) {
-            (Some(r), _) => r,
-            (None, Some(pool)) => pool.shard_for(group).clone(),
-            (None, None) if self.reactor_threads.is_some() || self.datapath.is_some() => {
-                let pool = ReactorPool::shared(
-                    self.reactor_threads.unwrap_or(1),
-                    self.datapath.unwrap_or_default(),
-                )?;
-                pool.shard_for(group).clone()
-            }
-            (None, None) => Reactor::global(),
-        };
+    /// Build the flight recorder and compose the observer stack (user
+    /// observers first, recorder last).
+    fn finish(self, flight_label: &str) -> Resolved {
         let flight = self
             .flight_capacity
             .map(|cap| SharedRecorder::new(cap).with_label(flight_label));
@@ -114,24 +86,26 @@ impl Common {
                 Some(Box::new(multi))
             }
         };
-        Ok(Resolved {
-            group,
+        Resolved {
+            group: self.group,
             interface: self.interface,
             config: self.config,
             observer,
             flight,
-            reactor,
-        })
+            reactor: self.reactor,
+        }
     }
 }
 
-struct Resolved {
-    group: SocketAddrV4,
-    interface: Ipv4Addr,
-    config: ProtocolConfig,
-    observer: Option<Box<dyn ProtocolObserver>>,
-    flight: Option<SharedRecorder>,
-    reactor: Reactor,
+/// What the builders hand to `sender::bind` / `receiver::join`.
+pub(crate) struct Resolved {
+    pub(crate) group: SocketAddrV4,
+    pub(crate) interface: Ipv4Addr,
+    pub(crate) config: ProtocolConfig,
+    pub(crate) observer: Option<Box<dyn ProtocolObserver>>,
+    pub(crate) flight: Option<SharedRecorder>,
+    /// `None`: the handle owns a one-shard reactor of its own.
+    pub(crate) reactor: Option<Reactor>,
 }
 
 macro_rules! builder_options {
@@ -167,40 +141,15 @@ macro_rules! builder_options {
                 self
             }
 
-            /// Drive the session from a specific reactor instead of the
-            /// process-wide [`Reactor::global`] — useful to shard very
-            /// large session counts across threads, or to isolate tests.
-            /// Takes precedence over [`Self::reactor_pool`],
-            /// [`Self::reactor_threads`], and [`Self::datapath`].
+            /// Drive the session from `reactor`, on the shard its
+            /// multicast group hashes to, next to every other session
+            /// given a clone of it. A session built without this owns a
+            /// one-shard reactor (one thread) for its handle's lifetime.
+            /// The session does not keep `reactor` alive: when the last
+            /// user-held clone drops, its sessions fail with
+            /// [`NetError::ReactorClosed`].
             pub fn reactor(mut self, reactor: Reactor) -> Self {
                 self.common.reactor = Some(reactor);
-                self
-            }
-
-            /// Drive the session from this pool: the session lands on
-            /// the shard its multicast group hashes to
-            /// ([`crate::ReactorPool::shard_for`]).
-            pub fn reactor_pool(mut self, pool: &crate::ReactorPool) -> Self {
-                self.common.pool = Some(pool.clone());
-                self
-            }
-
-            /// Drive the session from the process-wide shared pool of
-            /// `n` reactor threads ([`crate::ReactorPool::shared`]) —
-            /// sessions for distinct groups spread across cores while
-            /// every endpoint of one group shares a shard.
-            pub fn reactor_threads(mut self, n: usize) -> Self {
-                self.common.reactor_threads = Some(n);
-                self
-            }
-
-            /// Which syscall backend drives the session's sockets
-            /// (default [`crate::DatapathKind::Epoll`]).
-            /// [`crate::DatapathKind::Uring`] probes the kernel at
-            /// reactor startup and falls back to epoll when io_uring is
-            /// unavailable.
-            pub fn datapath(mut self, kind: crate::DatapathKind) -> Self {
-                self.common.datapath = Some(kind);
                 self
             }
 
@@ -228,15 +177,7 @@ impl SenderBuilder {
     /// multicast address and port number") and register it with the
     /// reactor.
     pub fn bind(self) -> Result<SenderHandle, NetError> {
-        let r = self.common.finish("sender")?;
-        sender::bind_with(
-            r.group,
-            r.interface,
-            r.config,
-            r.observer,
-            r.flight,
-            r.reactor,
-        )
+        sender::bind(self.common.finish("sender"))
     }
 }
 
@@ -252,14 +193,6 @@ impl ReceiverBuilder {
     /// setsockopt to join the multicast group") and register the session
     /// with the reactor.
     pub fn bind(self) -> Result<ReceiverHandle, NetError> {
-        let r = self.common.finish("recv")?;
-        receiver::join_with(
-            r.group,
-            r.interface,
-            r.config,
-            r.observer,
-            r.flight,
-            r.reactor,
-        )
+        receiver::join(self.common.finish("recv"))
     }
 }

@@ -99,13 +99,13 @@ impl McastSocket {
     }
 
     /// Send `buf` to the multicast group, retrying transient kernel
-    /// errors with a short backoff (see [`send_retrying`]).
+    /// errors with a short backoff (see `send_retrying`).
     pub fn send_multicast(&self, buf: &[u8]) -> io::Result<usize> {
         send_retrying(|| self.inner.send_to(buf, SocketAddr::V4(self.group)))
     }
 
     /// Send `buf` to a specific peer (unicast), retrying transient
-    /// kernel errors with a short backoff (see [`send_retrying`]).
+    /// kernel errors with a short backoff (see `send_retrying`).
     pub fn send_unicast(&self, buf: &[u8], to: SocketAddr) -> io::Result<usize> {
         send_retrying(|| self.inner.send_to(buf, to))
     }
@@ -119,14 +119,6 @@ impl McastSocket {
     /// shutdown flags are observed).
     pub fn set_read_timeout(&self, dur: std::time::Duration) -> io::Result<()> {
         self.inner.set_read_timeout(Some(dur))
-    }
-
-    /// Clone the underlying socket handle (same fd, shared by threads).
-    pub fn try_clone(&self) -> io::Result<McastSocket> {
-        Ok(McastSocket {
-            inner: self.inner.try_clone()?,
-            group: self.group,
-        })
     }
 
     /// Switch blocking mode. The reactor runs every registered socket
@@ -353,7 +345,7 @@ const ENOBUFS: i32 = 105;
 /// `true` for errors a loaded kernel returns transiently on UDP sends:
 /// `EAGAIN`/`EWOULDBLOCK`, `EINTR`, and `ENOBUFS` (socket buffers
 /// momentarily full — the classic burst symptom on loopback).
-fn is_transient(e: &io::Error) -> bool {
+pub(crate) fn is_transient(e: &io::Error) -> bool {
     matches!(
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted

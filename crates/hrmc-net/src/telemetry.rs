@@ -35,7 +35,6 @@ use hrmc_core::{
 };
 use parking_lot::Mutex;
 
-use crate::pool::ReactorPool;
 use crate::reactor::Reactor;
 
 /// Configures and starts a [`Telemetry`] pipeline.
@@ -44,7 +43,7 @@ pub struct TelemetryBuilder {
     ring: usize,
     listen: Option<SocketAddr>,
     sink: Option<Box<dyn Write + Send>>,
-    pool: Option<ReactorPool>,
+    reactor: Option<Reactor>,
     health: Option<HealthConfig>,
 }
 
@@ -83,18 +82,14 @@ impl TelemetryBuilder {
         Ok(self)
     }
 
-    /// Which reactor's health to publish (default: [`Reactor::global`]).
+    /// Which reactor's health to publish: pass a clone of the one the
+    /// sessions are built on. Counters are summed and histograms merged
+    /// across its shards, per-session health ids carry their shard, and
+    /// the shard count is reported as `hrmc_reactor_shards` / the
+    /// `"shards"` key of `/json`. Without this the pipeline owns an
+    /// idle one-shard reactor and reports that.
     pub fn reactor(mut self, reactor: Reactor) -> Self {
-        self.pool = Some(reactor.into());
-        self
-    }
-
-    /// Publish a whole [`ReactorPool`]'s health instead: counters
-    /// summed and histograms merged across shards, per-session health
-    /// ids tagged with their shard, and the pool width reported as
-    /// `hrmc_reactor_shards` / the `"shards"` key of `/json`.
-    pub fn reactor_pool(mut self, pool: &ReactorPool) -> Self {
-        self.pool = Some(pool.clone());
+        self.reactor = Some(reactor);
         self
     }
 
@@ -114,10 +109,14 @@ impl TelemetryBuilder {
         if let Some(sink) = self.sink {
             sampler.set_sink(sink);
         }
+        let reactor = match self.reactor {
+            Some(r) => r,
+            None => Reactor::new()?,
+        };
         let shared = Arc::new(Shared {
             obs: MetricsObserver::new(),
             sampler: Mutex::new(sampler),
-            pool: self.pool.unwrap_or_else(|| Reactor::global().into()),
+            reactor,
             monitor: self
                 .health
                 .filter(HealthConfig::armed)
@@ -178,9 +177,8 @@ struct Shared {
     /// sessions install.
     obs: MetricsObserver,
     sampler: Mutex<Sampler>,
-    /// The reactor(s) whose health this pipeline publishes — a single
-    /// reactor is just a pool of one.
-    pool: ReactorPool,
+    /// The reactor whose health this pipeline publishes.
+    reactor: Reactor,
     /// The armed online health monitor, when the builder asked for one.
     monitor: Option<SharedMonitor>,
     epoch: Instant,
@@ -194,7 +192,7 @@ impl Shared {
     /// is consistent without nesting locks.
     fn gather(&self) -> MetricsRegistry {
         let mut reg = self.obs.snapshot();
-        self.pool.publish_metrics(&mut reg);
+        self.reactor.publish_metrics(&mut reg);
         if let Some(mon) = &self.monitor {
             reg.set_gauge("alerts_active", mon.active());
         }
@@ -247,10 +245,10 @@ impl Shared {
             .latest()
             .map(|s| s.to_json_line())
             .unwrap_or_else(|| "null".to_string());
-        let st = self.pool.aggregate();
+        let st = self.reactor.stats();
         let mut out = String::with_capacity(512 + sample.len());
         let _ = write!(out, "{{\"sample\":{sample},\"sessions\":[");
-        for (i, h) in self.pool.session_health().iter().enumerate() {
+        for (i, h) in self.reactor.session_health().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -268,7 +266,7 @@ impl Shared {
              \"syscalls_per_packet\":{:.4},\
              \"loop_p99_us\":{},\"timer_slippage_p99_us\":{},\"idle_cap_ms\":{}}}}}",
             st.backend,
-            self.pool.shards(),
+            self.reactor.shards(),
             st.sessions,
             st.syscalls_per_packet(),
             st.loop_p99_us,
@@ -295,7 +293,7 @@ impl Telemetry {
             ring: 720,
             listen: None,
             sink: None,
-            pool: None,
+            reactor: None,
             health: None,
         }
     }

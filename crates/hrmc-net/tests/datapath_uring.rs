@@ -12,38 +12,10 @@
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::Duration;
 
-use hrmc_core::ProtocolConfig;
-use hrmc_net::{DatapathKind, McastSocket, Reactor, ReactorConfig, Session};
+use hrmc_net::{DatapathKind, Reactor, ReactorConfig, Session};
 
-const LO: Ipv4Addr = Ipv4Addr::new(127, 0, 0, 1);
-
-fn multicast_available(port: u16) -> bool {
-    let g = SocketAddrV4::new(Ipv4Addr::new(239, 255, 89, 11), port);
-    let Ok(rx) = McastSocket::receiver(g, LO) else {
-        return false;
-    };
-    let Ok(tx) = McastSocket::sender(g, LO) else {
-        return false;
-    };
-    let _ = rx.set_read_timeout(Duration::from_millis(500));
-    if tx.send_multicast(b"probe").is_err() {
-        return false;
-    }
-    let mut buf = [0u8; 16];
-    rx.recv_from(&mut buf).is_ok()
-}
-
-fn config() -> ProtocolConfig {
-    let mut c = ProtocolConfig::hrmc().with_buffer(256 * 1024);
-    c.max_rate = 20 * 1024 * 1024;
-    c.initial_rtt = 2_000;
-    c.anonymous_release_hold = 500_000;
-    c
-}
-
-fn pattern(len: usize) -> Vec<u8> {
-    (0..len).map(|i| (i * 31 % 251) as u8).collect()
-}
+mod common;
+use common::{config, multicast_available, pattern, LO};
 
 /// A reactor asked to run io_uring; `None` (skip) when the kernel made
 /// it fall back to epoll.

@@ -6,8 +6,10 @@
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::{Duration, Instant};
 
-use hrmc_core::ProtocolConfig;
 use hrmc_net::{McastSocket, Session};
+
+mod common;
+use common::{config, multicast_available, pattern, LO};
 
 /// A receiver session for `group` with the loopback test config.
 fn receiver(group: SocketAddrV4) -> hrmc_net::ReceiverHandle {
@@ -25,40 +27,6 @@ fn sender(group: SocketAddrV4) -> hrmc_net::SenderHandle {
         .config(config())
         .bind()
         .expect("bind sender")
-}
-
-const LO: Ipv4Addr = Ipv4Addr::new(127, 0, 0, 1);
-
-fn multicast_available(port: u16) -> bool {
-    let g = SocketAddrV4::new(Ipv4Addr::new(239, 255, 88, 11), port);
-    let Ok(rx) = McastSocket::receiver(g, LO) else {
-        return false;
-    };
-    let Ok(tx) = McastSocket::sender(g, LO) else {
-        return false;
-    };
-    let _ = rx.set_read_timeout(Duration::from_millis(500));
-    if tx.send_multicast(b"probe").is_err() {
-        return false;
-    }
-    let mut buf = [0u8; 16];
-    rx.recv_from(&mut buf).is_ok()
-}
-
-fn config() -> ProtocolConfig {
-    let mut c = ProtocolConfig::hrmc().with_buffer(256 * 1024);
-    // Cap the rate well below what loopback can do so the kernel's UDP
-    // receive buffers are not the bottleneck under test.
-    c.max_rate = 20 * 1024 * 1024;
-    // Loopback RTTs are tens of microseconds; seed accordingly so MINBUF
-    // residency does not slow the test pointlessly.
-    c.initial_rtt = 2_000;
-    c.anonymous_release_hold = 500_000;
-    c
-}
-
-fn pattern(len: usize) -> Vec<u8> {
-    (0..len).map(|i| (i * 31 % 251) as u8).collect()
 }
 
 #[test]
@@ -309,26 +277,6 @@ fn flight_recorder_captures_a_live_transfer() {
     });
 }
 
-/// The pre-builder entry points must keep working for one deprecation
-/// cycle: same endpoints, same wire behavior, driven by the same global
-/// reactor.
-#[test]
-#[allow(deprecated)]
-fn deprecated_bind_and_join_still_transfer() {
-    if !multicast_available(46160) {
-        eprintln!("skipping: multicast loopback unavailable");
-        return;
-    }
-    let group = SocketAddrV4::new(Ipv4Addr::new(239, 255, 88, 18), 46161);
-    let r = hrmc_net::HrmcReceiver::join(group, LO, config()).expect("join");
-    let tx = hrmc_net::HrmcSender::bind(group, LO, config()).expect("bind");
-    tx.send(b"compat shim").expect("send");
-    let mut buf = [0u8; 64];
-    let n = r.recv(&mut buf, Duration::from_secs(10)).expect("recv");
-    assert_eq!(&buf[..n], b"compat shim");
-    tx.close_and_wait(Duration::from_secs(30)).expect("close");
-}
-
 /// The sender session's membership-pressure gauges must surface through
 /// the reactor's metrics fan-in (the path the telemetry sampler, the
 /// `/metrics` exposition, and `hrmc top` all read).
@@ -439,4 +387,24 @@ fn small_sends_are_delivered_within_two_milliseconds() {
     sender
         .close_and_wait(Duration::from_secs(30))
         .expect("close");
+}
+
+/// `send` after `close` is refused with `Closed`. The closed engine
+/// accepts no bytes, and a `send` that reads that as a full window
+/// waits for space that never comes, hence the watchdog. Needs no
+/// receiver, so no multicast.
+#[test]
+fn send_after_close_is_refused() {
+    let tx = sender(SocketAddrV4::new(Ipv4Addr::new(239, 255, 88, 21), 46191));
+    tx.send(b"before").expect("send");
+    tx.close();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(tx.send(b"after"));
+    });
+    match done_rx.recv_timeout(Duration::from_secs(5)) {
+        Ok(Err(hrmc_net::NetError::Closed)) => {}
+        Ok(other) => panic!("expected Closed, got {other:?}"),
+        Err(_) => panic!("send after close never returned"),
+    }
 }

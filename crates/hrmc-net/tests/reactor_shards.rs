@@ -1,48 +1,20 @@
-//! Multi-shard reactor pool under real load: 32 loopback sessions
-//! spread across a 2-shard pool, with the telemetry endpoint reporting
-//! the pool as one logical reactor whose counters are exactly the sum
-//! of the per-shard snapshots.
+//! A multi-shard reactor under real load: 32 loopback sessions spread
+//! across 2 shards, with the telemetry endpoint reporting one logical
+//! reactor whose counters are exactly the sum of the per-shard
+//! snapshots.
 
 #![cfg(feature = "telemetry")]
 
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 use std::time::Duration;
 
-use hrmc_core::ProtocolConfig;
 use hrmc_net::telemetry::scrape;
-use hrmc_net::{McastSocket, ReactorPool, Session, Telemetry};
+use hrmc_net::{Reactor, ReactorConfig, Session, Telemetry};
 
-const LO: Ipv4Addr = Ipv4Addr::new(127, 0, 0, 1);
+mod common;
+use common::{config, multicast_available, pattern, LO};
 
-fn multicast_available(port: u16) -> bool {
-    let g = SocketAddrV4::new(Ipv4Addr::new(239, 255, 90, 11), port);
-    let Ok(rx) = McastSocket::receiver(g, LO) else {
-        return false;
-    };
-    let Ok(tx) = McastSocket::sender(g, LO) else {
-        return false;
-    };
-    let _ = rx.set_read_timeout(Duration::from_millis(500));
-    if tx.send_multicast(b"probe").is_err() {
-        return false;
-    }
-    let mut buf = [0u8; 16];
-    rx.recv_from(&mut buf).is_ok()
-}
-
-fn config() -> ProtocolConfig {
-    let mut c = ProtocolConfig::hrmc().with_buffer(256 * 1024);
-    c.max_rate = 20 * 1024 * 1024;
-    c.initial_rtt = 2_000;
-    c.anonymous_release_hold = 500_000;
-    c
-}
-
-fn pattern(len: usize) -> Vec<u8> {
-    (0..len).map(|i| (i * 31 % 251) as u8).collect()
-}
-
-/// 16 groups × (sender + receiver) = 32 sessions on a 2-shard pool:
+/// 16 groups × (sender + receiver) = 32 sessions on a 2-shard reactor:
 /// every transfer completes byte-for-byte, sessions actually land on
 /// both shards, and after quiesce the per-shard stats sum to the
 /// aggregate the telemetry endpoint serves.
@@ -52,11 +24,15 @@ fn thirty_two_sessions_across_two_shards() {
         eprintln!("skipping: multicast loopback unavailable");
         return;
     }
-    let pool = ReactorPool::new(2).expect("pool");
+    let reactor = Reactor::with_config(ReactorConfig {
+        shards: 2,
+        ..ReactorConfig::default()
+    })
+    .expect("reactor");
     let telemetry = Telemetry::builder()
         .listen(SocketAddr::V4(SocketAddrV4::new(LO, 0)))
         .sample_interval(Duration::from_millis(100))
-        .reactor_pool(&pool)
+        .reactor(reactor.clone())
         .start()
         .expect("telemetry");
 
@@ -65,10 +41,10 @@ fn thirty_two_sessions_across_two_shards() {
         .collect();
     // The hash must actually use both shards for this group set (it
     // does — pinned here so a future hash change that collapses the
-    // spread fails loudly instead of silently serializing the pool).
+    // spread fails loudly instead of silently serializing the shards).
     let mut shard_hit = [false; 2];
     for g in &groups {
-        shard_hit[pool.shard_index(*g)] = true;
+        shard_hit[reactor.shard_index(*g)] = true;
     }
     assert!(shard_hit.iter().all(|&h| h), "groups cover both shards");
 
@@ -76,18 +52,18 @@ fn thirty_two_sessions_across_two_shards() {
         .iter()
         .enumerate()
         .map(|(i, &group)| {
-            let pool = pool.clone();
+            let reactor = reactor.clone();
             std::thread::spawn(move || {
                 let rx = Session::receiver(group)
                     .interface(LO)
                     .config(config())
-                    .reactor_pool(&pool)
+                    .reactor(reactor.clone())
                     .bind()
                     .expect("join receiver");
                 let tx = Session::sender(group)
                     .interface(LO)
                     .config(config())
-                    .reactor_pool(&pool)
+                    .reactor(reactor.clone())
                     .bind()
                     .expect("bind sender");
                 let data = pattern(20_000 + i * 500);
@@ -112,14 +88,14 @@ fn thirty_two_sessions_across_two_shards() {
     }
 
     // Quiesced: every session deregistered, no more packet traffic.
-    assert_eq!(pool.session_count(), 0, "sessions leaked");
-    let per_shard = pool.stats();
+    assert_eq!(reactor.session_count(), 0, "sessions leaked");
+    let per_shard = reactor.shard_stats();
     assert_eq!(per_shard.len(), 2);
     assert!(
         per_shard.iter().all(|s| s.sessions_hwm > 0),
         "both shards must have hosted sessions: {per_shard:?}"
     );
-    let agg = pool.aggregate();
+    let agg = reactor.stats();
     for (name, agg_v, sum) in [
         (
             "packets_rx",
@@ -145,8 +121,8 @@ fn thirty_two_sessions_across_two_shards() {
     );
 
     // The endpoint serves the same aggregate: raw packet gauges on
-    // /metrics equal the per-shard sum, and /json reports the pool
-    // shape.
+    // /metrics equal the per-shard sum, and /json reports the shard
+    // count.
     let addr = telemetry.local_addr().expect("bound");
     let timeout = Duration::from_secs(5);
     let metrics = scrape(addr, "/metrics", timeout).expect("scrape /metrics");

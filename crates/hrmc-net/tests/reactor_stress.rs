@@ -12,40 +12,18 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use hrmc_core::ProtocolConfig;
-use hrmc_net::{McastSocket, Reactor, Session};
+use hrmc_net::{Reactor, Session};
 
-const LO: Ipv4Addr = Ipv4Addr::new(127, 0, 0, 1);
+mod common;
+use common::{multicast_available, seeded_pattern as pattern, LO};
+
 const PAIRS: usize = 16;
 const PAYLOAD: usize = 120_000;
 
-fn multicast_available(port: u16) -> bool {
-    let g = SocketAddrV4::new(Ipv4Addr::new(239, 255, 89, 11), port);
-    let Ok(rx) = McastSocket::receiver(g, LO) else {
-        return false;
-    };
-    let Ok(tx) = McastSocket::sender(g, LO) else {
-        return false;
-    };
-    let _ = rx.set_read_timeout(Duration::from_millis(500));
-    if tx.send_multicast(b"probe").is_err() {
-        return false;
-    }
-    let mut buf = [0u8; 16];
-    rx.recv_from(&mut buf).is_ok()
-}
-
 fn config() -> ProtocolConfig {
-    let mut c = ProtocolConfig::hrmc().with_buffer(256 * 1024);
+    let mut c = common::config();
     c.max_rate = 8 * 1024 * 1024;
-    c.initial_rtt = 2_000;
-    c.anonymous_release_hold = 500_000;
     c
-}
-
-fn pattern(seed: usize, len: usize) -> Vec<u8> {
-    (0..len)
-        .map(|i| ((i * 31 + seed * 97) % 251) as u8)
-        .collect()
 }
 
 /// Threads currently alive in this process (Linux: task directories),
@@ -76,8 +54,7 @@ fn sixteen_sessions_share_one_reactor_thread() {
         eprintln!("skipping: multicast loopback unavailable");
         return;
     }
-    // A private reactor so the stats assertions see only this test's
-    // traffic (other tests in the process share the global reactor).
+    // One reactor for all 32 sessions.
     let reactor = Reactor::new().expect("reactor");
     let threads_before = thread_count();
 

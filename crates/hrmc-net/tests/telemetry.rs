@@ -8,35 +8,11 @@
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 use std::time::Duration;
 
-use hrmc_core::ProtocolConfig;
 use hrmc_net::telemetry::scrape;
-use hrmc_net::{McastSocket, Reactor, Session, Telemetry};
+use hrmc_net::{Reactor, Session, Telemetry};
 
-const LO: Ipv4Addr = Ipv4Addr::new(127, 0, 0, 1);
-
-fn multicast_available(port: u16) -> bool {
-    let g = SocketAddrV4::new(Ipv4Addr::new(239, 255, 90, 11), port);
-    let Ok(rx) = McastSocket::receiver(g, LO) else {
-        return false;
-    };
-    let Ok(tx) = McastSocket::sender(g, LO) else {
-        return false;
-    };
-    let _ = rx.set_read_timeout(Duration::from_millis(500));
-    if tx.send_multicast(b"probe").is_err() {
-        return false;
-    }
-    let mut buf = [0u8; 16];
-    rx.recv_from(&mut buf).is_ok()
-}
-
-fn config() -> ProtocolConfig {
-    let mut c = ProtocolConfig::hrmc().with_buffer(256 * 1024);
-    c.max_rate = 20 * 1024 * 1024;
-    c.initial_rtt = 2_000;
-    c.anonymous_release_hold = 500_000;
-    c
-}
+mod common;
+use common::{config, multicast_available, pattern, LO};
 
 #[test]
 fn loopback_transfer_serves_prometheus_and_json() {
@@ -45,8 +21,7 @@ fn loopback_transfer_serves_prometheus_and_json() {
         return;
     }
     let group = SocketAddrV4::new(Ipv4Addr::new(239, 255, 90, 12), 46401);
-    // Private reactor: this test's gauges must not race other tests
-    // sharing the global reactor.
+    // One reactor for both sessions and the pipeline that reports it.
     let reactor = Reactor::new().expect("reactor");
     let telemetry = Telemetry::builder()
         .listen(SocketAddr::V4(SocketAddrV4::new(LO, 0)))
@@ -73,7 +48,7 @@ fn loopback_transfer_serves_prometheus_and_json() {
         .bind()
         .expect("bind sender");
 
-    let data: Vec<u8> = (0..200_000).map(|i| (i * 31 % 251) as u8).collect();
+    let data = pattern(200_000);
     tx.send(&data).expect("send");
     let mut got = Vec::new();
     let mut buf = [0u8; 16 * 1024];

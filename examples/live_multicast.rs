@@ -10,7 +10,7 @@
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::Duration;
 
-use hrmc::net::Session;
+use hrmc::net::{Reactor, Session};
 use hrmc::ProtocolConfig;
 
 const LO: Ipv4Addr = Ipv4Addr::new(127, 0, 0, 1);
@@ -32,6 +32,11 @@ fn main() {
         payload.len()
     );
 
+    // One reactor thread drives all four sessions; each builder takes a
+    // clone. (A session built without `.reactor(..)` would own a thread
+    // of its own.)
+    let reactor = Reactor::new().expect("reactor");
+
     // Receivers first ("the receiving application uses setsockopt to
     // join the multicast group").
     let receivers: Vec<_> = (0..3)
@@ -39,6 +44,7 @@ fn main() {
             let r = Session::receiver(group)
                 .interface(LO)
                 .config(config())
+                .reactor(reactor.clone())
                 .bind()
                 .unwrap_or_else(|e| panic!("receiver {i} failed to join: {e}"));
             println!("receiver {i} joined");
@@ -49,6 +55,7 @@ fn main() {
     let sender = Session::sender(group)
         .interface(LO)
         .config(config())
+        .reactor(reactor.clone())
         .bind()
         .expect("sender bind");
 

@@ -103,9 +103,9 @@ struct Obs {
     /// sampling thread plus an HTTP endpoint serving `/metrics`
     /// (Prometheus text) and `/json` — watch it live with `hrmc top`.
     telemetry: Option<hrmc::net::Telemetry>,
-    /// The reactor pool behind `--datapath` / `--reactor-threads`;
-    /// `None` means every session rides the default global reactor.
-    pool: Option<hrmc::net::ReactorPool>,
+    /// The reactor every session in this process rides, shaped by
+    /// `--datapath` / `--reactor-threads`.
+    reactor: hrmc::net::Reactor,
 }
 
 impl Obs {
@@ -121,20 +121,21 @@ impl Obs {
             None => None,
         };
         let metrics = opts.metrics.then(MetricsObserver::new);
-        let pool = if opts.reactor_threads > 1 || opts.datapath != hrmc::net::DatapathKind::Epoll {
-            let pool = hrmc::net::ReactorPool::shared(opts.reactor_threads, opts.datapath)
-                .map_err(|e| format!("cannot start the reactor pool: {e}"))?;
+        let reactor = hrmc::net::Reactor::with_config(hrmc::net::ReactorConfig {
+            datapath: opts.datapath,
+            shards: opts.reactor_threads,
+            ..hrmc::net::ReactorConfig::default()
+        })
+        .map_err(|e| format!("cannot start the reactor: {e}"))?;
+        if opts.reactor_threads > 1 || opts.datapath != hrmc::net::DatapathKind::Epoll {
             // The probe may have fallen back (kernel without io_uring):
             // report what actually runs, not what was asked for.
             eprintln!(
                 "datapath: {} backend, {} reactor thread(s)",
-                pool.aggregate().backend,
-                pool.shards()
+                reactor.stats().backend,
+                reactor.shards()
             );
-            Some(pool)
-        } else {
-            None
-        };
+        }
         if opts.health && opts.telemetry.is_none() {
             return Err("--health requires --telemetry (the monitor rides the \
                         telemetry pipeline)"
@@ -144,10 +145,8 @@ impl Obs {
             Some(addr) => {
                 let mut b = hrmc::net::Telemetry::builder()
                     .listen(addr)
-                    .sample_interval(Duration::from_millis(opts.sample_interval_ms.max(10)));
-                if let Some(pool) = &pool {
-                    b = b.reactor_pool(pool);
-                }
+                    .sample_interval(Duration::from_millis(opts.sample_interval_ms.max(10)))
+                    .reactor(reactor.clone());
                 if opts.health {
                     b = b.health(hrmc::HealthConfig::default());
                 }
@@ -177,7 +176,7 @@ impl Obs {
             flight_capacity: opts.flight_capacity,
             recorders: std::sync::Mutex::new(Vec::new()),
             telemetry,
-            pool,
+            reactor,
         })
     }
 
@@ -240,13 +239,10 @@ impl Obs {
                 for rec in recorders.iter() {
                     rec.with_recorder(|r| r.publish_metrics(&mut reg));
                 }
-                // The CLI's sessions all ride one reactor (or pool):
-                // its sessions/wakeups/batched-syscall gauges belong in
-                // the same report.
-                match &self.pool {
-                    Some(pool) => pool.publish_metrics(&mut reg),
-                    None => hrmc::net::Reactor::global().publish_metrics(&mut reg),
-                }
+                // The CLI's sessions all ride one reactor: its
+                // sessions/wakeups/batched-syscall gauges belong in the
+                // same report.
+                self.reactor.publish_metrics(&mut reg);
             }
             println!("{}", m.snapshot().render_json());
         }
@@ -443,10 +439,8 @@ fn cmd_send(file: &str, opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
     let obs = Obs::open(opts)?;
     let mut b = Session::sender(opts.group)
         .interface(opts.iface)
-        .config(config(opts));
-    if let Some(pool) = &obs.pool {
-        b = b.reactor_pool(pool);
-    }
+        .config(config(opts))
+        .reactor(obs.reactor.clone());
     if let Some(o) = obs.for_role("sender") {
         b = b.observer(o);
     }
@@ -497,10 +491,8 @@ fn cmd_recv(file: &str, opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
     let obs = Obs::open(opts)?;
     let mut b = Session::receiver(opts.group)
         .interface(opts.iface)
-        .config(config(opts));
-    if let Some(pool) = &obs.pool {
-        b = b.reactor_pool(pool);
-    }
+        .config(config(opts))
+        .reactor(obs.reactor.clone());
     if let Some(o) = obs.for_role("recv") {
         b = b.observer(o);
     }
@@ -541,10 +533,8 @@ fn cmd_selftest(opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
         .map(|i| {
             let mut b = Session::receiver(opts.group)
                 .interface(opts.iface)
-                .config(cfg.clone());
-            if let Some(pool) = &obs.pool {
-                b = b.reactor_pool(pool);
-            }
+                .config(cfg.clone())
+                .reactor(obs.reactor.clone());
             if let Some(o) = obs.for_role(&format!("recv{i}")) {
                 b = b.observer(o);
             }
@@ -553,10 +543,8 @@ fn cmd_selftest(opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let mut b = Session::sender(opts.group)
         .interface(opts.iface)
-        .config(cfg);
-    if let Some(pool) = &obs.pool {
-        b = b.reactor_pool(pool);
-    }
+        .config(cfg)
+        .reactor(obs.reactor.clone());
     if let Some(o) = obs.for_role("sender") {
         b = b.observer(o);
     }

@@ -36,15 +36,22 @@
 //!
 //! See `examples/live_multicast.rs`: the [`net::Session`] builder runs
 //! the identical engines over UDP multicast (loopback-capable, multiple
-//! receivers per host), with every session in the process driven by one
-//! shared [`net::Reactor`] thread — batched `recvmmsg`/`sendmmsg`
-//! syscalls, one timer heap, O(1) threads regardless of session count:
+//! receivers per host). Sessions given clones of one [`net::Reactor`]
+//! are all driven by its thread (or its N shard threads) — batched
+//! `recvmmsg`/`sendmmsg` syscalls, one timer heap, O(1) threads
+//! regardless of session count; a session built without `.reactor(..)`
+//! owns a one-shard reactor of its own:
 //!
 //! ```no_run
-//! use hrmc::net::Session;
+//! use hrmc::net::{Reactor, Session};
 //! let group: std::net::SocketAddrV4 = "239.255.1.1:45000".parse().unwrap();
-//! let rx = Session::receiver(group).bind().unwrap();
-//! let tx = Session::sender(group).flight_recorder(4096).bind().unwrap();
+//! let reactor = Reactor::new().unwrap();
+//! let rx = Session::receiver(group).reactor(reactor.clone()).bind().unwrap();
+//! let tx = Session::sender(group)
+//!     .reactor(reactor.clone())
+//!     .flight_recorder(4096)
+//!     .bind()
+//!     .unwrap();
 //! tx.send(b"reliable bytes").unwrap();
 //! # let _ = rx;
 //! ```
