@@ -14,30 +14,69 @@
 //!   feedback traces "noticeable and seemingly unpredictable"
 //!   (Figure 11(c)) — OS jitter in the paper, deterministic here.
 //!
-//! Stream bytes follow a deterministic pattern so every sink can verify
-//! integrity with a rolling checksum instead of storing the whole stream.
-
-use bytes::Bytes;
+//! Stream bytes follow a deterministic pattern, so every sink verifies
+//! integrity by comparing each byte it absorbs with the pattern byte at
+//! that stream offset instead of storing the whole stream. The pattern
+//! has period 251, so both ends touch payload a slice at a time against
+//! one two-period table: the source copies out of it, the sink compares
+//! with it.
 
 /// Deterministic stream pattern: byte `i` of the stream.
 #[inline]
-pub fn pattern_byte(i: u64) -> u8 {
+pub const fn pattern_byte(i: u64) -> u8 {
     ((i.wrapping_mul(31)) % 251) as u8
 }
 
-/// FNV-1a over the pattern-checked stream, used to verify integrity.
-#[inline]
-fn fnv1a(hash: u64, byte: u8) -> u64 {
-    (hash ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3)
+/// Period of [`pattern_byte`] while `i * 31` does not wrap `u64`.
+const PERIOD: usize = 251;
+
+/// Last stream offset (exclusive) for which the pattern is periodic:
+/// past it `i * 31` wraps and [`PATTERN`] no longer describes the stream.
+const PERIODIC_END: u64 = u64::MAX / 31;
+
+/// Two periods of the pattern, so the period starting at any phase
+/// `0..PERIOD` is one contiguous slice.
+static PATTERN: [u8; 2 * PERIOD] = {
+    let mut table = [0u8; 2 * PERIOD];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = pattern_byte(i as u64);
+        i += 1;
+    }
+    table
+};
+
+/// The pattern period that starts at stream offset `offset`, for a run of
+/// `len` bytes. Panics rather than mis-verify if the run reaches offsets
+/// where the pattern stops being periodic (~5.9e17 bytes into a stream).
+fn period_at(offset: u64, len: usize) -> &'static [u8] {
+    assert!(
+        offset
+            .checked_add(len as u64)
+            .is_some_and(|end| end <= PERIODIC_END),
+        "stream offset {offset} + {len} leaves the pattern's periodic range"
+    );
+    let phase = (offset % PERIOD as u64) as usize;
+    &PATTERN[phase..phase + PERIOD]
 }
 
-/// Compute the checksum of the first `len` pattern bytes.
-pub fn pattern_checksum(len: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325;
-    for i in 0..len {
-        h = fnv1a(h, pattern_byte(i));
+/// Append stream bytes `offset..offset + len` to `out`.
+fn fill_pattern(offset: u64, len: usize, out: &mut Vec<u8>) {
+    let period = period_at(offset, len);
+    out.reserve(len);
+    for _ in 0..len / PERIOD {
+        out.extend_from_slice(period);
     }
-    h
+    out.extend_from_slice(&period[..len % PERIOD]);
+}
+
+/// `true` iff every byte of `data` equals the pattern byte at its stream
+/// offset, `data[0]` being stream byte `offset`.
+fn matches_pattern(offset: u64, data: &[u8]) -> bool {
+    let period = period_at(offset, data.len());
+    // Every chunk but the last is a whole period, so all start at the
+    // same phase.
+    data.chunks(PERIOD).all(|c| c == &period[..c.len()])
 }
 
 /// I/O behaviour of an application endpoint.
@@ -197,20 +236,17 @@ impl SourceApp {
         self.produced >= self.total
     }
 
-    /// Produce up to `max` bytes at `now` (limited by the I/O profile).
-    pub fn produce(&mut self, max: usize, now: u64) -> Bytes {
+    /// Append up to `max` bytes to `out` at `now` (limited by the I/O
+    /// profile).
+    pub fn produce(&mut self, out: &mut Vec<u8>, max: usize, now: u64) {
         let want = (self.remaining()).min(max as u64);
         let allowed = self.budget.available(now, want);
         if allowed == 0 {
-            return Bytes::new();
+            return;
         }
-        let mut buf = Vec::with_capacity(allowed as usize);
-        for i in self.produced..self.produced + allowed {
-            buf.push(pattern_byte(i));
-        }
+        fill_pattern(self.produced, allowed as usize, out);
         self.budget.spend(allowed, now);
         self.produced += allowed;
-        Bytes::from(buf)
     }
 }
 
@@ -219,7 +255,6 @@ impl SourceApp {
 #[derive(Debug, Clone)]
 pub struct SinkApp {
     received: u64,
-    checksum: u64,
     corrupt: bool,
     budget: IoBudget,
 }
@@ -229,7 +264,6 @@ impl SinkApp {
     pub fn new(profile: IoProfile, now: u64) -> SinkApp {
         SinkApp {
             received: 0,
-            checksum: 0xcbf2_9ce4_8422_2325,
             corrupt: false,
             budget: IoBudget::new(profile, now),
         }
@@ -243,13 +277,10 @@ impl SinkApp {
     /// Absorb `data` (the application's `recv` return), verifying it
     /// against the expected pattern position.
     pub fn absorb(&mut self, data: &[u8], now: u64) {
-        for &b in data {
-            if b != pattern_byte(self.received) {
-                self.corrupt = true;
-            }
-            self.checksum = fnv1a(self.checksum, b);
-            self.received += 1;
+        if !matches_pattern(self.received, data) {
+            self.corrupt = true;
         }
+        self.received += data.len() as u64;
         self.budget.spend(data.len() as u64, now);
     }
 
@@ -262,39 +293,45 @@ impl SinkApp {
     pub fn intact(&self) -> bool {
         !self.corrupt
     }
-
-    /// Rolling checksum (equals [`pattern_checksum`]`(received)` iff intact).
-    pub fn checksum(&self) -> u64 {
-        self.checksum
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// One `produce` call into a fresh buffer.
+    fn take(s: &mut SourceApp, max: usize, now: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        s.produce(&mut out, max, now);
+        out
+    }
 
     #[test]
     fn memory_source_produces_everything_at_once() {
         let mut s = SourceApp::new(10_000, IoProfile::Memory, 0);
-        let a = s.produce(4_000, 0);
+        let a = take(&mut s, 4_000, 0);
         assert_eq!(a.len(), 4_000);
-        let b = s.produce(100_000, 0);
+        let b = take(&mut s, 100_000, 0);
         assert_eq!(b.len(), 6_000);
         assert!(s.exhausted());
-        assert!(s.produce(100, 0).is_empty());
+        assert!(take(&mut s, 100, 0).is_empty());
     }
 
     #[test]
     fn pattern_is_deterministic_and_verified() {
         let mut src = SourceApp::new(5_000, IoProfile::Memory, 0);
         let mut sink = SinkApp::new(IoProfile::Memory, 0);
+        let mut stream = Vec::new();
         while !src.exhausted() {
-            let chunk = src.produce(700, 0);
+            let chunk = take(&mut src, 700, 0);
             sink.absorb(&chunk, 0);
+            stream.extend_from_slice(&chunk);
         }
         assert_eq!(sink.received(), 5_000);
         assert!(sink.intact());
-        assert_eq!(sink.checksum(), pattern_checksum(5_000));
+        assert!(stream.iter().copied().eq((0..5_000).map(pattern_byte)));
     }
 
     #[test]
@@ -304,17 +341,95 @@ mod tests {
         data[50] ^= 0xff;
         sink.absorb(&data, 0);
         assert!(!sink.intact());
-        assert_ne!(sink.checksum(), pattern_checksum(100));
+        assert_eq!(sink.received(), 100);
+    }
+
+    #[test]
+    fn table_fill_and_verify_equal_pattern_byte_at_every_phase() {
+        for start in 0..PERIOD as u64 {
+            for len in [0usize, 1, 250, 251, 252, 502, 1400, 65_536] {
+                // A non-empty prefix checks that fill appends.
+                let mut out = vec![0xee];
+                fill_pattern(start, len, &mut out);
+                let expect: Vec<u8> = (start..start + len as u64).map(pattern_byte).collect();
+                assert_eq!(out[1..], expect[..], "fill at {start}+{len}");
+                assert!(matches_pattern(start, &expect), "verify at {start}+{len}");
+                if len > 0 {
+                    assert!(
+                        !matches_pattern(start + 1, &expect),
+                        "phase slip at {start}+{len}"
+                    );
+                }
+            }
+        }
+        // Far into a stream the phase still comes from the offset.
+        let far = 7_000_000_123;
+        let expect: Vec<u8> = (far..far + 1400).map(pattern_byte).collect();
+        assert!(matches_pattern(far, &expect));
+    }
+
+    /// Feed `stream` to a fresh sink in seeded odd-sized splits; returns
+    /// the sink and the split boundaries used.
+    fn absorb_in_splits(stream: &[u8], seed: u64) -> (SinkApp, Vec<usize>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut sink = SinkApp::new(IoProfile::Memory, 0);
+        let mut bounds = Vec::new();
+        let mut at = 0;
+        while at < stream.len() {
+            let n = (rng.gen_range_u64(0, 1500) as usize | 1).min(stream.len() - at);
+            sink.absorb(&stream[at..at + n], 0);
+            at += n;
+            bounds.push(at);
+        }
+        (sink, bounds)
+    }
+
+    #[test]
+    fn split_stream_is_intact_until_any_byte_flips() {
+        const LEN: usize = 20_000;
+        let clean: Vec<u8> = (0..LEN as u64).map(pattern_byte).collect();
+        for seed in 0..8 {
+            let (sink, bounds) = absorb_in_splits(&clean, seed);
+            assert!(sink.intact());
+            assert_eq!(sink.received(), LEN as u64);
+            let split = bounds[bounds.len() / 2];
+            let period_start = 40 * PERIOD;
+            for pos in [0, LEN - 1, period_start - 1, period_start, split - 1, split] {
+                let mut dirty = clean.clone();
+                dirty[pos] ^= 0x01;
+                let (sink, same_bounds) = absorb_in_splits(&dirty, seed);
+                assert_eq!(same_bounds, bounds);
+                assert!(!sink.intact(), "seed {seed}: flip at {pos} unseen");
+                assert_eq!(sink.received(), LEN as u64);
+            }
+        }
+    }
+
+    /// The table's one assumption: `pattern_byte` is 251-periodic only
+    /// while `i * 31` fits in `u64`.
+    #[test]
+    fn pattern_is_periodic_only_below_the_wrap() {
+        let last = PERIODIC_END - 1;
+        assert!(matches_pattern(last, &[pattern_byte(last)]));
+        let table_byte = |i: u64| PATTERN[(i % PERIOD as u64) as usize];
+        assert!((PERIODIC_END + 1..PERIODIC_END + 1 + PERIOD as u64)
+            .any(|i| pattern_byte(i) != table_byte(i)));
+    }
+
+    #[test]
+    #[should_panic(expected = "periodic range")]
+    fn offsets_past_the_wrap_are_refused() {
+        matches_pattern(PERIODIC_END, &[0]);
     }
 
     #[test]
     fn disk_source_rate_limited() {
         // 8 MB/s: in 10 ms, at most 80 KB.
         let mut s = SourceApp::new(10_000_000, IoProfile::disk_read(), 0);
-        let chunk = s.produce(1_000_000, 10_000);
+        let chunk = take(&mut s, 1_000_000, 10_000);
         assert_eq!(chunk.len(), 80_000);
         // No time elapsed, no more budget.
-        assert!(s.produce(1_000_000, 10_000).is_empty());
+        assert!(take(&mut s, 1_000_000, 10_000).is_empty());
     }
 
     #[test]
@@ -329,12 +444,12 @@ mod tests {
         let mut s = SourceApp::new(10_000_000, profile, 0);
         // 100 ms of budget = 800 KB allowed, but the 100 KB pause
         // threshold fires after the first chunk.
-        let a = s.produce(100_000, 100_000);
+        let a = take(&mut s, 100_000, 100_000);
         assert_eq!(a.len(), 100_000);
         // Paused for 50 ms: nothing at t = 120 ms.
-        assert!(s.produce(100_000, 120_000).is_empty());
+        assert!(take(&mut s, 100_000, 120_000).is_empty());
         // After the stall, budget accrues again.
-        let b = s.produce(100_000, 200_000);
+        let b = take(&mut s, 100_000, 200_000);
         assert!(!b.is_empty());
     }
 

@@ -8,11 +8,14 @@
 //! 150 µs of lower-layer processing, charged against a single busy-until
 //! cursor exactly as one 300 MHz CPU would.
 
-use bytes::Bytes;
 use hrmc_core::{ReceiverEngine, SenderEngine};
 
 use crate::apps::{SinkApp, SourceApp};
 use crate::{protocol_delay_us, LOWER_LAYER_DELAY_US};
+
+/// Largest single application read in [`Host::pump_sink`]; the scratch
+/// buffer lent to it must be at least this long.
+pub const SINK_READ_MAX: usize = 64 * 1024;
 
 /// The protocol engine running on a host.
 pub enum Engine {
@@ -133,12 +136,9 @@ impl Host {
         // Refill the staging buffer from the (possibly rate-limited)
         // source.
         if self.pending_offset >= self.pending.len() && !source.exhausted() {
-            let chunk: Bytes = source.produce(256 * 1024, now);
-            if !chunk.is_empty() {
-                self.pending.clear();
-                self.pending.extend_from_slice(&chunk);
-                self.pending_offset = 0;
-            }
+            self.pending.clear();
+            self.pending_offset = 0;
+            source.produce(&mut self.pending, 256 * 1024, now);
         }
         // Submit as much staged data as the send window accepts.
         if self.pending_offset < self.pending.len() {
@@ -152,8 +152,9 @@ impl Host {
     }
 
     /// Pump the receiving application: read as much as the sink's I/O
-    /// profile allows and absorb it.
-    pub fn pump_sink(&mut self, now: u64) {
+    /// profile allows, through `scratch` (at least [`SINK_READ_MAX`]
+    /// bytes; contents are not preserved), and absorb it.
+    pub fn pump_sink(&mut self, now: u64, scratch: &mut [u8]) {
         let Engine::Receiver(engine) = &mut self.engine else {
             return;
         };
@@ -163,16 +164,15 @@ impl Host {
             if readable == 0 {
                 break;
             }
-            let cap = sink.capacity(now, readable).min(64 * 1024);
+            let cap = sink.capacity(now, readable).min(SINK_READ_MAX);
             if cap == 0 {
                 break;
             }
-            let mut buf = vec![0u8; cap];
-            let n = engine.read(&mut buf, now);
+            let n = engine.read(&mut scratch[..cap], now);
             if n == 0 {
                 break;
             }
-            sink.absorb(&buf[..n], now);
+            sink.absorb(&scratch[..n], now);
         }
         if self.completed_at.is_none() && engine.fully_consumed() {
             self.completed_at = Some(now);
@@ -184,6 +184,7 @@ impl Host {
 mod tests {
     use super::*;
     use crate::apps::IoProfile;
+    use bytes::Bytes;
     use hrmc_core::ProtocolConfig;
 
     fn sender_host(total: u64) -> Host {
@@ -279,7 +280,7 @@ mod tests {
         p1.header.flags.fin = true;
         r.handle_packet(&p0, 10);
         r.handle_packet(&p1, 20);
-        h.pump_sink(30);
+        h.pump_sink(30, &mut [0u8; SINK_READ_MAX]);
         assert_eq!(h.sink.as_ref().unwrap().received(), 150);
         assert!(h.sink.as_ref().unwrap().intact());
         assert_eq!(h.completed_at, Some(30));

@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use crate::apps::{IoProfile, SinkApp, SourceApp};
 use crate::dynamics::{LinkAction, LinkSchedule};
 use crate::faults::{ChurnAction, FaultPlan};
-use crate::host::{Engine, Host};
+use crate::host::{Engine, Host, SINK_READ_MAX};
 use crate::nic::{Nic, TxOutcome};
 use crate::obs::{HostObserver, SharedObs};
 use crate::queue::EventQueue;
@@ -206,6 +206,17 @@ pub struct Simulation {
     /// Previous sample's `(t_us, bytes_received, naks_sent)`, for
     /// interval rates.
     prev_sample: (u64, u64, u64),
+    /// Read buffer lent to whichever receiver host is pumping its sink
+    /// (one per simulation, not per host: at 2000 receivers a per-host
+    /// buffer would be 128 MB of resident zeroes).
+    sink_scratch: Vec<u8>,
+}
+
+/// Local port of receiver `i`. Wraps past 65 535 (index 57 536 up): the
+/// simulator addresses hosts by index, never by port, and the
+/// 100k-receiver fan-out has more hosts than there are ports.
+fn receiver_port(i: usize) -> u16 {
+    8000u16.wrapping_add(i as u16)
 }
 
 /// First jiffy-grid point strictly after `now`.
@@ -232,7 +243,8 @@ impl Simulation {
             SourceApp::new(params.transfer_bytes, params.source, 0),
         ));
         for i in 0..n {
-            let mut engine = ReceiverEngine::new(params.protocol.clone(), 8000 + i as u16, 7001, 0);
+            let mut engine =
+                ReceiverEngine::new(params.protocol.clone(), receiver_port(i), 7001, 0);
             // Experiment semantics: receivers start before the sender and
             // expect the stream from its first segment.
             engine.expect_stream_start(0);
@@ -296,6 +308,7 @@ impl Simulation {
             timeseries: Vec::new(),
             next_sample_at,
             prev_sample: (0, 0, 0),
+            sink_scratch: vec![0; SINK_READ_MAX],
         };
         if sim.params.observe || sim.params.health.as_ref().is_some_and(|h| h.armed()) {
             sim.install_observers();
@@ -588,7 +601,7 @@ impl Simulation {
             return;
         }
         let i = host - 1;
-        let engine = ReceiverEngine::new(self.params.protocol.clone(), 8000 + i as u16, 7001, now);
+        let engine = ReceiverEngine::new(self.params.protocol.clone(), receiver_port(i), 7001, now);
         let h = &mut self.hosts[host];
         h.engine = Engine::Receiver(Box::new(engine));
         h.sink = Some(SinkApp::new(self.params.sink, now));
@@ -652,7 +665,7 @@ impl Simulation {
     /// sender may already be idle with no deadline of its own).
     fn pump_sink_arming(&mut self, host: usize, now: u64) {
         let was_complete = self.hosts[host].completed_at.is_some();
-        self.hosts[host].pump_sink(now);
+        self.hosts[host].pump_sink(now, &mut self.sink_scratch);
         if !was_complete && self.hosts[host].completed_at.is_some() {
             self.arm_no_later(0, next_grid(now));
         }
@@ -1298,6 +1311,17 @@ mod tests {
         let mut p = SimParams::new(protocol, topology, bytes);
         p.horizon_us = 600 * 1_000_000;
         p
+    }
+
+    /// From receiver index 57 536 on, `8000 + i` no longer fits in `u16`
+    /// (a plain `+` panics in debug builds); the 100k fan-out that
+    /// `scalability` runs goes well past it.
+    #[test]
+    fn receiver_port_wraps_instead_of_overflowing() {
+        assert_eq!(receiver_port(0), 8000);
+        assert_eq!(receiver_port(57_535), 65_535);
+        assert_eq!(receiver_port(57_536), 0);
+        assert_eq!(receiver_port(100_000), 42_464);
     }
 
     #[test]

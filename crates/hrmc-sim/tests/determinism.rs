@@ -7,7 +7,7 @@
 //! change — idle hosts do not tick.
 
 use hrmc_core::{ProtocolConfig, UpdateMode, JIFFY_US};
-use hrmc_sim::{SimParams, SimReport, Simulation, TopologyBuilder};
+use hrmc_sim::{IoProfile, SimParams, SimReport, Simulation, TopologyBuilder};
 use std::sync::{Arc, Mutex};
 
 /// FNV-1a over a byte stream (stable, dependency-free fingerprint).
@@ -136,4 +136,36 @@ fn idle_receiver_generates_no_ticks_between_packets() {
              the deadline scheduler should have kept it asleep"
         );
     }
+}
+
+/// Disk-to-disk cell: `disk_read()` source, `disk_write()` sinks, two
+/// receivers on a lossy 100 Mbps LAN, 5 MB — past both the 800 KB seek
+/// stalls and the 4 MB long stall, with the sink (6 MB/s) slower than
+/// the wire so the host's partial-capacity read loop runs throughout.
+/// The memory-profile fixture above never enters that loop. Captured
+/// before the application payload path was made slice-wise; the
+/// trajectory must not move.
+#[test]
+fn disk_to_disk_run_matches_fixture() {
+    let mut protocol = ProtocolConfig::hrmc().with_buffer(256 * 1024);
+    protocol.max_rate = 2 * 100_000_000 / 8;
+    let topology = TopologyBuilder::new().lan(2, 100_000_000, 0.005);
+    let mut p = SimParams::new(protocol, topology, 5_000_000);
+    p.source = IoProfile::disk_read();
+    p.sink = IoProfile::disk_write();
+    p.horizon_us = 600 * 1_000_000;
+    let report = Simulation::new(p).run();
+    assert!(report.completed);
+    assert!(report.all_intact());
+    assert_eq!(report.elapsed_us, 4_822_849);
+    assert_eq!(report.events_popped, 26_945);
+    assert_eq!(report.host_ticks, vec![489, 85, 82]);
+    let completed: Vec<_> = report.receivers.iter().map(|r| r.completed_at).collect();
+    assert_eq!(completed, vec![Some(4_822_849), Some(4_822_849)]);
+    assert!(report.receivers.iter().all(|r| r.bytes == 5_000_000));
+    assert_eq!(
+        fnv1a(serde_json::to_string(&report.sender).unwrap().as_bytes()),
+        0xf46d_0d13_75c9_917a,
+        "sender stats diverged from the disk-to-disk fixture"
+    );
 }
