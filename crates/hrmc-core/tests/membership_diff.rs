@@ -183,6 +183,53 @@ fn pick_base(sel: u32) -> Seq {
     }
 }
 
+/// The protocol-shaped release-gate march at population `n`: the group
+/// advances one shard span per round (crossing the u32 wrap mid-march)
+/// while one laggard trails — the MINBUF regime, where the gate fails on
+/// the laggard alone, `lacking` names it, it catches up, and the gate
+/// passes. The crowd's shard is skipped by its aggregate bound, so the
+/// scan cost tracks the laggard count, not the population. Ported from
+/// the retired `BENCH_sim.json` membership gate (there: +10 % over the
+/// pin and sub-linear growth across populations; here: exact).
+fn laggard_march(n: usize) {
+    const ROUNDS: u32 = 64;
+    const STRIDE: u32 = 64; // one full shard span per round
+    let base: u32 = u32::MAX - ROUNDS * STRIDE / 2;
+    let mut m = Membership::new();
+    for p in 0..n {
+        m.add(PeerId(p as u32), base, p as u64);
+    }
+    let mut now = n as u64;
+    let mut lackings = 0u64;
+    let mut scratch: Vec<PeerId> = Vec::new();
+    for r in 1..=ROUNDS {
+        let front = base.wrapping_add(r * STRIDE);
+        for p in 1..n {
+            now += 1;
+            m.update(PeerId(p as u32), front.wrapping_add(1), now);
+        }
+        assert!(!m.all_have(front), "laggard must hold the gate");
+        m.lacking_into(front, &mut scratch);
+        lackings += 1;
+        assert_eq!(scratch, vec![PeerId(0)], "exactly the laggard lacks");
+        now += 1;
+        m.update(PeerId(0), front.wrapping_add(1), now);
+        assert!(m.all_have(front), "caught-up group must release");
+    }
+    let costs = m.costs();
+    assert_eq!(costs.members_scanned as f64 / lackings as f64, 1.0, "n={n}");
+    assert_eq!(costs.heap_lazy_pops, 64, "n={n}");
+    assert_eq!(m.shard_count(), 1, "n={n}");
+}
+
+/// 100 000 members hold too, but cost ~12 s in the debug test profile.
+#[test]
+fn release_gate_scan_cost_is_flat_in_population() {
+    for n in [1_000, 10_000] {
+        laggard_march(n);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -1,8 +1,5 @@
-//! The classic backend: `epoll_wait` readiness on nonblocking sockets,
-//! `recvmmsg` to drain and `sendmmsg` to flush — exactly the syscall
-//! pattern the reactor used before the [`super::Datapath`] seam was
-//! extracted, preserved behaviorally so existing `ReactorStats`
-//! baselines hold.
+//! `epoll_wait` readiness on nonblocking sockets, `recvmmsg` to drain
+//! and `sendmmsg` to flush.
 
 use std::io;
 use std::net::SocketAddr;
@@ -10,7 +7,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::Datapath;
-use crate::reactor::{ReactorSession, StatsCells, KICK_TOKEN};
+use crate::reactor::{StatsCells, KICK_TOKEN};
 use crate::socket::{McastSocket, RxBatch};
 
 /// Events drained per `epoll_wait` (the historical reactor batch size).
@@ -62,17 +59,12 @@ impl Drop for EpollDatapath {
 }
 
 impl Datapath for EpollDatapath {
-    fn backend(&self) -> &'static str {
-        "epoll"
-    }
-
     fn register(&mut self, fd: i32, token: u64) -> io::Result<()> {
         self.epoll_ctl(libc::EPOLL_CTL_ADD, fd, token)
     }
 
-    fn deregister(&mut self, fd: i32, _keepalive: Arc<dyn ReactorSession>) {
-        // Nothing in flight: epoll holds no references past this call
-        // (and a concurrently closed fd auto-left the set — ignore).
+    fn deregister(&mut self, fd: i32) {
+        // A concurrently closed fd auto-left the set — ignore the error.
         let _ = self.epoll_ctl(libc::EPOLL_CTL_DEL, fd, 0);
     }
 
@@ -97,9 +89,9 @@ impl Datapath for EpollDatapath {
 
     fn recv_batch(&mut self, sock: &McastSocket, rx: &mut RxBatch) -> io::Result<usize> {
         // `recvmmsg` on an empty nonblocking socket is WouldBlock and
-        // is deliberately not counted: the historical counter recorded
-        // only calls that moved data, and the bench baseline pins the
-        // resulting ratio.
+        // is deliberately not counted: the counter records only calls
+        // that moved data, which is what `syscalls_per_packet` has
+        // always measured.
         let n = rx.recv(sock)?;
         self.stats.recvmmsg_calls.fetch_add(1, Ordering::Relaxed);
         Ok(n)

@@ -32,7 +32,7 @@
 //! `receiver.rs` add only the engine and its addressing.
 
 pub mod clock;
-pub mod datapath;
+mod datapath;
 mod driver;
 pub mod reactor;
 pub mod receiver;
@@ -43,7 +43,6 @@ pub mod socket;
 pub mod telemetry;
 
 pub use clock::DriverClock;
-pub use datapath::DatapathKind;
 pub use reactor::{Reactor, ReactorConfig, ReactorStats, SessionHealth};
 pub use receiver::ReceiverHandle;
 pub use sender::SenderHandle;

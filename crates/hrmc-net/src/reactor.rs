@@ -49,13 +49,13 @@ use std::time::{Duration, Instant};
 use hrmc_core::{Histogram, MetricsRegistry};
 use parking_lot::Mutex;
 
-use crate::datapath::{make_datapath, Datapath, DatapathKind};
+use crate::datapath::{Datapath, EpollDatapath};
 use crate::socket::{is_transient, McastSocket, RxBatch, TX_SLOTS};
 use crate::NetError;
 
 /// Sockets per session the token scheme supports (receiver = 2).
 const MAX_ROLES: u64 = 2;
-/// Readiness token of the kick eventfd (any backend).
+/// Readiness token of the kick eventfd.
 pub(crate) const KICK_TOKEN: u64 = u64::MAX;
 /// Attempts beyond the first before a transient `sendmmsg` error drops
 /// the remaining batch (mirrors the single-send retry budget).
@@ -70,13 +70,8 @@ pub struct ReactorConfig {
     /// kick is somehow lost). Smaller values trade idle CPU for
     /// responsiveness.
     pub idle_deadline_cap: Duration,
-    /// Which syscall backend drives the sockets. [`DatapathKind::Uring`]
-    /// falls back to epoll when the build or kernel lacks io_uring
-    /// support — [`ReactorStats::backend`] reports what actually runs.
-    pub datapath: DatapathKind,
     /// Event-loop threads the reactor runs (at least one); sessions are
-    /// hash-assigned to a shard by multicast group. The datapath choice
-    /// and its probe-and-fallback apply per shard.
+    /// hash-assigned to a shard by multicast group.
     pub shards: usize,
 }
 
@@ -84,7 +79,6 @@ impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
         ReactorConfig {
             idle_deadline_cap: Duration::from_millis(100),
-            datapath: DatapathKind::Epoll,
             shards: 1,
         }
     }
@@ -198,13 +192,13 @@ impl SessionCounters {
 // ---------------------------------------------------------------------
 
 /// Reusable I/O scratch owned by the reactor thread: the RX buffer
-/// pool, the TX staging area, and the [`Datapath`] backend everything
+/// pool, the TX staging area, and the [`Datapath`] everything
 /// crosses the kernel through — shared by every session so buffers are
 /// allocated once per reactor, not per session.
 pub(crate) struct IoBatch {
     /// RX buffer pool; sessions read decoded datagrams from here.
     pub(crate) rx: RxBatch,
-    /// The syscall backend (epoll+mmsg or io_uring rings).
+    /// The syscall boundary (epoll + mmsg; a fake in tests).
     pub(crate) dp: Box<dyn Datapath>,
     /// Encoded-packet staging for the next TX submit.
     tx_bufs: Vec<Vec<u8>>,
@@ -225,8 +219,8 @@ impl IoBatch {
         }
     }
 
-    /// One backend drain into the pool; records batch-size stats. (The
-    /// backend counts its own syscalls; this layer counts packets.)
+    /// One datapath drain into the pool; records batch-size stats. (The
+    /// datapath counts its own syscalls; this layer counts packets.)
     pub(crate) fn recv(&mut self, sock: &McastSocket) -> io::Result<usize> {
         let n = self.dp.recv_batch(sock, &mut self.rx)?;
         let s = &self.stats;
@@ -261,13 +255,13 @@ impl IoBatch {
         }
     }
 
-    /// Flush every staged packet out `sock` in backend batches,
+    /// Flush every staged packet out `sock` in datapath batches,
     /// retrying transient kernel pressure (`EAGAIN`/`EINTR`/`ENOBUFS`)
     /// with the same short doubling backoff the single-send path used. A
     /// persistently failing datagram is dropped (the protocol's NAK path
     /// recovers it) without sacrificing the rest of the batch. Each
     /// attempt — success or transient failure — is a real kernel
-    /// crossing, counted by the backend itself.
+    /// crossing, counted by the datapath itself.
     pub(crate) fn flush_tx(&mut self, sock: &McastSocket) {
         let mut off = 0;
         let mut attempt = 0;
@@ -341,10 +335,9 @@ const EHOSTUNREACH: i32 = 113;
 // Stats
 // ---------------------------------------------------------------------
 
-/// The reactor's shared counter cells. Backends hold an `Arc` and bump
-/// the syscall counters (`recvmmsg_calls`/`sendmmsg_calls` for epoll,
-/// `uring_enters` for io_uring, `tx_retries`/`tx_drops` for deferred
-/// completion failures); the reactor side owns the rest.
+/// The reactor's shared counter cells. The datapath holds an `Arc` and
+/// bumps the syscall counters (`recvmmsg_calls`/`sendmmsg_calls`); the
+/// reactor side owns the rest.
 #[derive(Default)]
 pub(crate) struct StatsCells {
     pub(crate) sessions_hwm: AtomicU64,
@@ -353,7 +346,6 @@ pub(crate) struct StatsCells {
     pub(crate) kicks: AtomicU64,
     pub(crate) recvmmsg_calls: AtomicU64,
     pub(crate) sendmmsg_calls: AtomicU64,
-    pub(crate) uring_enters: AtomicU64,
     pub(crate) packets_rx: AtomicU64,
     pub(crate) packets_tx: AtomicU64,
     pub(crate) tx_retries: AtomicU64,
@@ -378,28 +370,21 @@ pub(crate) struct StatsCells {
 /// `recvmmsg`/`sendmmsg` syscall moved.
 #[derive(Debug, Clone, Default)]
 pub struct ReactorStats {
-    /// The syscall backend actually driving this reactor: `"epoll"` or
-    /// `"uring"` (after any runtime fallback).
-    pub backend: &'static str,
     /// Sessions currently registered.
     pub sessions: usize,
     /// Most sessions ever registered at once.
     pub sessions_hwm: u64,
-    /// Readiness-wait returns (the loop's wakeup count; named for the
-    /// epoll backend, counted identically under io_uring).
+    /// `epoll_wait` returns (the loop's wakeup count).
     pub epoll_wakeups: u64,
     /// Engine deadlines serviced from the timer heap.
     pub timer_fires: u64,
     /// Deadline re-folds requested by application threads.
     pub kicks: u64,
-    /// `recvmmsg` syscalls issued (epoll backend).
+    /// `recvmmsg` syscalls that moved data.
     pub recvmmsg_calls: u64,
-    /// `sendmmsg` syscalls issued (epoll backend; every attempt counts,
-    /// including transiently failing ones that were retried).
+    /// `sendmmsg` syscalls issued (every attempt counts, including
+    /// transiently failing ones that were retried).
     pub sendmmsg_calls: u64,
-    /// `io_uring_enter` syscalls issued (uring backend) — the ring
-    /// replaces the wait+drain+flush syscall train with one enter.
-    pub uring_enters: u64,
     /// Datagrams received.
     pub packets_rx: u64,
     /// Datagrams sent.
@@ -436,7 +421,7 @@ impl ReactorStats {
     /// divide-by-`max(1)` form quietly reported the raw syscall count
     /// in that state.
     pub fn syscalls_per_packet(&self) -> f64 {
-        let syscalls = self.recvmmsg_calls + self.sendmmsg_calls + self.uring_enters;
+        let syscalls = self.recvmmsg_calls + self.sendmmsg_calls;
         let packets = self.packets_rx + self.packets_tx;
         if packets == 0 {
             return 0.0;
@@ -450,20 +435,14 @@ impl ReactorStats {
 // ---------------------------------------------------------------------
 
 /// A socket-set change an application thread asks the reactor thread to
-/// apply. The datapath object lives on the reactor thread only (io_uring
-/// submission queues are single-producer), so registration and
-/// deregistration are queued here and drained at the top of each loop
-/// iteration — the kick eventfd bounds the latency.
+/// apply. The datapath lives on the reactor thread only, so registration
+/// and deregistration are queued here and drained at the top of each
+/// loop iteration — the kick eventfd bounds the latency.
 enum DpCmd {
     /// Watch the sockets of session `id` (already in the sessions map).
     Register { id: u64 },
-    /// Stop watching `fd`. The owning session's Arc rides along so a
-    /// backend with in-flight kernel operations can keep the fd alive
-    /// until they drain.
-    Deregister {
-        fd: i32,
-        keepalive: Arc<dyn ReactorSession>,
-    },
+    /// Stop watching `fd`.
+    Deregister { fd: i32 },
 }
 
 /// One shard's shared state. A session handle holds this (so kicks and
@@ -473,9 +452,6 @@ enum DpCmd {
 /// [`crate::NetError::ReactorClosed`].
 pub(crate) struct Core {
     wakefd: i32,
-    /// Backend actually running (after any io_uring→epoll fallback);
-    /// resolved before the reactor thread spawns.
-    backend: &'static str,
     config: ReactorConfig,
     sessions: Mutex<HashMap<u64, Arc<dyn ReactorSession>>>,
     dirty: Mutex<Vec<u64>>,
@@ -492,19 +468,15 @@ impl Core {
         self.sessions.lock().get(&id).cloned()
     }
 
-    /// Remove a session: its sockets leave the datapath's watch set,
-    /// the loop drops its timer state lazily.
+    /// Remove a session: the reactor drops its reference here and now,
+    /// its sockets leave the datapath's watch set on the loop's next
+    /// pass, and its timer state is dropped lazily.
     pub(crate) fn deregister(&self, id: u64, session: &dyn ReactorSession) {
-        let removed = self.sessions.lock().remove(&id);
-        if let Some(owner) = removed {
-            let mut cmds = self.dp_cmds.lock();
-            for sock in session.sockets() {
-                cmds.push(DpCmd::Deregister {
-                    fd: sock.raw_fd(),
-                    keepalive: Arc::clone(&owner),
-                });
-            }
-            drop(cmds);
+        if self.sessions.lock().remove(&id).is_some() {
+            let fds = session.sockets().into_iter().map(McastSocket::raw_fd);
+            self.dp_cmds
+                .lock()
+                .extend(fds.map(|fd| DpCmd::Deregister { fd }));
             self.wake();
         }
     }
@@ -558,14 +530,13 @@ struct Shard {
 }
 
 impl Shard {
-    /// The datapath backend is probed here, before the thread starts.
     fn spawn(config: ReactorConfig, make: &MakeDatapath) -> io::Result<Shard> {
         let wakefd = unsafe { libc::eventfd(0, libc::EFD_CLOEXEC | libc::EFD_NONBLOCK) };
         if wakefd < 0 {
             return Err(io::Error::last_os_error());
         }
         let stats = Arc::new(StatsCells::default());
-        let dp = match make(config.datapath, wakefd, Arc::clone(&stats)) {
+        let dp = match make(wakefd, Arc::clone(&stats)) {
             Ok(dp) => dp,
             Err(e) => {
                 unsafe { libc::close(wakefd) };
@@ -574,7 +545,6 @@ impl Shard {
         };
         let core = Arc::new(Core {
             wakefd,
-            backend: dp.backend(),
             config,
             sessions: Mutex::new(HashMap::new()),
             dirty: Mutex::new(Vec::new()),
@@ -606,9 +576,9 @@ impl Drop for Shard {
     }
 }
 
-/// How a shard obtains its syscall backend ([`make_datapath`] outside
-/// tests).
-type MakeDatapath = dyn Fn(DatapathKind, i32, Arc<StatsCells>) -> io::Result<Box<dyn Datapath>>;
+/// How a shard obtains its datapath from its kick eventfd (surfaced as
+/// [`KICK_TOKEN`]) and counters: an [`EpollDatapath`] outside tests.
+type MakeDatapath = dyn Fn(i32, Arc<StatsCells>) -> io::Result<Box<dyn Datapath>>;
 
 /// Bits reserved for the per-shard session id inside a
 /// [`SessionHealth::id`]: the shard index lives above them, so ids stay
@@ -630,11 +600,10 @@ impl Reactor {
     }
 
     /// Spawn a reactor of `config.shards` event loops (at least one).
-    /// An io_uring request on a kernel (or build) without support falls
-    /// back to epoll, and [`Reactor::stats`] reports the backend that
-    /// actually runs.
     pub fn with_config(config: ReactorConfig) -> io::Result<Reactor> {
-        Reactor::with_datapath(config, &make_datapath)
+        Reactor::with_datapath(config, &|wakefd, stats| {
+            Ok(Box::new(EpollDatapath::new(wakefd, stats)?))
+        })
     }
 
     pub(crate) fn with_datapath(config: ReactorConfig, make: &MakeDatapath) -> io::Result<Reactor> {
@@ -745,15 +714,13 @@ impl Reactor {
     }
 
     /// Register a session on the shard `group` hashes to: its sockets
-    /// are queued for that shard's datapath (nonblocking first, for the
-    /// epoll backend — io_uring keeps them blocking, since a nonblocking
-    /// fd makes `RECVMSG` complete `-EAGAIN` instead of arming an
-    /// internal poll) and its first deadline is folded into the timer
-    /// heap. Returns the session id and the shard's [`Core`], which
-    /// the handle drives kicks and deregistration through — deliberately
-    /// *not* a full [`Reactor`], so live sessions do not keep the
-    /// reactor threads alive past the last user-held handle. A socket
-    /// the datapath cannot watch surfaces asynchronously via
+    /// are made nonblocking and queued for that shard's datapath, and
+    /// its first deadline is folded into the timer heap. Returns the
+    /// session id and the shard's [`Core`], which the handle drives kicks
+    /// and deregistration through — deliberately *not* a full
+    /// [`Reactor`], so live sessions do not keep the reactor threads
+    /// alive past the last user-held handle. A socket the datapath
+    /// cannot watch surfaces asynchronously via
     /// [`ReactorSession::on_fatal`].
     pub(crate) fn register(
         &self,
@@ -771,10 +738,8 @@ impl Reactor {
                 sockets.len() as u64 <= MAX_ROLES,
                 "too many session sockets"
             );
-            if core.backend == "epoll" {
-                for sock in &sockets {
-                    sock.set_nonblocking(true).map_err(NetError::Io)?;
-                }
+            for sock in &sockets {
+                sock.set_nonblocking(true).map_err(NetError::Io)?;
             }
         }
         {
@@ -805,7 +770,6 @@ fn snapshot(shards: &[Shard]) -> (ReactorStats, [Histogram; 4]) {
     for shard in shards {
         let core = &shard.core;
         let s = &core.stats;
-        st.backend = core.backend;
         st.idle_cap_ms = core.config.idle_deadline_cap.as_millis() as u64;
         st.sessions += core.sessions.lock().len();
         st.sessions_hwm += s.sessions_hwm.load(Ordering::Relaxed);
@@ -814,7 +778,6 @@ fn snapshot(shards: &[Shard]) -> (ReactorStats, [Histogram; 4]) {
         st.kicks += s.kicks.load(Ordering::Relaxed);
         st.recvmmsg_calls += s.recvmmsg_calls.load(Ordering::Relaxed);
         st.sendmmsg_calls += s.sendmmsg_calls.load(Ordering::Relaxed);
-        st.uring_enters += s.uring_enters.load(Ordering::Relaxed);
         st.packets_rx += s.packets_rx.load(Ordering::Relaxed);
         st.packets_tx += s.packets_tx.load(Ordering::Relaxed);
         st.tx_retries += s.tx_retries.load(Ordering::Relaxed);
@@ -850,11 +813,8 @@ impl std::fmt::Debug for Reactor {
     }
 }
 
-/// Set the `reactor_*` gauges from a stats snapshot. Backend identity is
-/// a numeric gauge — the exposition formats carry no strings: 0 = epoll,
-/// 1 = uring.
+/// Set the `reactor_*` gauges from a stats snapshot.
 fn publish_reactor_gauges(reg: &mut MetricsRegistry, st: &ReactorStats, shards: u64) {
-    reg.set_gauge("datapath_backend", u64::from(st.backend == "uring"));
     reg.set_gauge("reactor_shards", shards);
     reg.set_gauge("reactor_sessions", st.sessions as u64);
     reg.set_gauge("reactor_sessions_hwm", st.sessions_hwm);
@@ -863,7 +823,6 @@ fn publish_reactor_gauges(reg: &mut MetricsRegistry, st: &ReactorStats, shards: 
     reg.set_gauge("reactor_kicks", st.kicks);
     reg.set_gauge("reactor_recvmmsg_calls", st.recvmmsg_calls);
     reg.set_gauge("reactor_sendmmsg_calls", st.sendmmsg_calls);
-    reg.set_gauge("reactor_uring_enters", st.uring_enters);
     reg.set_gauge("reactor_packets_rx", st.packets_rx);
     reg.set_gauge("reactor_packets_tx", st.packets_tx);
     reg.set_gauge("reactor_tx_retries", st.tx_retries);
@@ -927,7 +886,7 @@ fn fold_deadline(
 }
 
 /// Apply queued socket-set changes on the reactor thread (the only
-/// thread allowed to touch the datapath). A registration the backend
+/// thread allowed to touch the datapath). A registration the datapath
 /// refuses fails the session asynchronously, mirroring what a fatal
 /// socket error during dispatch does.
 fn drain_dp_cmds(core: &Arc<Core>, io: &mut IoBatch, deadlines: &mut HashMap<u64, Instant>) {
@@ -945,7 +904,7 @@ fn drain_dp_cmds(core: &Arc<Core>, io: &mut IoBatch, deadlines: &mut HashMap<u64
                         if let Err(e) = io.dp.register(sock.raw_fd(), id * MAX_ROLES + role as u64)
                         {
                             for prior in &sockets[..role] {
-                                io.dp.deregister(prior.raw_fd(), Arc::clone(&session));
+                                io.dp.deregister(prior.raw_fd());
                             }
                             err = Some(e);
                             break;
@@ -958,7 +917,7 @@ fn drain_dp_cmds(core: &Arc<Core>, io: &mut IoBatch, deadlines: &mut HashMap<u64
                     session.on_fatal(Fatal::Io(e));
                 }
             }
-            DpCmd::Deregister { fd, keepalive } => io.dp.deregister(fd, keepalive),
+            DpCmd::Deregister { fd } => io.dp.deregister(fd),
         }
     }
 }
@@ -1069,7 +1028,7 @@ fn run(core: &Arc<Core>, dp: Box<dyn Datapath>) {
                     // surface the failure to the application.
                     core.sessions.lock().remove(&id);
                     for sock in session.sockets() {
-                        io.dp.deregister(sock.raw_fd(), Arc::clone(&session));
+                        io.dp.deregister(sock.raw_fd());
                     }
                     deadlines.remove(&id);
                     session.on_fatal(Fatal::Io(e));
@@ -1098,7 +1057,6 @@ mod tests {
     use hrmc_core::ProtocolConfig;
 
     use super::*;
-    use crate::datapath::EpollDatapath;
     use crate::{ReceiverHandle, SenderHandle, Session};
 
     #[test]
@@ -1171,13 +1129,13 @@ mod tests {
     }
 
     #[test]
-    fn publishes_shard_count_and_backend() {
+    fn publishes_shard_count() {
         let mut reg = MetricsRegistry::new();
         sharded(3).publish_metrics(&mut reg);
         assert_eq!(reg.gauge("reactor_shards"), Some(3));
-        let backend = reg.gauge("datapath_backend");
-        assert!(backend == Some(0) || backend == Some(1));
         assert_eq!(reg.gauge("reactor_sessions"), Some(0));
+        // One datapath: no backend gauge to tell apart.
+        assert_eq!(reg.gauge("datapath_backend"), None);
     }
 
     #[test]
@@ -1224,22 +1182,22 @@ mod tests {
         /// Once set, every watched socket reads as ready and fails with
         /// `EBADF`: a socket dying under the reactor, without a raced fd.
         rx_dead: Arc<AtomicBool>,
+        /// Every token ever registered reads as ready on every wait,
+        /// deregistered or not: stale readiness the reactor must ignore.
+        always_ready: bool,
         tokens: Vec<u64>,
     }
 
     impl Datapath for ScriptedDatapath {
-        fn backend(&self) -> &'static str {
-            "scripted"
-        }
         fn register(&mut self, fd: i32, token: u64) -> io::Result<()> {
             self.tokens.push(token);
             self.live
                 .as_mut()
                 .map_or(Ok(()), |dp| dp.register(fd, token))
         }
-        fn deregister(&mut self, fd: i32, keepalive: Arc<dyn ReactorSession>) {
+        fn deregister(&mut self, fd: i32) {
             if let Some(dp) = &mut self.live {
-                dp.deregister(fd, keepalive);
+                dp.deregister(fd);
             }
         }
         fn wait(&mut self, timeout_ms: i32, ready: &mut Vec<u64>) -> io::Result<()> {
@@ -1247,7 +1205,7 @@ mod tests {
             if let Some(dp) = &mut self.live {
                 dp.wait(timeout_ms, ready)?;
             }
-            if self.rx_dead.load(Ordering::SeqCst) {
+            if self.always_ready || self.rx_dead.load(Ordering::SeqCst) {
                 for t in &self.tokens {
                     if !ready.contains(t) {
                         ready.push(*t);
@@ -1471,7 +1429,7 @@ mod tests {
             idle_deadline_cap: Duration::from_millis(5),
             ..ReactorConfig::default()
         };
-        Reactor::with_datapath(config, &move |_, wakefd, stats| {
+        Reactor::with_datapath(config, &move |wakefd, stats| {
             Ok(Box::new(ScriptedDatapath {
                 live: Some(EpollDatapath::new(wakefd, stats)?),
                 rx_dead: Arc::clone(&rx_dead),
@@ -1574,5 +1532,66 @@ mod tests {
             check("recv", r.expect_err("recv"), rx.fatal_error());
             assert!(rx.has_failed());
         }
+    }
+
+    /// Deregistration with work in flight: a sender whose paced data is
+    /// still queued, and whose socket keeps reading ready, is dropped.
+    /// The reactor lets go of the session within a loop turn (no `Arc`
+    /// of it survives) and sends nothing more for it.
+    #[test]
+    fn deregistering_with_work_in_flight_releases_the_session() {
+        let calls = Arc::new(AtomicU64::new(0));
+        let reactor = {
+            let calls = Arc::clone(&calls);
+            let config = ReactorConfig {
+                idle_deadline_cap: Duration::from_millis(5),
+                ..ReactorConfig::default()
+            };
+            Reactor::with_datapath(config, &move |wakefd, stats| {
+                Ok(Box::new(ScriptedDatapath {
+                    calls: Arc::clone(&calls),
+                    live: Some(EpollDatapath::new(wakefd, stats)?),
+                    always_ready: true,
+                    ..ScriptedDatapath::default()
+                }))
+            })
+            .expect("reactor")
+        };
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        // Three segments at the minimum rate: ~20 ms apart on the wire.
+        let mut c = config();
+        c.max_rate = c.min_rate;
+        let group = SocketAddrV4::new(Ipv4Addr::new(239, 255, 87, 3), 47201);
+        let tx = Session::sender(group)
+            .interface(LO)
+            .config(c)
+            .reactor(reactor.clone())
+            .bind()
+            .expect("bind sender");
+        tx.send(&[7u8; 4 * 1024]).expect("send");
+        wait_for("the first segment", &|| calls.load(Ordering::SeqCst) > 0);
+
+        let core = &reactor.shards[0].core;
+        let session = Arc::downgrade(&core.session(0).expect("registered"));
+        drop(tx);
+        let turned = reactor.stats().epoll_wakeups;
+        wait_for("a loop turn", &|| {
+            reactor.stats().epoll_wakeups >= turned + 2
+        });
+        assert!(session.upgrade().is_none(), "the reactor kept the session");
+        let sent = calls.load(Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            sent,
+            "sent after deregistration"
+        );
+        assert_eq!(reactor.session_count(), 0);
     }
 }

@@ -205,7 +205,7 @@ const EMPTY_MMSGHDR: libc::mmsghdr = libc::mmsghdr {
     msg_len: 0,
 };
 
-pub(crate) fn sockaddr_in_of(addr: SocketAddr) -> io::Result<libc::sockaddr_in> {
+fn sockaddr_in_of(addr: SocketAddr) -> io::Result<libc::sockaddr_in> {
     match addr {
         SocketAddr::V4(a) => Ok(libc::sockaddr_in {
             sin_family: libc::AF_INET as libc::sa_family_t,
@@ -280,29 +280,6 @@ impl RxBatch {
         }
         self.count = n;
         Ok(n)
-    }
-
-    /// Reset the batch to empty. Datapath backends that fill the pool
-    /// from completion queues (rather than one `recvmmsg`) start here.
-    #[cfg(feature = "uring")]
-    pub(crate) fn clear(&mut self) {
-        self.count = 0;
-    }
-
-    /// Append one received datagram (payload + raw source address) to
-    /// the batch — the completion-queue analog of a `recvmmsg` slot.
-    /// Returns `false` when the pool is full ([`RX_SLOTS`] datagrams).
-    #[cfg(feature = "uring")]
-    pub(crate) fn push(&mut self, payload: &[u8], name: libc::sockaddr_in) -> bool {
-        if self.count == RX_SLOTS {
-            return false;
-        }
-        let i = self.count;
-        self.bufs[i][..payload.len()].copy_from_slice(payload);
-        self.names[i] = name;
-        self.lens[i] = payload.len();
-        self.count += 1;
-        true
     }
 
     /// Number of datagrams the last [`RxBatch::recv`] filled.

@@ -262,10 +262,9 @@ impl Shared {
         let _ = write!(out, "],\"alerts\":{}", self.alerts_json());
         let _ = write!(
             out,
-            ",\"reactor\":{{\"backend\":\"{}\",\"shards\":{},\"sessions\":{},\
+            ",\"reactor\":{{\"shards\":{},\"sessions\":{},\
              \"syscalls_per_packet\":{:.4},\
              \"loop_p99_us\":{},\"timer_slippage_p99_us\":{},\"idle_cap_ms\":{}}}}}",
-            st.backend,
             self.reactor.shards(),
             st.sessions,
             st.syscalls_per_packet(),

@@ -340,6 +340,9 @@ fn membership_gauges_flow_through_reactor_metrics() {
     assert!(reg.gauge("probes_last_tick").is_some());
     tx.close_and_wait(Duration::from_secs(30)).expect("close");
     assert_eq!(reader.join().expect("reader"), payload.len());
+    // The transfer went through the batched syscall pair, both ways.
+    let st = reactor.stats();
+    assert!(st.recvmmsg_calls > 0 && st.sendmmsg_calls > 0, "{st:?}");
 }
 
 /// A small send leaves when it is submitted, not at the next jiffy:

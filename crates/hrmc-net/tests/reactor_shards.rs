@@ -130,7 +130,6 @@ fn thirty_two_sessions_across_two_shards() {
         ("hrmc_reactor_packets_rx", agg.packets_rx),
         ("hrmc_reactor_packets_tx", agg.packets_tx),
         ("hrmc_reactor_shards", 2),
-        ("hrmc_datapath_backend", 0),
     ] {
         assert!(
             metrics.lines().any(|l| l == format!("{name} {sum}")),
@@ -138,6 +137,5 @@ fn thirty_two_sessions_across_two_shards() {
         );
     }
     let json = scrape(addr, "/json", timeout).expect("scrape /json");
-    assert!(json.contains("\"backend\":\"epoll\""), "{json}");
-    assert!(json.contains("\"shards\":2"), "{json}");
+    assert!(json.contains("\"reactor\":{\"shards\":2,"), "{json}");
 }

@@ -156,10 +156,16 @@ fn sixteen_sessions_share_one_reactor_thread() {
         "mean RX batch {} not > 1 under load: {st:?}",
         st.rx_batch_mean
     );
-    // Fewer syscalls than packets — strictly better than one-per-packet.
+    // Batching holds its measured level, not merely the one-syscall-per-
+    // datagram floor: 0.128 syscalls/packet measured here (debug profile,
+    // 0.131–0.135 with the machine's cores busy), and the band the
+    // retired `BENCH_sim.json` gate used — twice that plus slack, capped
+    // at the floor.
+    const MEASURED: f64 = 0.128;
+    let limit = (2.0 * MEASURED + 0.05).min(1.0);
     assert!(
-        st.syscalls_per_packet() < 1.0,
-        "batched I/O did not beat the unbatched floor: {st:?}"
+        st.syscalls_per_packet() < limit,
+        "batched I/O regressed past {limit:.3} syscalls/packet: {st:?}"
     );
 
     // Handles are all dropped: the reactor empties but keeps running.

@@ -138,6 +138,27 @@ fn idle_receiver_generates_no_ticks_between_packets() {
     }
 }
 
+/// The scheduler-work cell: 64 mostly-idle receivers on a 1 Mbit/s LAN
+/// with 0.5 % loss, 200 KB — the regime where timer work, not packet
+/// work, dominates. Ported from the retired `BENCH_sim.json` gate, which
+/// allowed +10 % on `events_popped` and `engine_ticks`; the counters are
+/// exact on a fixed seed, so any drift is a real scheduler change.
+#[test]
+fn scalability_cell_scheduler_work_is_pinned() {
+    let bandwidth = 1_000_000;
+    let mut protocol = ProtocolConfig::hrmc().with_buffer(256 * 1024);
+    protocol.max_rate = ((bandwidth as f64 / 8.0 * 0.95) as u64).max(protocol.min_rate);
+    let topology = TopologyBuilder::new().lan(64, bandwidth, 0.005);
+    let mut p = SimParams::new(protocol, topology, 200_000);
+    p.horizon_us = 1_800 * 1_000_000;
+    let report = Simulation::new(p).run();
+    assert!(report.completed && report.all_intact());
+    assert_eq!(report.events_popped, 14_030);
+    assert_eq!(report.host_ticks.iter().sum::<u64>(), 688);
+    assert_eq!(report.peak_queue_len, 126);
+    assert_eq!(report.elapsed_us, 2_182_597);
+}
+
 /// Disk-to-disk cell: `disk_read()` source, `disk_write()` sinks, two
 /// receivers on a lossy 100 Mbps LAN, 5 MB — past both the 800 KB seek
 /// stalls and the 4 MB long stall, with the sink (6 MB/s) slower than

@@ -1,16 +1,13 @@
 //! Minimal in-tree stand-in for the `libc` crate on Linux.
 //!
 //! Declares exactly the C types, constants, and functions
-//! `hrmc-net` uses: multicast socket setup (`hrmc-net::socket`), the
+//! `hrmc-net` uses: multicast socket setup (`hrmc-net::socket`) and the
 //! shared reactor's event loop (`hrmc-net::reactor` — epoll, eventfd,
-//! and the batched `recvmmsg`/`sendmmsg` datagram syscalls), and the
-//! raw io_uring ABI (`hrmc-net::datapath::uring` — setup/enter/register
-//! syscalls, ring mmap offsets, and the SQE/CQE/params layouts).
-//! Constant values are the Linux userspace ABI values (identical on
-//! x86-64 and aarch64, except the syscall numbers, which are cfg'd).
+//! and the batched `recvmmsg`/`sendmmsg` datagram syscalls). Constant
+//! values are the Linux userspace ABI values (identical on x86-64 and
+//! aarch64).
 
 #![allow(non_camel_case_types)]
-#![allow(non_upper_case_globals)] // SYS_* syscall numbers match libc's names
 
 pub type c_int = i32;
 pub type c_uint = u32;
@@ -35,56 +32,10 @@ pub const IP_MULTICAST_IF: c_int = 32;
 pub const EPOLL_CLOEXEC: c_int = 0o2000000;
 pub const EPOLL_CTL_ADD: c_int = 1;
 pub const EPOLL_CTL_DEL: c_int = 2;
-pub const EPOLL_CTL_MOD: c_int = 3;
 pub const EPOLLIN: u32 = 0x001;
-pub const EPOLLERR: u32 = 0x008;
-pub const EPOLLHUP: u32 = 0x010;
 
 pub const EFD_CLOEXEC: c_int = 0o2000000;
 pub const EFD_NONBLOCK: c_int = 0o4000;
-
-// ---- mmap (io_uring ring mappings) ------------------------------------
-
-pub const PROT_READ: c_int = 0x1;
-pub const PROT_WRITE: c_int = 0x2;
-pub const MAP_SHARED: c_int = 0x01;
-pub const MAP_POPULATE: c_int = 0x008000;
-pub const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
-
-// ---- io_uring syscall numbers (same on x86-64 and aarch64) ------------
-
-pub const SYS_io_uring_setup: c_long = 425;
-pub const SYS_io_uring_enter: c_long = 426;
-pub const SYS_io_uring_register: c_long = 427;
-
-// ---- io_uring ring mmap offsets ---------------------------------------
-
-pub const IORING_OFF_SQ_RING: i64 = 0;
-pub const IORING_OFF_CQ_RING: i64 = 0x8000000;
-pub const IORING_OFF_SQES: i64 = 0x10000000;
-
-// ---- io_uring_setup flags / features ----------------------------------
-
-pub const IORING_SETUP_CQSIZE: u32 = 1 << 3;
-pub const IORING_FEAT_SINGLE_MMAP: u32 = 1 << 0;
-pub const IORING_FEAT_NODROP: u32 = 1 << 1;
-
-// ---- io_uring_enter flags ---------------------------------------------
-
-pub const IORING_ENTER_GETEVENTS: c_uint = 1 << 0;
-
-// ---- SQE opcodes (only the ones the uring datapath posts) -------------
-
-pub const IORING_OP_NOP: u8 = 0;
-pub const IORING_OP_POLL_ADD: u8 = 6;
-pub const IORING_OP_SENDMSG: u8 = 9;
-pub const IORING_OP_RECVMSG: u8 = 10;
-pub const IORING_OP_TIMEOUT: u8 = 11;
-pub const IORING_OP_ASYNC_CANCEL: u8 = 14;
-
-// ---- SQE flags --------------------------------------------------------
-
-pub const IOSQE_IO_LINK: u8 = 1 << 2;
 
 /// IPv4 address in network byte order.
 #[repr(C)]
@@ -160,106 +111,6 @@ pub struct epoll_event {
     pub u64: u64,
 }
 
-/// 64-bit timespec as io_uring's OP_TIMEOUT expects
-/// (`struct __kernel_timespec` — both fields 64-bit on every arch).
-#[repr(C)]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct __kernel_timespec {
-    pub tv_sec: i64,
-    pub tv_nsec: i64,
-}
-
-/// Offsets of the SQ ring fields inside the SQ ring mmap
-/// (`struct io_sqring_offsets`, 40 bytes).
-#[repr(C)]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct io_sqring_offsets {
-    pub head: u32,
-    pub tail: u32,
-    pub ring_mask: u32,
-    pub ring_entries: u32,
-    pub flags: u32,
-    pub dropped: u32,
-    pub array: u32,
-    pub resv1: u32,
-    pub user_addr: u64,
-}
-
-/// Offsets of the CQ ring fields inside the CQ ring mmap
-/// (`struct io_cqring_offsets`, 40 bytes).
-#[repr(C)]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct io_cqring_offsets {
-    pub head: u32,
-    pub tail: u32,
-    pub ring_mask: u32,
-    pub ring_entries: u32,
-    pub overflow: u32,
-    pub cqes: u32,
-    pub flags: u32,
-    pub resv1: u32,
-    pub user_addr: u64,
-}
-
-/// Setup parameters exchanged with `io_uring_setup`
-/// (`struct io_uring_params`, 120 bytes).
-#[repr(C)]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct io_uring_params {
-    pub sq_entries: u32,
-    pub cq_entries: u32,
-    pub flags: u32,
-    pub sq_thread_cpu: u32,
-    pub sq_thread_idle: u32,
-    pub features: u32,
-    pub wq_fd: u32,
-    pub resv: [u32; 3],
-    pub sq_off: io_sqring_offsets,
-    pub cq_off: io_cqring_offsets,
-}
-
-/// One submission-queue entry (`struct io_uring_sqe`, 64 bytes).
-///
-/// The kernel struct is a stack of unions; this shim flattens it to the
-/// fields the uring datapath uses (`off`/`addr`/`len` are the union's
-/// primary 64/64/32-bit members, `op_flags` covers `rw_flags`/
-/// `msg_flags`/`poll_events`/`timeout_flags`, and the trailing union is
-/// represented as `buf_index` + padding).
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct io_uring_sqe {
-    pub opcode: u8,
-    pub flags: u8,
-    pub ioprio: u16,
-    pub fd: c_int,
-    pub off: u64,
-    pub addr: u64,
-    pub len: u32,
-    pub op_flags: u32,
-    pub user_data: u64,
-    pub buf_index: u16,
-    pub personality: u16,
-    pub splice_fd_in: c_int,
-    pub __pad2: [u64; 2],
-}
-
-impl Default for io_uring_sqe {
-    fn default() -> Self {
-        // SAFETY: all fields are plain integers; the kernel requires
-        // unused fields to be zero.
-        unsafe { std::mem::zeroed() }
-    }
-}
-
-/// One completion-queue entry (`struct io_uring_cqe`, 16 bytes).
-#[repr(C)]
-#[derive(Debug, Clone, Copy, Default)]
-pub struct io_uring_cqe {
-    pub user_data: u64,
-    pub res: i32,
-    pub flags: u32,
-}
-
 extern "C" {
     pub fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
     pub fn bind(sockfd: c_int, addr: *const sockaddr, addrlen: socklen_t) -> c_int;
@@ -292,20 +143,6 @@ extern "C" {
         timeout: *mut timespec,
     ) -> c_int;
     pub fn sendmmsg(sockfd: c_int, msgvec: *mut mmsghdr, vlen: c_uint, flags: c_int) -> c_int;
-
-    /// Raw indirect syscall — used for `SYS_io_uring_{setup,enter,register}`,
-    /// which glibc exposes no wrappers for.
-    pub fn syscall(num: c_long, ...) -> c_long;
-
-    pub fn mmap(
-        addr: *mut c_void,
-        length: size_t,
-        prot: c_int,
-        flags: c_int,
-        fd: c_int,
-        offset: i64,
-    ) -> *mut c_void;
-    pub fn munmap(addr: *mut c_void, length: size_t) -> c_int;
 }
 
 #[cfg(test)]
@@ -387,116 +224,6 @@ mod tests {
             assert_eq!(drained, 1);
             assert_eq!(close(ev), 0);
             assert_eq!(close(ep), 0);
-        }
-    }
-
-    #[test]
-    fn io_uring_abi_layout() {
-        assert_eq!(std::mem::size_of::<io_sqring_offsets>(), 40);
-        assert_eq!(std::mem::size_of::<io_cqring_offsets>(), 40);
-        assert_eq!(std::mem::size_of::<io_uring_params>(), 120);
-        assert_eq!(std::mem::size_of::<io_uring_sqe>(), 64);
-        assert_eq!(std::mem::size_of::<io_uring_cqe>(), 16);
-        assert_eq!(std::mem::size_of::<__kernel_timespec>(), 16);
-        // user_data sits at byte 32 of the SQE — the kernel reads it
-        // there regardless of opcode, and the datapath's completion
-        // routing depends on it.
-        let sqe = io_uring_sqe::default();
-        let base = &sqe as *const _ as usize;
-        assert_eq!(&sqe.user_data as *const _ as usize - base, 32);
-        assert_eq!(&sqe.addr as *const _ as usize - base, 16);
-        assert_eq!(&sqe.len as *const _ as usize - base, 24);
-    }
-
-    #[test]
-    fn io_uring_setup_nop_roundtrip() {
-        // Build a tiny ring, submit one NOP, reap its completion. On
-        // kernels without io_uring (or seccomp-restricted sandboxes)
-        // skip gracefully — the datapath probes and falls back the
-        // same way.
-        unsafe {
-            let mut params = io_uring_params::default();
-            let fd = syscall(
-                SYS_io_uring_setup,
-                4u32,
-                &mut params as *mut io_uring_params,
-            ) as c_int;
-            if fd < 0 {
-                eprintln!(
-                    "io_uring unavailable ({}), skipping live ring test",
-                    std::io::Error::last_os_error()
-                );
-                return;
-            }
-            let sq_sz = params.sq_off.array as usize
-                + params.sq_entries as usize * std::mem::size_of::<u32>();
-            let cq_sz = params.cq_off.cqes as usize
-                + params.cq_entries as usize * std::mem::size_of::<io_uring_cqe>();
-            let ring_sz = sq_sz.max(cq_sz);
-            assert!(
-                params.features & IORING_FEAT_SINGLE_MMAP != 0,
-                "pre-5.4 kernels unexpected here"
-            );
-            let ring = mmap(
-                std::ptr::null_mut(),
-                ring_sz,
-                PROT_READ | PROT_WRITE,
-                MAP_SHARED | MAP_POPULATE,
-                fd,
-                IORING_OFF_SQ_RING,
-            );
-            assert!(ring != MAP_FAILED, "ring mmap failed");
-            let sqes = mmap(
-                std::ptr::null_mut(),
-                params.sq_entries as usize * std::mem::size_of::<io_uring_sqe>(),
-                PROT_READ | PROT_WRITE,
-                MAP_SHARED | MAP_POPULATE,
-                fd,
-                IORING_OFF_SQES,
-            );
-            assert!(sqes != MAP_FAILED, "sqes mmap failed");
-            let base = ring as *mut u8;
-            let sq_tail = base.add(params.sq_off.tail as usize) as *mut u32;
-            let sq_mask = *(base.add(params.sq_off.ring_mask as usize) as *const u32);
-            let sq_array = base.add(params.sq_off.array as usize) as *mut u32;
-            let cq_head = base.add(params.cq_off.head as usize) as *mut u32;
-            let cq_tail = base.add(params.cq_off.tail as usize) as *const u32;
-            let cq_mask = *(base.add(params.cq_off.ring_mask as usize) as *const u32);
-            let cqes = base.add(params.cq_off.cqes as usize) as *const io_uring_cqe;
-
-            let tail = *sq_tail;
-            let idx = tail & sq_mask;
-            let sqe = (sqes as *mut io_uring_sqe).add(idx as usize);
-            *sqe = io_uring_sqe::default();
-            (*sqe).opcode = IORING_OP_NOP;
-            (*sqe).user_data = 0xfeed;
-            *sq_array.add(idx as usize) = idx;
-            std::sync::atomic::fence(std::sync::atomic::Ordering::Release);
-            *sq_tail = tail.wrapping_add(1);
-
-            let rc = syscall(
-                SYS_io_uring_enter,
-                fd,
-                1u32,
-                1u32,
-                IORING_ENTER_GETEVENTS,
-                std::ptr::null_mut::<c_void>(),
-                0usize,
-            );
-            assert_eq!(rc, 1, "enter: {}", std::io::Error::last_os_error());
-            std::sync::atomic::fence(std::sync::atomic::Ordering::Acquire);
-            assert_ne!(*cq_tail, *cq_head, "completion expected");
-            let cqe = *cqes.add((*cq_head & cq_mask) as usize);
-            assert_eq!(cqe.user_data, 0xfeed);
-            assert_eq!(cqe.res, 0);
-            *cq_head = (*cq_head).wrapping_add(1);
-
-            munmap(
-                sqes,
-                params.sq_entries as usize * std::mem::size_of::<io_uring_sqe>(),
-            );
-            munmap(ring, ring_sz);
-            close(fd);
         }
     }
 

@@ -42,7 +42,6 @@ struct Opts {
     health: bool,
     once: bool,
     refresh_ms: u64,
-    datapath: hrmc::net::DatapathKind,
     reactor_threads: usize,
 }
 
@@ -66,7 +65,6 @@ impl Default for Opts {
             health: false,
             once: false,
             refresh_ms: 1000,
-            datapath: hrmc::net::DatapathKind::Epoll,
             reactor_threads: 1,
         }
     }
@@ -103,8 +101,8 @@ struct Obs {
     /// sampling thread plus an HTTP endpoint serving `/metrics`
     /// (Prometheus text) and `/json` — watch it live with `hrmc top`.
     telemetry: Option<hrmc::net::Telemetry>,
-    /// The reactor every session in this process rides, shaped by
-    /// `--datapath` / `--reactor-threads`.
+    /// The reactor every session in this process rides, sharded by
+    /// `--reactor-threads`.
     reactor: hrmc::net::Reactor,
 }
 
@@ -122,20 +120,10 @@ impl Obs {
         };
         let metrics = opts.metrics.then(MetricsObserver::new);
         let reactor = hrmc::net::Reactor::with_config(hrmc::net::ReactorConfig {
-            datapath: opts.datapath,
             shards: opts.reactor_threads,
             ..hrmc::net::ReactorConfig::default()
         })
         .map_err(|e| format!("cannot start the reactor: {e}"))?;
-        if opts.reactor_threads > 1 || opts.datapath != hrmc::net::DatapathKind::Epoll {
-            // The probe may have fallen back (kernel without io_uring):
-            // report what actually runs, not what was asked for.
-            eprintln!(
-                "datapath: {} backend, {} reactor thread(s)",
-                reactor.stats().backend,
-                reactor.shards()
-            );
-        }
         if opts.health && opts.telemetry.is_none() {
             return Err("--health requires --telemetry (the monitor rides the \
                         telemetry pipeline)"
@@ -276,10 +264,6 @@ fn usage() -> ! {
                            --telemetry): streaming invariant checks raise\n                    \
                            structured alerts on /alerts, in /json, and as\n                    \
                            hrmc_alerts_* metrics on /metrics\n  \
-         --datapath <epoll|uring>  reactor I/O backend (default epoll); uring\n                    \
-                           needs a kernel with io_uring and a build with\n                    \
-                           --features uring, else it falls back to epoll\n                    \
-                           (the chosen backend is printed on stderr)\n  \
          --reactor-threads N  shard sessions across N reactor threads\n                    \
                            (default 1); telemetry aggregates all shards\n\n\
          `top` renders a refreshing terminal dashboard from a live telemetry\n\
@@ -390,13 +374,6 @@ fn parse(args: &[String]) -> (Opts, Vec<String>) {
             }
             "--health" => {
                 opts.health = true;
-            }
-            "--datapath" => {
-                i += 1;
-                opts.datapath = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
             }
             "--reactor-threads" => {
                 i += 1;

@@ -141,12 +141,11 @@ pub fn render_endpoint_frame(endpoint: &str, body: &Value) -> String {
     let mut out = String::with_capacity(1024);
     let _ = writeln!(out, "hrmc top — {endpoint}\n");
     if let Some(r) = body.get("reactor") {
-        // Endpoints predating the pluggable datapath omit backend and
-        // shards; render the single-reactor epoll shape they had.
+        // Endpoints predating reactor shards omit the count: they ran
+        // one. Older recordings' "backend" key is ignored.
         let _ = writeln!(
             out,
-            "reactor  backend {} ×{}  sessions {}  syscalls/pkt {}  loop p99 {}µs  timer slip p99 {}µs  idle cap {}ms",
-            r.get("backend").and_then(Value::as_str).unwrap_or("epoll"),
+            "reactor ×{}  sessions {}  syscalls/pkt {}  loop p99 {}µs  timer slip p99 {}µs  idle cap {}ms",
             r.get("shards").and_then(Value::as_u64).unwrap_or(1),
             r.get("sessions").and_then(Value::as_u64).unwrap_or(0),
             r.get("syscalls_per_packet")
@@ -374,7 +373,8 @@ mod tests {
         .unwrap();
         let frame = render_endpoint_frame("127.0.0.1:9000", &body);
         assert!(frame.contains("hrmc top — 127.0.0.1:9000"));
-        assert!(frame.contains("backend uring ×4"));
+        // An old recording's "backend" key is ignored.
+        assert!(frame.contains("reactor ×4  sessions 1"), "{frame}");
         assert!(frame.contains("syscalls/pkt 0.1441"));
         assert!(frame.contains("loop p99 63µs"));
         assert!(frame.contains("sender"));
@@ -449,7 +449,7 @@ mod tests {
         )
         .unwrap();
         let frame = render_endpoint_frame("x", &body);
-        assert!(frame.contains("backend epoll ×1"), "{frame}");
+        assert!(frame.contains("reactor ×1  sessions 2"), "{frame}");
     }
 
     #[test]
