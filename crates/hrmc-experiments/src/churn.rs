@@ -1,51 +1,59 @@
-//! Fault-matrix sweep: the robustness counterpart of the figure
-//! harnesses. One fixed LAN transfer is re-run under a matrix of fault
-//! regimes — injected corruption, duplication + reordering, a healing
-//! partition, receiver crash, sender pause/resume — and the table
-//! reports what each regime cost and what the failure-domain machinery
-//! did about it. The paper's evaluation never kills a host mid-run;
-//! this harness exists so the reproduction's recovery path is exercised
-//! as routinely as its throughput path.
+//! Fault-matrix sweep: the robustness counterpart of the figure sets.
+//! One fixed LAN transfer is re-run under a matrix of fault regimes —
+//! injected corruption, duplication + reordering, a healing partition,
+//! receiver crash, sender pause/resume — and the table reports what each
+//! regime cost and what the failure-domain machinery did about it. The
+//! paper's evaluation never kills a host mid-run; this set exists so the
+//! reproduction's recovery path is exercised as routinely as its
+//! throughput path.
 
-use hrmc_app::{mean, Scenario};
-use hrmc_sim::{ChurnAction, ChurnEvent, FaultModel, FaultPlan};
-use serde_json::json;
+use hrmc_app::Scenario;
+use hrmc_sim::{ChurnAction, ChurnEvent, FaultModel, FaultPlan, SimReport};
+use serde_json::{json, Map, Value};
 
-use crate::{ExpOptions, Table, MBPS_10, MB_10};
+use crate::runner::{Cell, Done, Output};
+use crate::{avg, ExpOptions, Table, MBPS_10, MB_10};
 
 /// Default receiver population (enough that one crash leaves a quorum).
 pub const RECEIVERS: usize = 6;
 
-/// The fault matrix: `(regime label, scenario)` pairs over one fixed
-/// 10 Mbps LAN transfer with 1% ambient loss.
-pub fn regimes(opts: &ExpOptions) -> Vec<(&'static str, Scenario)> {
+/// The fault matrix: one cell per regime over one fixed 10 Mbps LAN
+/// transfer with 1% ambient loss.
+pub fn cells(opts: &ExpOptions) -> Vec<Cell> {
     let receivers = opts.receivers.unwrap_or(RECEIVERS);
-    let transfer = opts.transfer(MB_10);
-    let base = || Scenario::lan(receivers, MBPS_10, 256 * 1024, transfer).with_loss(0.01);
-    vec![
+    let base =
+        || Scenario::lan(receivers, MBPS_10, 256 * 1024, opts.transfer(MB_10)).with_loss(0.01);
+    let faults = |link, churn| {
+        base().with_faults(FaultPlan {
+            link,
+            churn,
+            ..FaultPlan::default()
+        })
+    };
+    let corrupt = FaultModel {
+        corrupt: 0.005,
+        ..FaultModel::NONE
+    };
+    let reorder = FaultModel {
+        duplicate: 0.01,
+        reorder: 0.02,
+        reorder_max_us: 20_000,
+        ..FaultModel::NONE
+    };
+    let pause = vec![
+        ChurnEvent {
+            at_us: 250_000,
+            action: ChurnAction::PauseSender,
+        },
+        ChurnEvent {
+            at_us: 750_000,
+            action: ChurnAction::ResumeSender,
+        },
+    ];
+    [
         ("baseline", base()),
-        (
-            "corrupt-0.5%",
-            base().with_faults(FaultPlan {
-                link: FaultModel {
-                    corrupt: 0.005,
-                    ..FaultModel::NONE
-                },
-                ..FaultPlan::default()
-            }),
-        ),
-        (
-            "dup-1%+reorder-2%",
-            base().with_faults(FaultPlan {
-                link: FaultModel {
-                    duplicate: 0.01,
-                    reorder: 0.02,
-                    reorder_max_us: 20_000,
-                    ..FaultModel::NONE
-                },
-                ..FaultPlan::default()
-            }),
-        ),
+        ("corrupt-0.5%", faults(corrupt, vec![])),
+        ("dup-1%+reorder-2%", faults(reorder, vec![])),
         (
             "partition-1.3s",
             base().with_partition(vec![0], 200_000, 1_500_000),
@@ -54,27 +62,16 @@ pub fn regimes(opts: &ExpOptions) -> Vec<(&'static str, Scenario)> {
             "crash-1rx",
             base().with_receiver_crash(receivers - 1, 300_000),
         ),
-        (
-            "pause-0.5s",
-            base().with_faults(FaultPlan {
-                churn: vec![
-                    ChurnEvent {
-                        at_us: 250_000,
-                        action: ChurnAction::PauseSender,
-                    },
-                    ChurnEvent {
-                        at_us: 750_000,
-                        action: ChurnAction::ResumeSender,
-                    },
-                ],
-                ..FaultPlan::default()
-            }),
-        ),
+        ("pause-0.5s", faults(FaultModel::NONE, pause)),
     ]
+    .map(|(label, s)| Cell::new("", "", label.into(), s))
+    .into()
 }
 
-/// Run the matrix and print/save the results.
-pub fn run(opts: &ExpOptions) -> serde_json::Value {
+/// One row and one `churn.json` entry per regime. Every regime must come
+/// out the other side: either the run completed, or every incompletion is
+/// accounted for by an ejection or a declared session failure.
+pub fn project(_: &ExpOptions, done: &[Done]) -> Output {
     let headers = [
         "regime",
         "Mbps",
@@ -86,81 +83,60 @@ pub fn run(opts: &ExpOptions) -> serde_json::Value {
         "churn",
     ];
     let mut table = Table::new("fault matrix, 10 Mbps LAN, 1% loss", &headers);
-    let mut series = serde_json::Map::new();
-    for (label, scenario) in regimes(opts) {
-        let runs = opts.run_seeds(&scenario);
-        let thr: Vec<f64> = runs.iter().map(|r| r.throughput_mbps).collect();
-        let retrans: Vec<f64> = runs
-            .iter()
-            .map(|r| r.sender.retransmissions as f64)
-            .collect();
-        let sum = |f: fn(&hrmc_sim::SimReport) -> u64| -> u64 { runs.iter().map(f).sum() };
+    let mut series = Map::new();
+    let mut out = Output::default();
+    for Done { cell, runs, .. } in done {
+        let label = &cell.row;
+        let sum = |f: fn(&SimReport) -> u64| -> u64 { runs.iter().map(f).sum() };
         let ejected = sum(|r| r.sender.members_ejected);
-        let failed = runs
-            .iter()
-            .map(|r| r.failed_receivers() as u64)
-            .sum::<u64>();
-        let (corrupt, partition, churn) = (
-            sum(|r| r.corruption_drops),
-            sum(|r| r.partition_drops),
-            sum(|r| r.churn_drops),
-        );
-        // Every regime must come out the other side: either the run
-        // completed, or every incompletion is accounted for by an
-        // ejection or a declared session failure.
-        for r in &runs {
-            assert!(
-                r.completed || ejected > 0 || failed > 0,
-                "{label}: run neither completed nor resolved its failures"
-            );
+        let failed = sum(|r| r.failed_receivers() as u64);
+        for r in runs {
+            if !(r.completed || ejected > 0 || failed > 0) {
+                let reason = "run neither completed nor resolved its failures";
+                out.violations.push(format!("{label}: {reason}"));
+            }
         }
-        table.row(vec![
-            label.to_string(),
-            format!("{:.2}", mean(&thr)),
-            format!("{:.1}", mean(&retrans)),
-            ejected.to_string(),
-            failed.to_string(),
-            corrupt.to_string(),
-            partition.to_string(),
-            churn.to_string(),
-        ]);
-        series.insert(
-            label.to_string(),
-            json!({
-                "mbps": mean(&thr),
-                "retransmissions": mean(&retrans),
-                "members_ejected": ejected,
-                "failed_receivers": failed,
-                "corruption_drops": corrupt,
-                "partition_drops": partition,
-                "churn_drops": churn,
-            }),
-        );
+        let mbps = avg(runs, |r| r.throughput_mbps);
+        let retrans = avg(runs, |r| r.sender.retransmissions as f64);
+        let counts = [
+            ("members_ejected", ejected),
+            ("failed_receivers", failed),
+            ("corruption_drops", sum(|r| r.corruption_drops)),
+            ("partition_drops", sum(|r| r.partition_drops)),
+            ("churn_drops", sum(|r| r.churn_drops)),
+        ];
+        let mut row = vec![label.clone(), format!("{mbps:.2}"), format!("{retrans:.1}")];
+        row.extend(counts.iter().map(|(_, n)| n.to_string()));
+        table.row(row);
+        let mut entry = Map::new();
+        entry.insert("mbps".into(), json!(mbps));
+        entry.insert("retransmissions".into(), json!(retrans));
+        for (key, n) in counts {
+            entry.insert(key.into(), json!(n));
+        }
+        series.insert(label.clone(), Value::Object(entry));
     }
-    table.print();
-    let value = serde_json::Value::Object(series);
-    opts.save_json("churn", &value);
-    value
+    out.table(&table);
+    out.files.push(("churn", Value::Object(series)));
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quick() -> ExpOptions {
-        ExpOptions {
-            repeats: 1,
-            scale_down: 50,
-            out_dir: std::env::temp_dir().join("hrmc-churn-test"),
-            receivers: Some(4),
-            ..ExpOptions::default()
-        }
-    }
+    use crate::runner::{find, run_set};
 
     #[test]
     fn fault_matrix_survives_every_regime() {
-        let opts = quick();
-        let v = run(&opts);
+        let opts = ExpOptions {
+            repeats: 1,
+            scale_down: 50,
+            receivers: Some(4),
+            ..ExpOptions::default()
+        };
+        let out = run_set(find("churn").unwrap(), &opts);
+        assert_eq!(out.violations, Vec::<String>::new());
+        let v = &out.files[0].1;
         // Each regime's detectors actually fired.
         assert!(v["corrupt-0.5%"]["corruption_drops"].as_u64().unwrap() > 0);
         assert!(v["partition-1.3s"]["partition_drops"].as_u64().unwrap() > 0);

@@ -3,24 +3,25 @@
 //! under a pinned set of adversarial *network weather* regimes —
 //! capacity collapse and recovery, bufferbloat, jitter storms, an
 //! impaired feedback uplink, receiver migration, and all of it at once
-//! — and every regime is held to three graceful-degradation contracts:
+//! — and every regime is held to three graceful-degradation contracts
+//! ([`check_invariants`]; a broken one is a reported violation, which
+//! fails the set and withholds its JSON):
 //!
-//! 1. **No panic, no livelock**: the run terminates and its simulator
-//!    event count stays proportional to the bytes it delivered
-//!    ([`MAX_EVENTS_PER_BYTE`]).
-//! 2. **Degrade**: regimes that squeeze capacity must actually engage
-//!    the control plane (rate halvings, queue overflows) rather than
-//!    sail through on modeling gaps.
-//! 3. **Recover, don't amputate**: jitter- and delay-only episodes
-//!    must complete with zero ejections — latency is not death — and
-//!    healing regimes must still finish the transfer.
+//! 1. **No livelock**: the run terminates and its simulator event count
+//!    stays proportional to the bytes it delivered ([`MAX_EVENTS_PER_BYTE`]).
+//! 2. **Degrade**: regimes that squeeze capacity must actually engage the
+//!    control plane (rate halvings, queue overflows).
+//! 3. **Recover, don't amputate**: jitter- and delay-only episodes must
+//!    complete with zero ejections — latency is not death — and healing
+//!    regimes must still finish the transfer.
 
-use hrmc_app::{mean, Scenario};
+use hrmc_app::Scenario;
 use hrmc_core::{AlertRule, HealthConfig};
 use hrmc_sim::{CharacteristicGroup, GroupSpec, LinkAction, LinkSchedule, SimReport};
-use serde_json::json;
+use serde_json::{json, Map, Value};
 
-use crate::{ExpOptions, Table, MBPS_10, MB_10};
+use crate::runner::{Cell, Done, Output};
+use crate::{avg, ExpOptions, Table, MBPS_10, MB_10};
 
 /// Default receiver population.
 pub const RECEIVERS: usize = 6;
@@ -32,406 +33,274 @@ pub const RECEIVERS: usize = 6;
 /// through this by orders of magnitude.
 pub const MAX_EVENTS_PER_BYTE: f64 = 2.0;
 
-/// Collapse-and-heal timing shared by the scenarios that ramp capacity.
-/// The collapse lands early enough that even quick-mode transfers are
-/// mid-flight when the floor drops out.
-const COLLAPSE_AT_US: u64 = 150_000;
-const HEAL_AT_US: u64 = 1_200_000;
+/// Collapse-and-heal timing (µs) shared by the scenarios that ramp
+/// capacity. The collapse lands early enough that even quick-mode
+/// transfers are mid-flight when the floor drops out.
+const COLLAPSE: u64 = 150_000;
+const HEAL: u64 = 1_200_000;
 
-fn base(opts: &ExpOptions) -> Scenario {
-    let receivers = opts.receivers.unwrap_or(RECEIVERS);
-    Scenario::lan(receivers, MBPS_10, 256 * 1024, opts.transfer(MB_10)).with_loss(0.01)
+/// Impair the feedback path: extra delay and loss on everything the
+/// receivers send upstream.
+fn up_path(extra_delay_us: u64, loss: f64) -> LinkAction {
+    LinkAction::SetUpPath {
+        extra_delay_us,
+        loss,
+    }
 }
 
-fn collapse_schedule() -> LinkSchedule {
-    let mut links = LinkSchedule::default();
+/// Resize the backbone router's queue.
+fn backbone_queue(packets: usize) -> LinkAction {
+    LinkAction::SetRouterQueue { router: 0, packets }
+}
+
+/// Move receiver 0 onto a new router path.
+fn migrate(path: Vec<usize>) -> LinkAction {
+    LinkAction::Migrate { receiver: 0, path }
+}
+
+/// The pinned matrix: one cell per regime, rows labelled by regime.
+/// `baseline` comes first, carries an empty schedule and anchors the
+/// degradation comparisons. Every regime runs with the online health
+/// monitor armed at default thresholds — the matrix doubles as the
+/// monitor's calibration fixture (quiet regimes must stay silent,
+/// violent ones must alert).
+pub fn cells(opts: &ExpOptions) -> Vec<Cell> {
+    let (receivers, transfer) = (opts.receivers.unwrap_or(RECEIVERS), opts.transfer(MB_10));
+    let base = || Scenario::lan(receivers, MBPS_10, 256 * 1024, transfer).with_loss(0.01);
+    let mut collapse = LinkSchedule::default();
     // The collapsed backhaul also buffers less: squeeze the queue so
     // the overload is visible as drops, not just delay.
-    links.push(
-        COLLAPSE_AT_US,
-        LinkAction::SetRouterQueue {
-            router: 0,
-            packets: 32,
-        },
-    );
-    links.collapse_recover(
-        0,
-        COLLAPSE_AT_US,
-        HEAL_AT_US,
-        MBPS_10,
-        MBPS_10 / 20,
-        100_000,
-        4,
-    );
-    links.push(
-        HEAL_AT_US + 200_000,
-        LinkAction::SetRouterQueue {
-            router: 0,
-            packets: 512,
-        },
-    );
-    links
-}
-
-fn jitter_schedule() -> LinkSchedule {
-    let mut links = LinkSchedule::default();
-    // Eight 30 ms delay spikes on a 50 µs LAN — three orders of
-    // magnitude of jitter, zero loss.
-    links.jitter_spikes(0, 200_000, 150_000, 8, 50, 30_000);
-    links
-}
-
-fn uplink_schedule() -> LinkSchedule {
-    let mut links = LinkSchedule::default();
-    // Feedback path only: 30% loss and +20 ms on everything the
-    // receivers send upstream, healing after 1.5 s.
-    links.push(
-        100_000,
-        LinkAction::SetUpPath {
-            extra_delay_us: 20_000,
-            loss: 0.30,
-        },
-    );
-    links.push(
-        1_600_000,
-        LinkAction::SetUpPath {
-            extra_delay_us: 0,
-            loss: 0.0,
-        },
-    );
-    links
-}
-
-fn bufferbloat_schedule() -> LinkSchedule {
-    let mut links = LinkSchedule::default();
-    links.bufferbloat(0, 200_000, 4096, MBPS_10 / 5);
-    links
-}
-
-fn migration_scenario(opts: &ExpOptions) -> Scenario {
-    // Two identical edge groups behind a backbone; one receiver per
-    // group so the migration target router exists (router 0 is the
-    // backbone, 1 and 2 the group routers).
-    let specs = vec![
-        GroupSpec {
-            group: CharacteristicGroup::A,
-            receivers: 1,
-        },
-        GroupSpec {
-            group: CharacteristicGroup::A,
-            receivers: 1,
-        },
-    ];
-    let mut links = LinkSchedule::default();
-    links.push(
-        300_000,
-        LinkAction::Migrate {
-            receiver: 0,
-            path: vec![0, 2],
-        },
-    );
-    links.push(
-        900_000,
-        LinkAction::Migrate {
-            receiver: 0,
-            path: vec![0, 1],
-        },
-    );
-    Scenario::groups(specs, MBPS_10, 256 * 1024, opts.transfer(MB_10)).with_links(links)
-}
-
-fn combined_schedule() -> LinkSchedule {
-    let mut links = collapse_schedule();
-    links.jitter_spikes(0, 400_000, 200_000, 5, 50, 20_000);
-    links.push(
-        200_000,
-        LinkAction::SetUpPath {
-            extra_delay_us: 10_000,
-            loss: 0.15,
-        },
-    );
-    links.push(
-        2_000_000,
-        LinkAction::SetUpPath {
-            extra_delay_us: 0,
-            loss: 0.0,
-        },
-    );
-    links
-}
-
-/// The pinned matrix: `(regime label, scenario)` pairs. `baseline`
-/// carries an empty schedule and anchors the degradation comparisons.
-/// Every regime runs with the online health monitor armed at default
-/// thresholds — the matrix doubles as the monitor's calibration
-/// fixture (quiet regimes must stay silent, violent ones must alert).
-pub fn scenarios(opts: &ExpOptions) -> Vec<(&'static str, Scenario)> {
-    // Jitter-only regimes run with aggressive ejection thresholds so
-    // "latency is not death" is tested against the *paranoid* sender,
-    // not a forgiving one.
-    let mut jitter = base(opts).with_links(jitter_schedule());
+    collapse.push(COLLAPSE, backbone_queue(32));
+    collapse.collapse_recover(0, COLLAPSE, HEAL, MBPS_10, MBPS_10 / 20, 100_000, 4);
+    collapse.push(HEAL + 200_000, backbone_queue(512));
+    let mut bloat = LinkSchedule::default();
+    bloat.bufferbloat(0, 200_000, 4096, MBPS_10 / 5);
+    // Eight 30 ms delay spikes on a 50 µs LAN — three orders of magnitude
+    // of jitter, zero loss — against aggressive ejection thresholds, so
+    // "latency is not death" is tested against the *paranoid* sender.
+    let mut spikes = LinkSchedule::default();
+    spikes.jitter_spikes(0, 200_000, 150_000, 8, 50, 30_000);
+    let mut jitter = base().with_links(spikes);
     jitter.probe_failure_limit = 3;
     jitter.member_silence_us = 3_000_000;
-    let matrix = vec![
-        ("baseline", base(opts)),
-        (
-            "capacity-collapse",
-            base(opts).with_links(collapse_schedule()),
-        ),
-        ("bufferbloat", base(opts).with_links(bufferbloat_schedule())),
+    // Feedback path only: 30% loss and +20 ms, healing after 1.5 s.
+    let mut uplink = LinkSchedule::default();
+    uplink.push(100_000, up_path(20_000, 0.30));
+    uplink.push(1_600_000, up_path(0, 0.0));
+    // Two identical edge groups behind a backbone; one receiver per group
+    // so the migration target router exists (router 0 is the backbone, 1
+    // and 2 the group routers).
+    let edge = GroupSpec {
+        group: CharacteristicGroup::A,
+        receivers: 1,
+    };
+    let mut moves = LinkSchedule::default();
+    moves.push(300_000, migrate(vec![0, 2]));
+    moves.push(900_000, migrate(vec![0, 1]));
+    let mobile = Scenario::groups(vec![edge; 2], MBPS_10, 256 * 1024, transfer).with_links(moves);
+    let mut combined = collapse.clone();
+    combined.jitter_spikes(0, 400_000, 200_000, 5, 50, 20_000);
+    combined.push(200_000, up_path(10_000, 0.15));
+    combined.push(2_000_000, up_path(0, 0.0));
+    [
+        ("baseline", base()),
+        ("capacity-collapse", base().with_links(collapse)),
+        ("bufferbloat", base().with_links(bloat)),
         ("jitter-spikes", jitter),
-        ("uplink-impair", base(opts).with_links(uplink_schedule())),
-        ("mobile-churn", migration_scenario(opts)),
-        (
-            "hostile-combined",
-            base(opts).with_links(combined_schedule()),
-        ),
-    ];
-    matrix
-        .into_iter()
-        .map(|(label, s)| {
-            let cfg = HealthConfig {
-                probe_failure_limit: s.probe_failure_limit,
-                ..HealthConfig::default()
-            };
-            (label, s.with_health(cfg))
-        })
-        .collect()
+        ("uplink-impair", base().with_links(uplink)),
+        ("mobile-churn", mobile),
+        ("hostile-combined", base().with_links(combined)),
+    ]
+    .map(|(label, s)| {
+        let probe_failure_limit = s.probe_failure_limit;
+        let health = HealthConfig {
+            probe_failure_limit,
+            ..HealthConfig::default()
+        };
+        Cell::new("", "", label.into(), s.with_health(health))
+    })
+    .into()
 }
 
-/// Total bytes delivered to applications across all receivers.
-fn delivered_bytes(r: &SimReport) -> u64 {
-    r.receivers.iter().map(|x| x.bytes).sum()
-}
-
-/// The no-livelock contract: events popped per delivered byte.
+/// The no-livelock contract: events popped per byte delivered to the
+/// applications across all receivers.
 pub fn events_per_byte(r: &SimReport) -> f64 {
-    r.events_popped as f64 / delivered_bytes(r).max(1) as f64
+    let delivered: u64 = r.receivers.iter().map(|x| x.bytes).sum();
+    r.events_popped as f64 / delivered.max(1) as f64
 }
 
 /// Check one regime's graceful-degradation invariants against its
-/// baseline. Panics (with the regime name) on violation — callers are
-/// harnesses and tests.
-pub fn check_invariants(label: &str, runs: &[SimReport], baseline: &[SimReport]) {
+/// baseline; returns one `"<regime>: <reason>"` per broken check.
+pub fn check_invariants(label: &str, runs: &[SimReport], baseline: &[SimReport]) -> Vec<String> {
+    let mut violations = Vec::new();
+    let mut fail = |reason: &str| violations.push(format!("{label}: {reason}"));
+    let rtt_floor = baseline.iter().map(|b| b.final_rtt_us).min().unwrap_or(0);
     for r in runs {
-        assert!(
-            r.completed,
-            "{label}: transfer did not complete within the horizon"
-        );
-        assert!(r.all_intact(), "{label}: delivered bytes were corrupted");
+        if !r.completed {
+            fail("transfer did not complete within the horizon");
+        }
+        if !r.all_intact() {
+            fail("delivered bytes were corrupted");
+        }
         let epb = events_per_byte(r);
-        assert!(
-            epb <= MAX_EVENTS_PER_BYTE,
-            "{label}: livelock suspected — {epb:.3} events/byte \
-             (bound {MAX_EVENTS_PER_BYTE})"
-        );
-        assert_eq!(
-            r.false_ejections, 0,
-            "{label}: a member that later proved alive was ejected"
-        );
+        if epb > MAX_EVENTS_PER_BYTE {
+            let bound = MAX_EVENTS_PER_BYTE;
+            fail(&format!(
+                "livelock suspected — {epb:.3} events/byte (bound {bound})"
+            ));
+        }
+        if r.false_ejections != 0 {
+            fail("a member that later proved alive was ejected");
+        }
         // The online monitor's false-ejection verdict must agree with
         // the ground-truth audit above.
-        assert_eq!(
-            r.alerts_raised("false_ejection"),
-            0,
-            "{label}: the online monitor flagged a false ejection the \
-             ground truth does not corroborate"
-        );
+        if r.alerts_raised("false_ejection") != 0 {
+            fail(
+                "the online monitor flagged a false ejection the ground truth does not corroborate",
+            );
+        }
+        let alerts = &r.alerts;
+        match label {
+            "baseline" => {
+                if r.link_events_applied != 0 {
+                    fail("baseline schedule must be empty");
+                }
+                if !alerts.is_empty() {
+                    fail(&format!("a healthy run raised alerts: {alerts:?}"));
+                }
+            }
+            "capacity-collapse" => {
+                if r.rate_halvings < 1 {
+                    fail("sender never throttled under collapse");
+                }
+                if r.router_overflow_drops == 0 {
+                    fail("collapsed queue never overflowed");
+                }
+                let rules = ["nak_storm", "backlog_growth"];
+                if rules.iter().all(|rule| r.alerts_raised(rule) == 0) {
+                    fail("the monitor slept through the collapse (no nak_storm/backlog_growth alert)");
+                }
+                if rules.iter().all(|rule| r.alerts_cleared(rule) == 0) {
+                    fail(&format!(
+                        "no alert cleared after the heal (alerts: {alerts:?})"
+                    ));
+                }
+            }
+            "bufferbloat" if r.final_rtt_us <= rtt_floor => {
+                fail("standing queue never inflated the RTT estimate");
+            }
+            "jitter-spikes" => {
+                if r.sender.members_ejected != 0 {
+                    fail("jitter-only episode ejected a member");
+                }
+                if !alerts.is_empty() {
+                    fail(&format!(
+                        "delay-only jitter must not alarm the monitor (latency is not death): {alerts:?}"
+                    ));
+                }
+            }
+            "uplink-impair" if r.up_loss_drops == 0 => fail("impaired uplink dropped nothing"),
+            "mobile-churn" if r.migration_drops == 0 => {
+                fail("migration never stranded an in-flight packet");
+            }
+            "hostile-combined" if r.rate_halvings < 1 => fail("no degradation response"),
+            _ => {}
+        }
     }
     let mean_elapsed =
         |rs: &[SimReport]| rs.iter().map(|r| r.elapsed_us).sum::<u64>() / rs.len().max(1) as u64;
-    match label {
-        "baseline" => {
-            for r in runs {
-                assert_eq!(r.link_events_applied, 0, "baseline schedule must be empty");
-                assert!(
-                    r.alerts.is_empty(),
-                    "{label}: a healthy run raised alerts: {:?}",
-                    r.alerts
-                );
-            }
-        }
-        "capacity-collapse" => {
-            for r in runs {
-                assert!(
-                    r.rate_halvings >= 1,
-                    "{label}: sender never throttled under collapse"
-                );
-                assert!(
-                    r.router_overflow_drops > 0,
-                    "{label}: collapsed queue never overflowed"
-                );
-                let raised = r.alerts_raised("nak_storm") + r.alerts_raised("backlog_growth");
-                let cleared = r.alerts_cleared("nak_storm") + r.alerts_cleared("backlog_growth");
-                assert!(
-                    raised >= 1,
-                    "{label}: the monitor slept through the collapse \
-                     (no nak_storm/backlog_growth alert)"
-                );
-                assert!(
-                    cleared >= 1,
-                    "{label}: no alert cleared after the heal \
-                     (alerts: {:?})",
-                    r.alerts
-                );
-            }
-            assert!(
-                mean_elapsed(runs) > mean_elapsed(baseline),
-                "{label}: collapse cost no time at all"
-            );
-        }
-        "bufferbloat" => {
-            for r in runs {
-                assert!(
-                    r.final_rtt_us > baseline.iter().map(|b| b.final_rtt_us).min().unwrap_or(0),
-                    "{label}: standing queue never inflated the RTT estimate"
-                );
-            }
-        }
-        "jitter-spikes" => {
-            for r in runs {
-                assert_eq!(
-                    r.sender.members_ejected, 0,
-                    "{label}: jitter-only episode ejected a member"
-                );
-                assert!(
-                    r.alerts.is_empty(),
-                    "{label}: delay-only jitter must not alarm the \
-                     monitor (latency is not death): {:?}",
-                    r.alerts
-                );
-            }
-        }
-        "uplink-impair" => {
-            for r in runs {
-                assert!(
-                    r.up_loss_drops > 0,
-                    "{label}: impaired uplink dropped nothing"
-                );
-            }
-        }
-        "mobile-churn" => {
-            for r in runs {
-                assert!(
-                    r.migration_drops > 0,
-                    "{label}: migration never stranded an in-flight packet"
-                );
-            }
-        }
-        "hostile-combined" => {
-            for r in runs {
-                assert!(r.rate_halvings >= 1, "{label}: no degradation response");
-            }
-        }
-        _ => {}
+    if label == "capacity-collapse" && mean_elapsed(runs) <= mean_elapsed(baseline) {
+        fail("collapse cost no time at all");
     }
+    violations
 }
 
-/// Run the matrix, assert every invariant, and print/save the results.
-pub fn run(opts: &ExpOptions) -> serde_json::Value {
+/// One row, one `hostile.json` entry and one `alerts.json` entry per
+/// regime, each regime checked against the first (`baseline`) cell.
+pub fn project(_: &ExpOptions, done: &[Done]) -> Output {
     let headers = [
         "regime", "Mbps", "retrans", "halvings", "overflow", "uploss", "migr", "ej", "falseej",
         "alerts", "ev/B",
     ];
     let mut table = Table::new("hostile-network matrix, 10 Mbps LAN, 1% loss", &headers);
-    let mut series = serde_json::Map::new();
-    let mut alert_series = serde_json::Map::new();
-    let matrix = scenarios(opts);
-    let baseline_runs = opts.run_seeds(&matrix[0].1);
-    for (label, scenario) in &matrix {
-        let runs = if *label == "baseline" {
-            baseline_runs.clone()
-        } else {
-            opts.run_seeds(scenario)
-        };
-        check_invariants(label, &runs, &baseline_runs);
-        let thr: Vec<f64> = runs.iter().map(|r| r.throughput_mbps).collect();
-        let retrans: Vec<f64> = runs
-            .iter()
-            .map(|r| r.sender.retransmissions as f64)
-            .collect();
+    let (mut series, mut alert_series) = (Map::new(), Map::new());
+    let mut out = Output::default();
+    for Done { cell, runs, .. } in done {
+        let label = &cell.row;
+        out.violations
+            .extend(check_invariants(label, runs, &done[0].runs));
         let sum = |f: fn(&SimReport) -> u64| -> u64 { runs.iter().map(f).sum() };
-        let epb: Vec<f64> = runs.iter().map(events_per_byte).collect();
-        let alert_transitions: u64 = runs.iter().map(|r| r.alerts.len() as u64).sum();
-        table.row(vec![
-            label.to_string(),
-            format!("{:.2}", mean(&thr)),
-            format!("{:.1}", mean(&retrans)),
-            sum(|r| r.rate_halvings).to_string(),
-            sum(|r| r.router_overflow_drops).to_string(),
-            sum(|r| r.up_loss_drops).to_string(),
-            sum(|r| r.migration_drops).to_string(),
-            sum(|r| r.sender.members_ejected).to_string(),
-            sum(|r| r.false_ejections).to_string(),
-            alert_transitions.to_string(),
-            format!("{:.3}", mean(&epb)),
-        ]);
+        let (mbps, epb) = (avg(runs, |r| r.throughput_mbps), avg(runs, events_per_byte));
+        let retrans = avg(runs, |r| r.sender.retransmissions as f64);
+        let transitions = sum(|r| r.alerts.len() as u64);
+        let counts = [
+            ("rate_halvings", sum(|r| r.rate_halvings)),
+            ("router_overflow_drops", sum(|r| r.router_overflow_drops)),
+            ("up_loss_drops", sum(|r| r.up_loss_drops)),
+            ("migration_drops", sum(|r| r.migration_drops)),
+            ("members_ejected", sum(|r| r.sender.members_ejected)),
+            ("false_ejections", sum(|r| r.false_ejections)),
+        ];
+        let mut row = vec![label.clone(), format!("{mbps:.2}"), format!("{retrans:.1}")];
+        row.extend(counts.iter().map(|(_, n)| n.to_string()));
+        row.extend([transitions.to_string(), format!("{epb:.3}")]);
+        table.row(row);
+        let mut entry = Map::new();
+        entry.insert("mbps".into(), json!(mbps));
+        entry.insert("retransmissions".into(), json!(retrans));
+        for (key, n) in counts {
+            entry.insert(key.into(), json!(n));
+        }
+        let link_events = sum(|r| r.link_events_applied);
+        entry.insert("link_events_applied".into(), json!(link_events));
+        entry.insert("events_per_byte".into(), json!(epb));
+        entry.insert("alert_transitions".into(), json!(transitions));
+        series.insert(label.clone(), Value::Object(entry));
         // Per-rule alert fixture: the expected online-monitor verdict
         // for each regime, saved alongside the degradation series so CI
         // archives what "healthy monitoring" looks like.
-        let mut by_rule = serde_json::Map::new();
+        let mut by_rule = Map::new();
         for rule in AlertRule::ALL {
             let name = rule.name();
             let raised: u64 = runs.iter().map(|r| r.alerts_raised(name)).sum();
             let cleared: u64 = runs.iter().map(|r| r.alerts_cleared(name)).sum();
             if raised + cleared > 0 {
-                by_rule.insert(
-                    name.to_string(),
-                    json!({"raised": raised, "cleared": cleared}),
-                );
+                by_rule.insert(name.into(), json!({"raised": raised, "cleared": cleared}));
             }
         }
-        alert_series.insert(
-            label.to_string(),
-            json!({
-                "transitions": alert_transitions,
-                "by_rule": serde_json::Value::Object(by_rule),
-            }),
-        );
-        series.insert(
-            label.to_string(),
-            json!({
-                "mbps": mean(&thr),
-                "retransmissions": mean(&retrans),
-                "rate_halvings": sum(|r| r.rate_halvings),
-                "router_overflow_drops": sum(|r| r.router_overflow_drops),
-                "up_loss_drops": sum(|r| r.up_loss_drops),
-                "migration_drops": sum(|r| r.migration_drops),
-                "members_ejected": sum(|r| r.sender.members_ejected),
-                "false_ejections": sum(|r| r.false_ejections),
-                "link_events_applied": sum(|r| r.link_events_applied),
-                "events_per_byte": mean(&epb),
-                "alert_transitions": alert_transitions,
-            }),
-        );
+        let alerts = json!({"transitions": transitions, "by_rule": Value::Object(by_rule)});
+        alert_series.insert(label.clone(), alerts);
     }
-    table.print();
-    let value = serde_json::Value::Object(series);
-    opts.save_json("hostile", &value);
-    opts.save_json("alerts", &serde_json::Value::Object(alert_series));
-    value
+    out.table(&table);
+    out.files.push(("hostile", Value::Object(series)));
+    out.files.push(("alerts", Value::Object(alert_series)));
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{execute, find};
+    use hrmc_sim::AlertRecord;
 
-    fn quick() -> ExpOptions {
-        ExpOptions {
+    #[test]
+    fn hostile_matrix_holds_every_invariant() {
+        let opts = ExpOptions {
             repeats: 1,
             scale_down: 10,
             out_dir: std::env::temp_dir().join("hrmc-hostile-test"),
             receivers: Some(4),
             ..ExpOptions::default()
-        }
-    }
-
-    #[test]
-    fn hostile_matrix_holds_every_invariant() {
-        let opts = quick();
-        let v = run(&opts);
-        // run() already asserts the per-regime invariants; spot-check
-        // that each regime's signature detector actually fired.
+        };
+        // execute() reports every invariant violation and writes the
+        // JSON only when there is none; spot-check that each regime's
+        // signature detector actually fired.
+        assert!(execute(find("hostile").unwrap(), &opts));
+        let read = |name: &str| -> serde_json::Value {
+            let text = std::fs::read_to_string(opts.out_dir.join(name)).unwrap();
+            serde_json::from_str(&text).unwrap()
+        };
+        let v = read("hostile.json");
         assert!(v["capacity-collapse"]["rate_halvings"].as_u64().unwrap() >= 1);
         assert!(v["uplink-impair"]["up_loss_drops"].as_u64().unwrap() > 0);
         assert!(v["mobile-churn"]["migration_drops"].as_u64().unwrap() > 0);
@@ -448,13 +317,32 @@ mod tests {
                 .unwrap()
                 >= 2
         );
-        let alerts = std::fs::read_to_string(opts.out_dir.join("alerts.json")).unwrap();
-        let alerts: serde_json::Value = serde_json::from_str(&alerts).unwrap();
+        let alerts = read("alerts.json");
         assert!(
             alerts["capacity-collapse"]["by_rule"]
                 .as_object()
                 .is_some_and(|m| !m.is_empty()),
             "{alerts:?}"
+        );
+    }
+
+    #[test]
+    fn a_baseline_alert_is_exactly_one_violation() {
+        let mut r = Scenario::lan(2, MBPS_10, 256 * 1024, 100_000).run();
+        r.alerts.push(AlertRecord {
+            t_us: 50_000,
+            rule: "nak_storm",
+            severity: "warning",
+            raised: true,
+            value_m: 3_000,
+            limit_m: 1_000,
+        });
+        let baseline = [r.clone()];
+        let violations = check_invariants("baseline", &[r], &baseline);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].starts_with("baseline: a healthy run raised alerts: [AlertRecord"),
+            "{violations:?}"
         );
     }
 }

@@ -1,23 +1,20 @@
-//! Shared experiment options parsed from the command line and
-//! environment.
+//! Options shared by every experiment set.
 
-use hrmc_app::Scenario;
-use hrmc_sim::SimReport;
 use std::path::PathBuf;
 
-/// Options common to every figure harness.
+/// Options common to every set (see the crate docs for their flags).
 #[derive(Debug, Clone)]
 pub struct ExpOptions {
-    /// Runs per configuration (seeds 1..=repeats); paper averages 5.
+    /// Runs per cell (seeds 1..=repeats); paper averages 5.
     pub repeats: u64,
     /// Transfer-size divisor (quick mode sets 10).
     pub scale_down: u64,
     /// Directory for JSON output.
     pub out_dir: PathBuf,
-    /// Receiver-count override where a figure supports it.
+    /// Receiver-count override where a set supports it.
     pub receivers: Option<usize>,
-    /// Worker threads for the parallel sweep runner (default: the
-    /// machine's available parallelism; 1 forces sequential runs).
+    /// Worker threads for the run pool (default: the machine's available
+    /// parallelism; 1 forces sequential runs).
     pub jobs: usize,
 }
 
@@ -34,81 +31,16 @@ impl Default for ExpOptions {
 }
 
 impl ExpOptions {
-    /// Parse from `std::env::args` plus environment variables.
-    pub fn from_env() -> ExpOptions {
-        let mut o = ExpOptions::default();
-        if std::env::var("HRMC_EXP_QUICK").is_ok_and(|v| v != "0") {
-            o.repeats = 1;
-            o.scale_down = 10;
-        }
-        if let Ok(r) = std::env::var("HRMC_EXP_REPEATS") {
-            if let Ok(r) = r.parse() {
-                o.repeats = r;
-            }
-        }
-        if let Ok(d) = std::env::var("HRMC_EXP_OUT") {
-            o.out_dir = PathBuf::from(d);
-        }
-        if let Ok(j) = std::env::var("HRMC_EXP_JOBS") {
-            if let Ok(j) = j.parse::<usize>() {
-                o.jobs = j.max(1);
-            }
-        }
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--quick" => {
-                    o.repeats = 1;
-                    o.scale_down = 10;
-                }
-                "--repeats" if i + 1 < args.len() => {
-                    i += 1;
-                    o.repeats = args[i].parse().unwrap_or(o.repeats);
-                }
-                "--receivers" if i + 1 < args.len() => {
-                    i += 1;
-                    o.receivers = args[i].parse().ok();
-                }
-                "--out" if i + 1 < args.len() => {
-                    i += 1;
-                    o.out_dir = PathBuf::from(&args[i]);
-                }
-                "--jobs" if i + 1 < args.len() => {
-                    i += 1;
-                    if let Ok(j) = args[i].parse::<usize>() {
-                        o.jobs = j.max(1);
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        o
-    }
-
     /// Apply the quick-mode divisor to a transfer size.
     pub fn transfer(&self, full: u64) -> u64 {
         (full / self.scale_down).max(100_000)
     }
 
-    /// Run `repeats` seeded copies of `scenario` across `jobs` worker
-    /// threads (the parallel counterpart of [`Scenario::run_seeds`];
-    /// reports come back ordered by seed, byte-identical to a
-    /// sequential sweep).
-    pub fn run_seeds(&self, scenario: &Scenario) -> Vec<SimReport> {
-        crate::sweep::run_seeds(scenario, self.repeats, self.jobs)
-    }
-
     /// Write a JSON value under `out_dir/<name>.json`.
-    pub fn save_json(&self, name: &str, value: &serde_json::Value) {
-        if std::fs::create_dir_all(&self.out_dir).is_err() {
-            return;
-        }
-        let path = self.out_dir.join(format!("{name}.json"));
-        if let Ok(s) = serde_json::to_string_pretty(value) {
-            let _ = std::fs::write(path, s);
-        }
+    pub fn save_json(&self, name: &str, value: &serde_json::Value) -> std::io::Result<()> {
+        std::fs::create_dir_all(&self.out_dir)?;
+        let text = serde_json::to_string_pretty(value).map_err(std::io::Error::other)?;
+        std::fs::write(self.out_dir.join(format!("{name}.json")), text)
     }
 }
 
@@ -139,7 +71,7 @@ mod tests {
         let mut o = ExpOptions::default();
         o.out_dir = std::env::temp_dir().join("hrmc-exp-test");
         let v = serde_json::json!({"a": [1, 2, 3]});
-        o.save_json("unit", &v);
+        o.save_json("unit", &v).unwrap();
         let read: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(o.out_dir.join("unit.json")).unwrap())
                 .unwrap();

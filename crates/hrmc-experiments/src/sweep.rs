@@ -1,13 +1,8 @@
-//! Parallel sweep runner: fan independent simulation runs across OS
-//! threads.
-//!
-//! Every figure harness is a sweep over [`Scenario`]s, and every run is
-//! an isolated, deterministic function of its parameters (the RNG is
-//! seeded per run, no shared state). That makes the sweep embarrassingly
-//! parallel: workers claim scenarios from a shared index, run them, and
-//! write each report into its input's slot, so the collected `Vec` is in
-//! input order and byte-identical to a sequential sweep regardless of
-//! the worker count or scheduling.
+//! Parallel sweep pool. Every simulation run is an isolated, seeded,
+//! deterministic function of its parameters, so workers claim items from
+//! a shared index and write each result into its input's slot: the
+//! collected `Vec` is in input order and byte-identical to a sequential
+//! sweep at any worker count.
 
 use hrmc_app::Scenario;
 use hrmc_sim::SimReport;
@@ -51,12 +46,6 @@ where
         .collect()
 }
 
-/// Run every scenario (in parallel) and collect the reports in input
-/// order.
-pub fn run_all(scenarios: &[Scenario], jobs: usize) -> Vec<SimReport> {
-    parallel_map(scenarios, jobs, Scenario::run)
-}
-
 /// Run `repeats` seeded copies of `scenario` (seeds `1..=repeats`, the
 /// same seeds the sequential [`Scenario::run_seeds`] uses) across `jobs`
 /// workers; reports come back ordered by seed.
@@ -64,7 +53,7 @@ pub fn run_seeds(scenario: &Scenario, repeats: u64, jobs: usize) -> Vec<SimRepor
     let seeded: Vec<Scenario> = (1..=repeats)
         .map(|seed| scenario.clone().with_seed(seed))
         .collect();
-    run_all(&seeded, jobs)
+    parallel_map(&seeded, jobs, Scenario::run)
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Plain-text table printing for the figure harnesses: aligned columns,
-//! one row per buffer size (or test case), matching the paper's series.
+//! Plain-text table rendering for the sets: aligned columns, one row per
+//! buffer size (or regime, or population), matching the paper's series.
 
 /// A simple aligned-column table.
 #[derive(Debug, Clone)]
@@ -29,34 +29,24 @@ impl Table {
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
-            for (i, c) in row.iter().enumerate() {
-                widths[i] = widths[i].max(c.len());
+            for (w, c) in widths.iter_mut().zip(row) {
+                *w = (*w).max(c.len());
             }
         }
-        let mut out = String::new();
-        out.push_str(&format!("== {} ==\n", self.title));
-        let fmt_row = |cells: &[String], widths: &[usize]| {
-            let mut line = String::new();
-            for (i, c) in cells.iter().enumerate() {
-                line.push_str(&format!("{:>w$}  ", c, w = widths[i]));
-            }
-            line.trim_end().to_string()
+        let line = |cells: &[String]| {
+            let padded: String = cells
+                .iter()
+                .zip(&widths)
+                .map(|(c, w)| format!("{c:>w$}  "))
+                .collect();
+            padded.trim_end().to_string() + "\n"
         };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
-        out.push('\n');
+        let rule = "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len());
+        let mut out = format!("== {} ==\n{}{rule}\n", self.title, line(&self.headers));
         for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
+            out.push_str(&line(row));
         }
         out
-    }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-        println!();
     }
 }
 

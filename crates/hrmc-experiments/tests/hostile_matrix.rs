@@ -1,5 +1,6 @@
 //! Hostile-matrix regression fixtures. Two contracts beyond the unit
-//! suite in `hrmc_experiments::hostile`:
+//! suite in `hrmc_experiments::hostile`, plus the matrix's invariants at
+//! a second population:
 //!
 //! 1. A link-dynamics run replays byte-for-byte from its seed (same
 //!    serialized report every time), and a scheduled sweep is invariant
@@ -10,7 +11,7 @@
 //!    provably free when unused.
 
 use hrmc_app::Scenario;
-use hrmc_experiments::{hostile, sweep, ExpOptions};
+use hrmc_experiments::{runner, sweep, ExpOptions};
 use hrmc_sim::{LinkAction, LinkSchedule};
 
 fn scheduled_scenario() -> Scenario {
@@ -69,17 +70,18 @@ fn empty_schedule_is_byte_identical_to_none() {
 }
 
 /// The full matrix honors its invariants at a second seed and
-/// population, not just the unit test's quick() configuration.
+/// population, not just the unit test's configuration.
 #[test]
 fn matrix_invariants_hold_at_alternate_population() {
     let opts = ExpOptions {
         repeats: 1,
         scale_down: 25,
-        out_dir: std::env::temp_dir().join("hrmc-hostile-matrix-test"),
         receivers: Some(3),
         ..ExpOptions::default()
     };
-    let v = hostile::run(&opts);
+    let out = runner::run_set(runner::find("hostile").unwrap(), &opts);
+    assert_eq!(out.violations, Vec::<String>::new());
+    let v = &out.files[0].1;
     assert!(v["capacity-collapse"]["rate_halvings"].as_u64().unwrap() >= 1);
     assert!(v["mobile-churn"]["migration_drops"].as_u64().unwrap() > 0);
     assert_eq!(v["baseline"]["false_ejections"].as_u64().unwrap(), 0);
