@@ -65,9 +65,6 @@ pub struct Nic {
     busy: bool,
     /// Packets dropped at the transmit queue (the Figure 13 stat).
     pub tx_drops: u64,
-    /// Timestamps and packet types of the first transmit drops
-    /// (diagnostics; capped).
-    pub tx_drop_times: Vec<(u64, hrmc_wire::PacketType, usize)>,
     /// Receive-side loss process (holds Gilbert–Elliott channel state).
     rx: LossProcess,
     /// Datagrams discarded because fault-injected corruption tripped the
@@ -88,7 +85,6 @@ impl Nic {
             tx: VecDeque::new(),
             busy: false,
             tx_drops: 0,
-            tx_drop_times: Vec::new(),
             rx,
             rx_checksum_drops: 0,
             transmitted: 0,
@@ -111,14 +107,10 @@ impl Nic {
         self.rx.set_model(model);
     }
 
-    /// Offer a packet for transmission at time `now`.
-    pub fn tx_enqueue(&mut self, transit: Transit, now: u64) -> TxOutcome {
+    /// Offer a packet for transmission.
+    pub fn tx_enqueue(&mut self, transit: Transit) -> TxOutcome {
         if self.tx.len() >= self.params.tx_queue_packets {
             self.tx_drops += 1;
-            if self.tx_drop_times.len() < 256 {
-                self.tx_drop_times
-                    .push((now, transit.pkt.header.ptype, self.tx.len()));
-            }
             return TxOutcome::Dropped;
         }
         let service = crate::serialize_us(transit.pkt.wire_len(), self.params.bandwidth_bps);
@@ -188,14 +180,14 @@ mod tests {
             bandwidth_bps: 10_000_000,
             ..NicParams::default()
         });
-        match n.tx_enqueue(transit(), 0) {
+        match n.tx_enqueue(transit()) {
             TxOutcome::StartService { service_us } => {
                 // wire_len = 1400 payload + 20-byte header.
                 assert_eq!(service_us, crate::serialize_us(1420, 10_000_000));
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(n.tx_enqueue(transit(), 0), TxOutcome::Queued);
+        assert_eq!(n.tx_enqueue(transit()), TxOutcome::Queued);
         let (_, next) = n.tx_dequeue();
         assert!(next.is_some());
         let (_, next) = n.tx_dequeue();
@@ -211,13 +203,13 @@ mod tests {
             ..NicParams::default()
         });
         for _ in 0..3 {
-            assert_ne!(n.tx_enqueue(transit(), 0), TxOutcome::Dropped);
+            assert_ne!(n.tx_enqueue(transit()), TxOutcome::Dropped);
         }
-        assert_eq!(n.tx_enqueue(transit(), 0), TxOutcome::Dropped);
+        assert_eq!(n.tx_enqueue(transit()), TxOutcome::Dropped);
         assert_eq!(n.tx_drops, 1);
         // Draining one admits one more.
         n.tx_dequeue();
-        assert_ne!(n.tx_enqueue(transit(), 0), TxOutcome::Dropped);
+        assert_ne!(n.tx_enqueue(transit()), TxOutcome::Dropped);
     }
 
     #[test]

@@ -1,41 +1,25 @@
 //! The simulator's event queue: a time-ordered priority queue with a
 //! monotone tiebreak counter so simultaneous events fire in insertion
 //! order — making every run deterministic for a given seed.
+//!
+//! The heap orders 24-byte `(time, tiebreak, slot)` keys; the events
+//! themselves (a packet in transit is ~90 bytes) sit still in a slab and
+//! are moved once in and once out, not on every sift. Slots are recycled
+//! through a free list, so the slab never holds more slots than the
+//! queue's peak depth.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// A scheduled event: fire time plus a payload.
-struct Scheduled<E> {
-    time: u64,
-    tiebreak: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.tiebreak == other.tiebreak
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.tiebreak.cmp(&self.tiebreak))
-    }
-}
 
 /// Deterministic discrete-event queue.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    /// Min-heap of `(time, tiebreak, slot)`. The tiebreak is unique, so
+    /// the slot never decides the order.
+    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    /// Pending events, indexed by the heap keys' slots.
+    slots: Vec<Option<E>>,
+    /// Empty slots, reused before the slab grows.
+    free: Vec<usize>,
     counter: u64,
     now: u64,
     popped: u64,
@@ -46,6 +30,8 @@ impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             counter: 0,
             now: 0,
             popped: 0,
@@ -70,21 +56,31 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: u64, event: E) {
         let time = at.max(self.now);
         self.counter += 1;
-        self.heap.push(Scheduled {
-            time,
-            tiebreak: self.counter,
-            event,
-        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(event);
+                slot
+            }
+            None => {
+                self.slots.push(Some(event));
+                self.slots.len() - 1
+            }
+        };
+        self.heap.push(Reverse((time, self.counter, slot)));
         self.peak_len = self.peak_len.max(self.heap.len());
     }
 
     /// Pop the next event, advancing the clock to its fire time.
     pub fn pop(&mut self) -> Option<(u64, E)> {
-        let s = self.heap.pop()?;
-        debug_assert!(s.time >= self.now, "event queue went backwards");
-        self.now = s.time;
+        let Reverse((time, _, slot)) = self.heap.pop()?;
+        debug_assert!(time >= self.now, "event queue went backwards");
+        let event = self.slots[slot]
+            .take()
+            .expect("heap key names an empty slot");
+        self.free.push(slot);
+        self.now = time;
         self.popped += 1;
-        Some((s.time, s.event))
+        Some((time, event))
     }
 
     /// Total events popped so far (the simulator's unit of work).
@@ -109,7 +105,7 @@ impl<E> EventQueue<E> {
 
     /// Fire time of the next event, if any.
     pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|s| s.time)
+        self.heap.peek().map(|&Reverse((time, _, _))| time)
     }
 }
 
@@ -182,5 +178,42 @@ mod tests {
         assert_eq!(q.pop(), Some((20, 2)));
         assert_eq!(q.pop(), Some((30, 3)));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn recycled_slots_keep_insertion_order() {
+        let mut q = EventQueue::new();
+        // Churn the slab so the free list hands slots back out of order.
+        for round in 0..10u64 {
+            for i in 0..7 {
+                q.schedule(round * 10 + (7 - i), 0);
+            }
+            for _ in 0..5 {
+                q.pop();
+            }
+        }
+        while q.pop().is_some() {}
+        let t = q.now() + 1;
+        for i in 0..100 {
+            q.schedule(t, i);
+        }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn slab_never_outgrows_the_peak_depth() {
+        let mut q = EventQueue::new();
+        for step in 0..1_000u64 {
+            // A sawtooth: bursts of schedules, then partial drains.
+            for k in 0..(step % 13) {
+                q.schedule(step + k * 3, step);
+            }
+            for _ in 0..(step % 7) {
+                q.pop();
+            }
+            assert!(q.slots.len() <= q.peak_len(), "step {step}");
+            assert_eq!(q.slots.len(), q.len() + q.free.len());
+        }
     }
 }

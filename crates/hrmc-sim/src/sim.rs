@@ -164,13 +164,14 @@ pub struct Simulation {
     /// Re-derived after every tick and every packet arrival. This vector
     /// is the source of truth; `due_heap` is only an index into it.
     due: Vec<Option<u64>>,
-    /// Lazy-deletion min-heap over `(deadline, host)` mirroring `due`:
-    /// every arm pushes an entry, disarms and re-arms leave stale entries
-    /// behind, and stale entries are discarded when they surface at the
-    /// top. Lets a sweep find the hosts that are actually due — and the
-    /// earliest armed deadline — without scanning every host, which is
-    /// what keeps a 100k-receiver sweep from costing 100k comparisons
-    /// per jiffy.
+    /// Lazy-deletion min-heap over `(deadline, host)` mirroring `due`.
+    /// Invariant: every `due[host] == Some(d)` has a `(d, host)` entry.
+    /// An arm pushes an entry only when it changes the deadline, disarms
+    /// and re-arms leave stale entries behind, and stale entries are
+    /// discarded when they surface at the top. Lets a sweep find the
+    /// hosts that are actually due — and the earliest armed deadline —
+    /// without scanning every host, which is what keeps a 100k-receiver
+    /// sweep from costing 100k comparisons per jiffy.
     due_heap: BinaryHeap<Reverse<(u64, usize)>>,
     done: bool,
     /// Packets severed by scheduled partitions.
@@ -375,36 +376,24 @@ impl Simulation {
         rec
     }
 
-    /// Run like [`Simulation::run`] but also return the sender-NIC drop
-    /// timestamps (diagnostics).
-    pub fn run_with_drop_trace(mut self) -> (SimReport, Vec<(u64, hrmc_wire::PacketType, usize)>) {
-        while let Some((now, ev)) = self.queue.pop() {
-            if now > self.params.horizon_us {
-                break;
-            }
-            self.maybe_sample(now);
-            self.dispatch(now, ev);
-            if self.done {
-                break;
-            }
-        }
-        let times = self.nics[0].tx_drop_times.clone();
-        (self.report(), times)
-    }
-
     /// Run to completion (or the horizon) and report.
     pub fn run(mut self) -> SimReport {
-        while let Some((now, ev)) = self.queue.pop() {
-            if now > self.params.horizon_us {
-                break;
-            }
-            self.maybe_sample(now);
-            self.dispatch(now, ev);
-            if self.done {
-                break;
-            }
-        }
+        while self.step() {}
         self.report()
+    }
+
+    /// Pop and dispatch one event; `false` once the run is over (queue
+    /// drained, horizon passed, or transfer complete).
+    fn step(&mut self) -> bool {
+        let Some((now, ev)) = self.queue.pop() else {
+            return false;
+        };
+        if now > self.params.horizon_us {
+            return false;
+        }
+        self.maybe_sample(now);
+        self.dispatch(now, ev);
+        !self.done
     }
 
     fn dispatch(&mut self, now: u64, ev: Ev) {
@@ -427,8 +416,13 @@ impl Simulation {
 
     /// Arm (or re-arm) a host's tick deadline: write the source of truth
     /// and index the new value in the heap. A re-arm leaves the old heap
-    /// entry behind as garbage; it is discarded when it surfaces.
+    /// entry behind as garbage; it is discarded when it surfaces. An
+    /// unchanged deadline pushes nothing: its entry is still in the heap
+    /// (most packet arrivals re-derive the deadline the host already has).
     fn set_due(&mut self, host: usize, deadline: Option<u64>) {
+        if self.due[host] == deadline {
+            return;
+        }
         self.due[host] = deadline;
         if let Some(d) = deadline {
             self.due_heap.push(Reverse((d, host)));
@@ -445,8 +439,8 @@ impl Simulation {
 
     /// Earliest armed host deadline, via the heap: lazy-discard entries
     /// that no longer match `due` until the top is live. Every armed host
-    /// keeps at least one matching entry (each arm pushes one), so a
-    /// validating top entry is the true minimum.
+    /// keeps at least one matching entry (the invariant on `due_heap`),
+    /// so a validating top entry is the true minimum.
     fn earliest_due(&mut self) -> Option<u64> {
         while let Some(&Reverse((t, host))) = self.due_heap.peek() {
             if self.due[host] == Some(t) {
@@ -816,7 +810,7 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn on_nic_enq(&mut self, host: usize, transit: Transit, now: u64) {
-        match self.nics[host].tx_enqueue(transit, now) {
+        match self.nics[host].tx_enqueue(transit) {
             TxOutcome::StartService { service_us } => {
                 self.queue.schedule(now + service_us, Ev::NicTxDeq { host });
             }
@@ -1311,6 +1305,58 @@ mod tests {
         let mut p = SimParams::new(protocol, topology, bytes);
         p.horizon_us = 600 * 1_000_000;
         p
+    }
+
+    /// The lossless fan-out cell on the `hrmc-exp fanout` footing.
+    fn fanout_params(n: usize) -> SimParams {
+        let (bandwidth, cpu_scale) = (1_000_000_000, 0.01);
+        let mut protocol = ProtocolConfig::hrmc().with_buffer(256 * 1024);
+        let cpu_cap = (crate::cpu_tx_rate_bps(protocol.segment_size) as f64 / cpu_scale) as u64;
+        let wire_cap = (bandwidth as f64 / 8.0 * 0.01) as u64;
+        protocol.max_rate = wire_cap.min(cpu_cap).max(protocol.min_rate);
+        protocol.probe_batch_limit = 64;
+        let mut builder = TopologyBuilder::new();
+        builder.router_queue = 2 * n;
+        builder.sender_txqueue = n / 4;
+        let mut p = SimParams::new(protocol, builder.lan(n, bandwidth, 0.0), 200_000);
+        p.cpu_scale = cpu_scale;
+        p
+    }
+
+    /// After every event of a 500-receiver lossless fan-out and of the
+    /// 64-receiver 0.5 %-loss cell: every armed host has a matching
+    /// `(deadline, host)` entry in the deadline heap, and stale entries
+    /// stay within a small multiple of the host count. (Pushing on every
+    /// re-derivation, changed or not, let the heap reach ~150x.)
+    #[test]
+    fn due_heap_indexes_every_armed_host_within_a_bound() {
+        let mut lan64 = lan_params(64, 1_000_000, 0.005, 200_000, 256 * 1024);
+        lan64.protocol.max_rate = 1_000_000 / 8 * 95 / 100;
+        for params in [fanout_params(500), lan64] {
+            let mut sim = Simulation::new(params);
+            let hosts = sim.hosts.len();
+            let mut indexed = vec![false; hosts];
+            while sim.step() {
+                assert!(
+                    sim.due_heap.len() <= 8 * hosts,
+                    "{} heap entries for {hosts} hosts at t={}",
+                    sim.due_heap.len(),
+                    sim.queue.now()
+                );
+                indexed.fill(false);
+                for &Reverse((d, host)) in sim.due_heap.iter() {
+                    indexed[host] |= sim.due[host] == Some(d);
+                }
+                for (host, due) in sim.due.iter().enumerate() {
+                    assert!(
+                        due.is_none() || indexed[host],
+                        "host {host} armed for {due:?} with no heap entry at t={}",
+                        sim.queue.now()
+                    );
+                }
+            }
+            assert!(sim.done, "{hosts}-host run did not complete");
+        }
     }
 
     /// From receiver index 57 536 on, `8000 + i` no longer fits in `u16`

@@ -159,6 +159,41 @@ fn scalability_cell_scheduler_work_is_pinned() {
     assert_eq!(report.elapsed_us, 2_182_597);
 }
 
+/// The lossless fan-out cell on the `hrmc-exp fanout` footing, at 500
+/// receivers: a 1 Gbit/s LAN, a ~100x CPU, PROBE fan-out batched 64 per
+/// tick, the data plane paced at 1 % of the wire, a router queue of two
+/// JOIN waves and a sender ring of a quarter wave. Every other fixture
+/// has at most 64 receivers and loss; this one pins the many-receiver,
+/// probe-batched path where the deadline sweep and the event queue do
+/// most of the work.
+#[test]
+fn lossless_fanout_cell_matches_fixture() {
+    let (n, bandwidth, cpu_scale) = (500, 1_000_000_000, 0.01);
+    let mut protocol = ProtocolConfig::hrmc().with_buffer(256 * 1024);
+    let cpu_cap = (hrmc_sim::cpu_tx_rate_bps(protocol.segment_size) as f64 / cpu_scale) as u64;
+    let wire_cap = (bandwidth as f64 / 8.0 * 0.01) as u64;
+    protocol.max_rate = wire_cap.min(cpu_cap).max(protocol.min_rate);
+    protocol.probe_batch_limit = 64;
+    let mut builder = TopologyBuilder::new();
+    builder.router_queue = 2 * n;
+    builder.sender_txqueue = n / 4;
+    let topology = builder.lan(n, bandwidth, 0.0);
+    let mut p = SimParams::new(protocol, topology, 200_000);
+    p.horizon_us = 1_800 * 1_000_000;
+    p.cpu_scale = cpu_scale;
+    let report = Simulation::new(p).run();
+    assert!(report.completed && report.all_intact());
+    assert_eq!(report.events_popped, 96_122);
+    assert_eq!(report.peak_queue_len, 1_053);
+    assert_eq!(report.host_ticks.iter().sum::<u64>(), 526);
+    assert_eq!(report.elapsed_us, 180_066);
+    assert_eq!(
+        fnv1a(serde_json::to_string(&report.sender).unwrap().as_bytes()),
+        0x9ee9_5d0b_ead9_ed14,
+        "sender stats diverged from the fan-out fixture"
+    );
+}
+
 /// Disk-to-disk cell: `disk_read()` source, `disk_write()` sinks, two
 /// receivers on a lossy 100 Mbps LAN, 5 MB — past both the 800 KB seek
 /// stalls and the 4 MB long stall, with the sink (6 MB/s) slower than
