@@ -158,10 +158,14 @@ pub struct SimReport {
     pub final_rate_bps: u64,
     /// Delivery- and recovery-latency percentiles, when observed.
     pub latency: Option<LatencyReport>,
-    /// Total events popped from the simulator's [`EventQueue`]
-    /// (crate-internal unit of work; the scheduler-efficiency metric).
+    /// Total events popped from the simulator's event queue
+    /// (crate-internal unit of work; the scheduler-efficiency metric),
+    /// a batched receiver delivery counted once per receiver it reached:
+    /// the count per-receiver delivery events would give, which the
+    /// hostile matrix's events-per-byte livelock bound is calibrated on.
     pub events_popped: u64,
-    /// High-water mark of the pending-event heap.
+    /// High-water mark of the pending-event heap (a batched receiver
+    /// delivery is one entry).
     pub peak_queue_len: usize,
     /// Engine `on_tick` invocations per host (host 0 is the sender) —
     /// how much jiffy-timer work each host actually did.

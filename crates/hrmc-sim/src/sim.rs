@@ -12,6 +12,12 @@
 //! packets are passed to the H-RMC protocol, where normal processing
 //! continues."
 //!
+//! The copies a last-hop router hands down for one packet are scheduled
+//! as one `Ev::ReceiverRx` event per arrival instant, listing the receiver
+//! hosts; dispatch hands the packet to each listed host in turn, one at
+//! a time as the paper's interfaces receive it, in exactly the order
+//! per-receiver events would have fired.
+//!
 //! Host 0 is the sender; receiver `i` (0-based) is host `i + 1` and is
 //! identified to the sender engine as `PeerId(i)`. All routing state uses
 //! receiver indices; conversion to host ids happens only at delivery.
@@ -124,12 +130,15 @@ enum Ev {
     /// empty the next sweep jumps straight to the earliest armed host
     /// deadline instead of stepping every jiffy.
     Sweep,
-    /// A packet finished host RX processing and reaches the engine.
-    HostRx {
-        host: usize,
-        from: Option<usize>,
-        pkt: Packet,
-    },
+    /// A feedback packet from receiver `from` finished the sender host's
+    /// RX processing and reaches the sender engine.
+    SenderRx { from: usize, pkt: Packet },
+    /// One packet finished RX processing, at this same instant, on every
+    /// listed receiver host; each gets it in list order. All copies one
+    /// `Forward` delivers at one instant form one batch (see
+    /// [`Simulation::deliver_to_receiver`]); a batch of k hosts counts
+    /// as k events in [`SimReport::events_popped`].
+    ReceiverRx { hosts: Vec<usize>, pkt: Packet },
     /// A packet finished host TX processing and reaches the host's NIC.
     NicEnq { host: usize, transit: Transit },
     /// A host NIC finished serializing its head packet.
@@ -211,6 +220,15 @@ pub struct Simulation {
     /// (one per simulation, not per host: at 2000 receivers a per-host
     /// buffer would be 128 MB of resident zeroes).
     sink_scratch: Vec<u8>,
+    /// Receiver deliveries of the `Forward` being dispatched, grouped by
+    /// arrival instant in scheduling order; flushed as
+    /// [`Ev::ReceiverRx`] batches before the `Forward` returns, so it is
+    /// empty between events.
+    pending_rx: Vec<(u64, Vec<usize>)>,
+    /// Batch members dispatched after the first of their
+    /// [`Ev::ReceiverRx`]: each stands for a per-receiver event, so
+    /// `events_popped` adds them to the queue's pop count.
+    batched_rx: u64,
 }
 
 /// Local port of receiver `i`. Wraps past 65 535 (index 57 536 up): the
@@ -310,6 +328,8 @@ impl Simulation {
             next_sample_at,
             prev_sample: (0, 0, 0),
             sink_scratch: vec![0; SINK_READ_MAX],
+            pending_rx: Vec::new(),
+            batched_rx: 0,
         };
         if sim.params.observe || sim.params.health.as_ref().is_some_and(|h| h.armed()) {
             sim.install_observers();
@@ -399,7 +419,18 @@ impl Simulation {
     fn dispatch(&mut self, now: u64, ev: Ev) {
         match ev {
             Ev::Sweep => self.on_sweep(now),
-            Ev::HostRx { host, from, pkt } => self.on_host_rx(host, from, &pkt, now),
+            Ev::SenderRx { from, pkt } => self.on_sender_rx(from, &pkt, now),
+            Ev::ReceiverRx { hosts, pkt } => {
+                // Stop where per-receiver events would have: the run
+                // loop pops nothing more once `done` is set.
+                for (i, &host) in hosts.iter().enumerate() {
+                    if self.done {
+                        break;
+                    }
+                    self.batched_rx += u64::from(i > 0);
+                    self.on_receiver_rx(host, &pkt, now);
+                }
+            }
             Ev::NicEnq { host, transit } => self.on_nic_enq(host, transit, now),
             Ev::NicTxDeq { host } => self.on_nic_tx_deq(host, now),
             Ev::RouterArrive { router, transit } => self.on_router_arrive(router, transit, now),
@@ -697,48 +728,56 @@ impl Simulation {
         }
     }
 
-    fn on_host_rx(&mut self, host: usize, from: Option<usize>, pkt: &Packet, now: u64) {
-        if self.hosts[host].crashed || self.hosts[host].paused {
+    fn on_sender_rx(&mut self, from: usize, pkt: &Packet, now: u64) {
+        if self.hosts[0].crashed || self.hosts[0].paused {
             self.churn_drops += 1;
             return;
         }
-        match &mut self.hosts[host].engine {
-            Engine::Sender(engine) => {
-                let from = from.expect("sender RX without source receiver");
-                engine.handle_packet(pkt, PeerId(from as u32), now);
-                if let Some(trace) = self.trace.as_mut() {
-                    if pkt.header.ptype.carries_receiver_state() {
-                        trace.on_feedback(now);
-                    }
-                }
-            }
-            Engine::Receiver(engine) => {
-                engine.handle_packet(pkt, now);
+        let Engine::Sender(engine) = &mut self.hosts[0].engine else {
+            unreachable!()
+        };
+        engine.handle_packet(pkt, PeerId(from as u32), now);
+        if let Some(trace) = self.trace.as_mut() {
+            if pkt.header.ptype.carries_receiver_state() {
+                trace.on_feedback(now);
             }
         }
-        if host != 0 {
-            self.pump_sink_arming(host, now);
-        }
-        self.drain_engine(host, now);
+        self.drain_engine(0, now);
         // A packet can arm or disarm any engine timer: re-derive the
         // host's deadline.
+        self.set_due(0, self.next_due(0, now));
+    }
+
+    fn on_receiver_rx(&mut self, host: usize, pkt: &Packet, now: u64) {
+        if self.hosts[host].crashed {
+            self.churn_drops += 1;
+            return;
+        }
+        let Engine::Receiver(engine) = &mut self.hosts[host].engine else {
+            unreachable!()
+        };
+        engine.handle_packet(pkt, now);
+        self.pump_sink_arming(host, now);
+        self.drain_engine(host, now);
         self.set_due(host, self.next_due(host, now));
     }
 
     /// Move every packet the host's engine queued onto the wire: charge
     /// the host CPU, then hand to the NIC transmit queue.
     fn drain_engine(&mut self, host: usize, now: u64) {
-        if host == 0 {
-            // Drain the sender's application events (nothing else in the
-            // sim consumes them): record ejections for the report's
-            // false-ejection audit.
-            if let Engine::Sender(e) = &mut self.hosts[0].engine {
+        // Drain the engine's application events (nothing else in the sim
+        // consumes them): the sender's ejections feed the report's
+        // false-ejection audit; a receiver's (`DataReady` about once per
+        // data packet) would otherwise pile up for the whole run.
+        match &mut self.hosts[host].engine {
+            Engine::Sender(e) => {
                 while let Some(ev) = e.poll_event() {
                     if let hrmc_core::SenderEvent::MemberEjected(p) = ev {
                         self.ejected_receivers.push(p.0 as usize);
                     }
                 }
             }
+            Engine::Receiver(e) => while e.poll_event().is_some() {},
         }
         loop {
             let out = match &mut self.hosts[host].engine {
@@ -903,6 +942,10 @@ impl Simulation {
                         self.deliver_to_receiver(d, &transit.pkt, now);
                     }
                 }
+                for (at, hosts) in self.pending_rx.drain(..) {
+                    let pkt = transit.pkt.clone();
+                    self.queue.schedule(at, Ev::ReceiverRx { hosts, pkt });
+                }
                 for (next_router, group) in by_next {
                     self.queue.schedule(
                         now,
@@ -960,9 +1003,8 @@ impl Simulation {
                     let ready = self.hosts[0].charge_cpu(len, now);
                     self.queue.schedule(
                         ready + self.up_extra_delay_us,
-                        Ev::HostRx {
-                            host: 0,
-                            from: Some(from),
+                        Ev::SenderRx {
+                            from,
                             pkt: transit.pkt,
                         },
                     );
@@ -971,6 +1013,17 @@ impl Simulation {
         }
     }
 
+    /// Run one copy through the receiver's NIC, faults and RX CPU, and
+    /// queue its arrival in `pending_rx`: appended to the last group when
+    /// it lands at that group's instant, else a new group. `on_forward`
+    /// schedules the groups in order once its delivery loop is done.
+    ///
+    /// That is exact. Per-receiver events scheduled here would take
+    /// consecutive insertion counters — nothing else schedules inside the
+    /// delivery loop — so a run of them at one instant pops back to back
+    /// with nothing in between, and whatever a member schedules at that
+    /// instant gets a later counter and pops after the last member
+    /// anyway. A group's members are such a run, dispatched in order.
     fn deliver_to_receiver(&mut self, receiver: usize, pkt: &Packet, now: u64) {
         let host = receiver + 1;
         if self.hosts[host].crashed {
@@ -1020,15 +1073,11 @@ impl Simulation {
         }
         let len = pkt.payload.len();
         for _ in 0..copies {
-            let ready = self.hosts[host].charge_cpu(len, now);
-            self.queue.schedule(
-                ready + extra,
-                Ev::HostRx {
-                    host,
-                    from: None,
-                    pkt: pkt.clone(),
-                },
-            );
+            let at = self.hosts[host].charge_cpu(len, now) + extra;
+            match self.pending_rx.last_mut() {
+                Some((t, hosts)) if *t == at => hosts.push(host),
+                _ => self.pending_rx.push((at, vec![host])),
+            }
         }
     }
 
@@ -1282,7 +1331,7 @@ impl Simulation {
             final_rtt_us: sender.rtt(),
             final_rate_bps: sender.rate(),
             latency,
-            events_popped: self.queue.popped(),
+            events_popped: self.queue.popped() + self.batched_rx,
             peak_queue_len: self.queue.peak_len(),
             host_ticks: self.hosts.iter().map(|h| h.ticks).collect(),
             receivers,
@@ -1327,7 +1376,9 @@ mod tests {
     /// 64-receiver 0.5 %-loss cell: every armed host has a matching
     /// `(deadline, host)` entry in the deadline heap, and stale entries
     /// stay within a small multiple of the host count. (Pushing on every
-    /// re-derivation, changed or not, let the heap reach ~150x.)
+    /// re-derivation, changed or not, let the heap reach ~150x.) Also:
+    /// no receiver delivery group outlives the `Forward` that made it — a
+    /// leftover would be scheduled with the next packet.
     #[test]
     fn due_heap_indexes_every_armed_host_within_a_bound() {
         let mut lan64 = lan_params(64, 1_000_000, 0.005, 200_000, 256 * 1024);
@@ -1337,6 +1388,12 @@ mod tests {
             let hosts = sim.hosts.len();
             let mut indexed = vec![false; hosts];
             while sim.step() {
+                assert!(
+                    sim.pending_rx.is_empty(),
+                    "{} delivery groups left pending at t={}",
+                    sim.pending_rx.len(),
+                    sim.queue.now()
+                );
                 assert!(
                     sim.due_heap.len() <= 8 * hosts,
                     "{} heap entries for {hosts} hosts at t={}",
@@ -1357,6 +1414,29 @@ mod tests {
             }
             assert!(sim.done, "{hosts}-host run did not complete");
         }
+    }
+
+    /// Receiver engines queue application events (`DataReady` about once
+    /// per data packet) that nothing in the simulator reads: every step
+    /// must leave each receiver's queue drained, or it grows with
+    /// packets × receivers.
+    #[test]
+    fn receiver_engine_events_are_drained_every_step() {
+        let mut sim = Simulation::new(lan_params(8, 10_000_000, 0.01, 300_000, 128 * 1024));
+        while sim.step() {
+            for (host, h) in sim.hosts.iter_mut().enumerate().skip(1) {
+                let Engine::Receiver(e) = &mut h.engine else {
+                    unreachable!()
+                };
+                assert_eq!(
+                    e.poll_event(),
+                    None,
+                    "receiver host {host} kept an event at t={}",
+                    sim.queue.now()
+                );
+            }
+        }
+        assert!(sim.done, "lossy run did not complete");
     }
 
     /// From receiver index 57 536 on, `8000 + i` no longer fits in `u16`
