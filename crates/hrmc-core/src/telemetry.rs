@@ -168,7 +168,7 @@ impl Sampler {
         let capacity = capacity.max(1);
         Sampler {
             capacity,
-            ring: VecDeque::with_capacity(capacity),
+            ring: VecDeque::new(),
             prev_counters: BTreeMap::new(),
             prev_hist_counts: BTreeMap::new(),
             prev_t: None,
@@ -387,6 +387,22 @@ mod tests {
         let seqs: Vec<u64> = s.samples().map(|x| x.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9], "ring must keep the newest 3");
         assert_eq!(s.latest().unwrap().total("n"), 10);
+    }
+
+    /// An unbounded sampler (the simulator's) must not reserve its
+    /// capacity up front: `with_capacity(usize::MAX)` panics.
+    #[test]
+    fn unbounded_sampler_takes_and_returns_samples() {
+        let mut s = Sampler::new(usize::MAX);
+        let mut r = MetricsRegistry::new();
+        for i in 0..3u64 {
+            r.inc("n");
+            s.sample(i, &r);
+        }
+        assert_eq!(s.capacity(), usize::MAX);
+        assert_eq!((s.len(), s.overwritten()), (3, 0));
+        let totals: Vec<u64> = s.samples().map(|x| x.total("n")).collect();
+        assert_eq!(totals, vec![1, 2, 3]);
     }
 
     #[test]

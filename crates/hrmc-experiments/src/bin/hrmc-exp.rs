@@ -3,15 +3,18 @@
 //! JSON under `--out`; a set whose invariants fail prints one `FAIL
 //! <set>/<row>: <reason>` line per violation on stderr, writes no JSON,
 //! and makes the run exit 1 once the remaining sets have run. Bad
-//! arguments exit 2. `timeline` observes one 5 MB LAN transfer: per-second
-//! activity, latency percentiles, and optionally its event stream
-//! (`--events`, `--analyze`) and sim-time telemetry (`--timeseries`).
+//! arguments exit 2. `timeline` observes one 5 MB LAN transfer through
+//! the simulator's telemetry sampler: one activity row per sample
+//! (`--sample-ms`, default 1000), latency percentiles, and optionally
+//! its event stream (`--events`, `--analyze`) and the samples as
+//! telemetry JSONL that `hrmc top` reads (`--timeseries`).
 
 use std::slice::Iter;
 use std::str::FromStr;
 use std::time::Instant;
 
 use hrmc_app::Scenario;
+use hrmc_core::TelemetrySample;
 use hrmc_experiments::runner::{self, SETS};
 use hrmc_experiments::{analyze, ExpOptions};
 use hrmc_sim::Simulation;
@@ -20,7 +23,7 @@ use hrmc_sim::Simulation;
 const USAGE: &str =
     "usage: hrmc-exp <set>...|all [--quick] [--repeats N] [--out DIR] [--jobs N] [--receivers N]
        hrmc-exp timeline [--receivers N] [--buffer-kb N] [--loss PCT] [--bandwidth-mbps N]
-           [--events PATH] [--analyze] [--timeseries PATH] [--sample-ms N]";
+           [--events PATH] [--analyze] [--timeseries PATH] [--sample-ms N (default 1000)]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -81,7 +84,7 @@ fn sweep(args: &[String]) -> Result<bool, String> {
 fn timeline(args: &[String]) -> Result<bool, String> {
     let (mut receivers, mut buffer_kb, mut loss_pct, mut mbps) = (3usize, 256usize, 0.5f64, 10u64);
     let (mut events, mut analyze, mut timeseries) = (None::<String>, false, None::<String>);
-    let mut sample_ms = 100u64;
+    let mut sample_ms = 1000u64;
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -99,9 +102,8 @@ fn timeline(args: &[String]) -> Result<bool, String> {
     println!("timeline: {receivers} receivers, {buffer_kb}K buffers, {loss_pct}% loss, {mbps} Mbps, 5 MB\n");
     let scenario = Scenario::lan(receivers, mbps * 1_000_000, buffer_kb * 1024, 5_000_000);
     let mut params = scenario.with_loss(loss_pct / 100.0).params();
-    params.trace_bucket_us = Some(1_000_000);
     params.observe = true;
-    params.sample_interval_us = timeseries.as_ref().map(|_| sample_ms * 1_000);
+    params.sample_interval_us = Some(sample_ms * 1_000);
     // The event stream is captured in memory, for --analyze and --events.
     let (report, captured) = if analyze || events.is_some() {
         let (report, log, analysis) = analyze::run_analyzed(params);
@@ -109,9 +111,8 @@ fn timeline(args: &[String]) -> Result<bool, String> {
     } else {
         (Simulation::new(params).run(), None)
     };
-    if let Some(trace) = &report.trace {
-        print!("{}", trace.render());
-    }
+    let samples = report.timeseries.as_deref().unwrap_or_default();
+    print!("{}", activity_table(samples));
     let s = &report.sender;
     println!(
         "\ncompleted={} throughput={:.2} Mbps naks={} rate_requests={} probes={} retrans={}",
@@ -128,8 +129,12 @@ fn timeline(args: &[String]) -> Result<bool, String> {
             println!("{name} latency (µs): n={n} p50={p50} p90={p90} p99={p99}");
         }
     }
-    let write = |path: &str, text: &str| match std::fs::write(path, text) {
-        Ok(()) => true,
+    // A file is announced on stdout only once it is on disk.
+    let save = |path: &str, text: &str, announce: String| match std::fs::write(path, text) {
+        Ok(()) => {
+            println!("{announce}");
+            true
+        }
         Err(e) => {
             eprintln!("cannot write {path}: {e}");
             false
@@ -137,30 +142,40 @@ fn timeline(args: &[String]) -> Result<bool, String> {
     };
     let mut written = true;
     if let Some((log, analysis)) = captured {
-        if let Some(path) = &events {
-            written &= write(path, &log);
-        }
         if analyze {
             println!("\n{}", analysis.render_table());
         }
-    }
-    if let Some(path) = &events {
-        println!("event log: {path} (diagnose with: hrmc analyze {path})");
+        if let Some(path) = &events {
+            let announce = format!("event log: {path} (diagnose with: hrmc analyze {path})");
+            written &= save(path, &log, announce);
+        }
     }
     if let Some(path) = &timeseries {
-        let samples = report.timeseries.as_deref().unwrap_or(&[]);
-        let lines: Vec<String> = samples
-            .iter()
-            .map(|s| serde_json::to_string(s).expect("sample serializes") + "\n")
-            .collect();
-        let ok = write(path, &lines.concat());
-        if ok {
-            println!(
-                "timeseries: {path} ({} samples, {sample_ms} sim-ms grid)",
-                samples.len()
-            );
-        }
-        written &= ok;
+        let lines: String = samples.iter().map(|s| s.to_json_line() + "\n").collect();
+        let n = samples.len();
+        let announce = format!("timeseries: {path} ({n} samples, {sample_ms} sim-ms grid)");
+        written &= save(path, &lines, announce);
     }
     Ok(written)
+}
+
+/// One row per telemetry sample: DATA packets on the wire (first
+/// transmissions plus retransmissions), first-transmission payload
+/// bytes, feedback reaching the sender, PROBEs and drops over the
+/// interval, and the sender's rate at the sample instant.
+fn activity_table(samples: &[TelemetrySample]) -> String {
+    let mut out = String::from("  t(s)   data  bytes      fbk  probe  drops  rate(KB/s)\n");
+    for s in samples {
+        out += &format!(
+            "{:>6.2} {:>6} {:>10} {:>6} {:>6} {:>6} {:>11}\n",
+            s.t_us as f64 / 1e6,
+            s.counter_delta("data_packets_sent") + s.counter_delta("retransmissions"),
+            s.counter_delta("first_tx_bytes"),
+            s.counter_delta("feedback_received"),
+            s.counter_delta("probes_sent"),
+            s.counter_delta("drops"),
+            s.gauge("rate_bps").unwrap_or(0) / 1024,
+        );
+    }
+    out
 }

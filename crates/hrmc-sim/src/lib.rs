@@ -41,17 +41,15 @@ pub mod report;
 pub mod router;
 pub mod sim;
 pub mod topology;
-pub mod trace;
 
 pub use apps::{IoProfile, SinkApp, SourceApp};
 pub use dynamics::{LinkAction, LinkEvent, LinkSchedule};
 pub use faults::{ChurnAction, ChurnEvent, FaultModel, FaultPlan, Partition};
 pub use loss::{LossModel, LossProcess};
 pub use obs::{HostObserver, SharedObs};
-pub use report::{AlertRecord, LatencyReport, ReceiverReport, SimReport, SimSamplePoint};
+pub use report::{AlertRecord, LatencyReport, ReceiverReport, SimReport};
 pub use sim::{SimParams, Simulation};
 pub use topology::{CharacteristicGroup, GroupSpec, Topology, TopologyBuilder};
-pub use trace::{Trace, TraceBucket};
 
 /// Per-packet link-layer overhead charged during serialization: the
 /// kernel H-RMC driver rides directly on IP (paper Figure 4), so each

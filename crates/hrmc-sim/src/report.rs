@@ -1,6 +1,6 @@
 //! Simulation output: everything the paper's figures are plotted from.
 
-use hrmc_core::{HistogramSummary, ReceiverStats, SenderStats};
+use hrmc_core::{HistogramSummary, ReceiverStats, SenderStats, TelemetrySample};
 use serde::Serialize;
 
 /// Per-receiver results.
@@ -32,45 +32,6 @@ pub struct LatencyReport {
     /// Gap first noted → gap filled, i.e. NAK-to-repair recovery (µs),
     /// all receivers pooled.
     pub recovery: HistogramSummary,
-}
-
-/// One point on the sim-time telemetry grid (present when
-/// [`SimParams::sample_interval_us`](crate::sim::SimParams::sample_interval_us)
-/// was set): the continuous-telemetry counterpart of the wall-clock
-/// sampler in `hrmc-core`, letting the same "how did the run evolve"
-/// questions be asked of a simulation — throughput ramp, NAK bursts,
-/// window occupancy, recovery backlog — without streaming a full event
-/// log.
-#[derive(Debug, Clone, Serialize)]
-pub struct SimSamplePoint {
-    /// Simulation time of the sample (µs).
-    pub t_us: u64,
-    /// Bytes absorbed by all receiver applications so far (cumulative).
-    pub bytes_received: u64,
-    /// Application throughput over the interval ending here (Mbit/s).
-    pub throughput_mbps: f64,
-    /// NAKs sent by all receivers so far (cumulative).
-    pub naks_sent: u64,
-    /// NAK rate over the interval ending here (NAKs/s).
-    pub nak_rate_per_sec: f64,
-    /// Sender retransmissions so far (cumulative).
-    pub retransmissions: u64,
-    /// Bytes sitting in the sender's send buffer (gauge).
-    pub sender_buffered_bytes: u64,
-    /// The sender's current transmission rate (bytes/s, gauge).
-    pub rate_bps: u64,
-    /// The sender's current RTT estimate (µs, gauge).
-    pub rtt_us: u64,
-    /// Outstanding NAK ranges across all receivers — the recovery
-    /// backlog still in flight (gauge).
-    pub recovery_backlog: u64,
-    /// Mean receive-window occupancy across receivers, 0.0–1.0 (gauge).
-    pub window_occupancy: f64,
-    /// Receivers that have finished absorbing the stream (gauge).
-    pub completed_receivers: u64,
-    /// Sender rate-halving episodes so far (cumulative) — the
-    /// degradation signal a hostile-network run is judged by.
-    pub rate_halvings: u64,
 }
 
 /// One alert transition the online [`hrmc_core::HealthMonitor`] emitted
@@ -172,19 +133,20 @@ pub struct SimReport {
     pub host_ticks: Vec<u64>,
     /// Per-receiver reports.
     pub receivers: Vec<ReceiverReport>,
-    /// Sim-time telemetry grid, when
+    /// Sim-time telemetry, when
     /// [`SimParams::sample_interval_us`](crate::sim::SimParams::sample_interval_us)
-    /// was set. Always ends with a final sample at the run's last
-    /// instant, so an armed run yields a non-empty series even when it
-    /// finishes inside the first interval.
-    pub timeseries: Option<Vec<SimSamplePoint>>,
+    /// was set: the same [`TelemetrySample`] shape the live stack's
+    /// sampler records. Always ends with a final sample at the run's
+    /// last instant, so an armed run yields a non-empty series even when
+    /// it finishes inside the first interval. Each sample renders itself
+    /// losslessly ([`TelemetrySample::to_json_line`]), so it is skipped
+    /// here.
+    #[serde(skip)]
+    pub timeseries: Option<Vec<TelemetrySample>>,
     /// Online health-monitor transitions, in time order (empty unless
     /// [`SimParams::health`](crate::sim::SimParams::health) armed the
     /// monitor).
     pub alerts: Vec<AlertRecord>,
-    /// Bucketed activity timeline, when tracing was enabled.
-    #[serde(skip)]
-    pub trace: Option<crate::trace::Trace>,
 }
 
 impl SimReport {

@@ -22,7 +22,9 @@
 //! identified to the sender engine as `PeerId(i)`. All routing state uses
 //! receiver indices; conversion to host ids happens only at delivery.
 
-use hrmc_core::{Dest, PeerId, ProtocolConfig, ReceiverEngine, SenderEngine, JIFFY_US};
+use hrmc_core::{
+    Dest, MetricsRegistry, PeerId, ProtocolConfig, ReceiverEngine, Sampler, SenderEngine, JIFFY_US,
+};
 use hrmc_wire::Packet;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -38,7 +40,7 @@ use crate::host::{Engine, Host, SINK_READ_MAX};
 use crate::nic::{Nic, TxOutcome};
 use crate::obs::{HostObserver, SharedObs};
 use crate::queue::EventQueue;
-use crate::report::{AlertRecord, LatencyReport, ReceiverReport, SimReport, SimSamplePoint};
+use crate::report::{AlertRecord, LatencyReport, ReceiverReport, SimReport};
 use crate::router::{EnqueueOutcome, Route, Router, Transit};
 use crate::topology::Topology;
 
@@ -67,19 +69,23 @@ pub struct SimParams {
     /// analog): an overdriven host sheds load instead of queueing
     /// unboundedly.
     pub host_backlog_us: u64,
-    /// When set, record a bucketed activity timeline with this bucket
-    /// width (µs); retrieve it from [`SimReport::trace`].
-    pub trace_bucket_us: Option<u64>,
-    /// When set, sample a telemetry point every this many simulated
-    /// microseconds; retrieve the series from [`SimReport::timeseries`].
-    /// Sampling is read-only — it never schedules events or draws from
-    /// the RNG, so an armed run is bit-for-bit identical to an unarmed
-    /// one.
+    /// When set, sample the world into a [`MetricsRegistry`] every this
+    /// many simulated microseconds and record it through the core
+    /// [`Sampler`]; retrieve the [`hrmc_core::TelemetrySample`] series
+    /// from [`SimReport::timeseries`]. Counters: `data_packets_sent`,
+    /// `retransmissions`, `probes_sent`, `naks_sent` (all receivers) and
+    /// `rate_halvings`, named as on the live stack, plus the sim-only
+    /// `first_tx_bytes`, `bytes_received`, `feedback_received` and
+    /// `drops` (router loss and overflow, NIC transmit and receive).
+    /// Gauges: `rate_bps` and `srtt_us`, plus the sim-only
+    /// `sender_buffered_bytes`, `recovery_backlog`,
+    /// `window_occupancy_pct` and `completed_receivers`. Sampling is
+    /// read-only — it never schedules events or draws from the RNG, so
+    /// an armed run is bit-for-bit identical to an unarmed one.
     pub sample_interval_us: Option<u64>,
     /// Install [`crate::obs`] observers into every engine, collecting
     /// delivery- and recovery-latency histograms reported through
-    /// [`SimReport::latency`] (and merged into the trace, when both are
-    /// on).
+    /// [`SimReport::latency`].
     pub observe: bool,
     /// Arm the online [`hrmc_core::HealthMonitor`] over the pooled event
     /// stream with this rule set (implies observation). Alert
@@ -113,7 +119,6 @@ impl SimParams {
             horizon_us: 3_600 * 1_000_000, // one simulated hour
             cpu_scale: 1.0,
             host_backlog_us: 50_000,
-            trace_bucket_us: None,
             sample_interval_us: None,
             observe: false,
             health: None,
@@ -166,7 +171,6 @@ pub struct Simulation {
     nics: Vec<Nic>,
     routers: Vec<Router>,
     rng: SmallRng,
-    trace: Option<crate::trace::Trace>,
     obs: Option<Arc<Mutex<SharedObs>>>,
     /// Per-host next-tick deadline (absolute, jiffy-grid-aligned), from
     /// the engines' `next_wakeup`; `None` while a host is fully idle.
@@ -208,14 +212,10 @@ pub struct Simulation {
     /// Receiver indices the sender ejected (ground truth for the
     /// false-ejection audit; drained from the sender's event queue).
     ejected_receivers: Vec<usize>,
-    /// Accumulated sim-time telemetry samples (empty unless
-    /// [`SimParams::sample_interval_us`] is set).
-    timeseries: Vec<SimSamplePoint>,
-    /// Next grid instant at which to sample; `None` when sampling is off.
-    next_sample_at: Option<u64>,
-    /// Previous sample's `(t_us, bytes_received, naks_sent)`, for
-    /// interval rates.
-    prev_sample: (u64, u64, u64),
+    /// Unbounded sim-time telemetry recorder; `None` unless
+    /// [`SimParams::sample_interval_us`] is set. Its latest sample fixes
+    /// the next grid instant.
+    sampler: Option<Sampler>,
     /// Read buffer lent to whichever receiver host is pumping its sink
     /// (one per simulation, not per host: at 2000 receivers a per-host
     /// buffer would be 128 MB of resident zeroes).
@@ -299,8 +299,7 @@ impl Simulation {
         let due = vec![Some(JIFFY_US); n + 1];
         let due_heap = (0..=n).map(|h| Reverse((JIFFY_US, h))).collect();
         let rng = SmallRng::seed_from_u64(params.seed);
-        let trace = params.trace_bucket_us.map(crate::trace::Trace::new);
-        let next_sample_at = params.sample_interval_us.map(|i| i.max(1));
+        let sampler = params.sample_interval_us.map(|_| Sampler::new(usize::MAX));
         let mut sim = Simulation {
             params,
             queue,
@@ -308,7 +307,6 @@ impl Simulation {
             nics,
             routers,
             rng,
-            trace,
             obs: None,
             due,
             due_heap,
@@ -324,9 +322,7 @@ impl Simulation {
             up_extra_delay_us: 0,
             up_extra_loss: 0.0,
             ejected_receivers: Vec::new(),
-            timeseries: Vec::new(),
-            next_sample_at,
-            prev_sample: (0, 0, 0),
+            sampler,
             sink_scratch: vec![0; SINK_READ_MAX],
             pending_rx: Vec::new(),
             batched_rx: 0,
@@ -737,11 +733,6 @@ impl Simulation {
             unreachable!()
         };
         engine.handle_packet(pkt, PeerId(from as u32), now);
-        if let Some(trace) = self.trace.as_mut() {
-            if pkt.header.ptype.carries_receiver_state() {
-                trace.on_feedback(now);
-            }
-        }
         self.drain_engine(0, now);
         // A packet can arm or disarm any engine timer: re-derive the
         // host's deadline.
@@ -821,14 +812,7 @@ impl Simulation {
                     hop: 0,
                 }],
             };
-            let len = out.packet.payload.len();
-            if host == 0 {
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.on_send(now, out.packet.header.ptype, len);
-                    trace.on_rate(now, u64::from(out.packet.header.rate_adv));
-                }
-            }
-            let ready = self.hosts[host].charge_cpu(len, now);
+            let ready = self.hosts[host].charge_cpu(out.packet.payload.len(), now);
             for route in routes {
                 self.queue.schedule(
                     ready,
@@ -849,16 +833,8 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     fn on_nic_enq(&mut self, host: usize, transit: Transit, now: u64) {
-        match self.nics[host].tx_enqueue(transit) {
-            TxOutcome::StartService { service_us } => {
-                self.queue.schedule(now + service_us, Ev::NicTxDeq { host });
-            }
-            TxOutcome::Queued => {}
-            TxOutcome::Dropped => {
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.on_drop(now);
-                }
-            }
+        if let TxOutcome::StartService { service_us } = self.nics[host].tx_enqueue(transit) {
+            self.queue.schedule(now + service_us, Ev::NicTxDeq { host });
         }
     }
 
@@ -893,17 +869,11 @@ impl Simulation {
 
     fn on_router_arrive(&mut self, router: usize, transit: Transit, now: u64) {
         let roll = self.rng.gen::<f64>();
-        match self.routers[router].enqueue(transit, roll) {
-            EnqueueOutcome::StartService { service_us } => {
-                self.queue
-                    .schedule(now + service_us, Ev::RouterDeq { router });
-            }
-            EnqueueOutcome::Queued => {}
-            EnqueueOutcome::Dropped => {
-                if let Some(trace) = self.trace.as_mut() {
-                    trace.on_drop(now);
-                }
-            }
+        if let EnqueueOutcome::StartService { service_us } =
+            self.routers[router].enqueue(transit, roll)
+        {
+            self.queue
+                .schedule(now + service_us, Ev::RouterDeq { router });
         }
     }
 
@@ -1036,9 +1006,6 @@ impl Simulation {
         }
         let rolls = (self.rng.gen::<f64>(), self.rng.gen::<f64>());
         if !self.nics[host].rx_accept(rolls.0, rolls.1) {
-            if let Some(trace) = self.trace.as_mut() {
-                trace.on_drop(now);
-            }
             return; // uncorrelated NIC loss
         }
         if self.hosts[host].cpu_backlog(now) > self.params.host_backlog_us {
@@ -1134,90 +1101,81 @@ impl Simulation {
     /// the first grid point strictly after `now` — one sample per jump,
     /// never a backfilled run of duplicates.
     fn maybe_sample(&mut self, now: u64) {
-        match self.next_sample_at {
-            Some(at) if now >= at => {}
-            _ => return,
+        let (Some(sampler), Some(interval)) = (&self.sampler, self.params.sample_interval_us)
+        else {
+            return;
+        };
+        let interval = interval.max(1);
+        let next = sampler
+            .latest()
+            .map_or(interval, |s| (s.t_us / interval + 1) * interval);
+        if now >= next {
+            self.take_sample(now);
         }
-        self.take_sample(now);
-        let interval = self
-            .params
-            .sample_interval_us
-            .expect("sampling armed")
-            .max(1);
-        self.next_sample_at = Some((now / interval + 1) * interval);
     }
 
-    /// Record one [`SimSamplePoint`] from current world state. Read-only
-    /// with respect to the simulation: no events scheduled, no RNG
-    /// draws, no engine mutation — the event trajectory (and thus the
-    /// pinned determinism fixtures) is untouched by sampling.
+    /// Read current world state into a fresh [`MetricsRegistry`] and
+    /// record it through the [`Sampler`] (see
+    /// [`SimParams::sample_interval_us`] for the names). Read-only with
+    /// respect to the simulation: no events scheduled, no RNG draws, no
+    /// engine mutation — the event trajectory (and thus the pinned
+    /// determinism fixtures) is untouched by sampling.
     fn take_sample(&mut self, now: u64) {
         let Engine::Sender(sender) = &self.hosts[0].engine else {
             unreachable!()
         };
-        let mut bytes = 0u64;
-        let mut naks = 0u64;
-        let mut backlog = 0u64;
-        let mut occupancy = 0.0f64;
-        let mut completed = 0u64;
+        let s = &sender.stats;
+        let mut reg = MetricsRegistry::new();
+        reg.add("data_packets_sent", s.data_packets_sent);
+        reg.add("first_tx_bytes", s.data_bytes_sent);
+        reg.add("retransmissions", s.retransmissions);
+        reg.add("probes_sent", s.probes_sent);
+        reg.add("feedback_received", s.feedback_received());
+        reg.add("rate_halvings", sender.rate_halvings());
+        reg.set_gauge("rate_bps", sender.rate());
+        reg.set_gauge("srtt_us", sender.rtt());
+        reg.set_gauge("sender_buffered_bytes", sender.buffered_bytes() as u64);
+        let drops = self.routers.iter().map(|r| r.loss_drops + r.overflow_drops);
+        let nic_drops = self.nics.iter().map(|n| n.tx_drops + n.rx_drops());
+        reg.add("drops", drops.chain(nic_drops).sum());
+        let (mut backlog, mut occupancy, mut completed) = (0, 0.0, 0);
         for h in &self.hosts[1..] {
             let Engine::Receiver(r) = &h.engine else {
                 unreachable!()
             };
             if let Some(sink) = &h.sink {
-                bytes += sink.received();
+                reg.add("bytes_received", sink.received());
             }
-            naks += r.stats.naks_sent;
+            reg.add("naks_sent", r.stats.naks_sent);
             backlog += r.pending_naks() as u64;
             occupancy += r.window_occupancy();
-            if h.completed_at.is_some() {
-                completed += 1;
-            }
+            completed += u64::from(h.completed_at.is_some());
         }
-        let n = self.hosts.len() - 1;
-        let (prev_t, prev_bytes, prev_naks) = self.prev_sample;
-        let dt = now.saturating_sub(prev_t);
-        let (throughput_mbps, nak_rate_per_sec) = if dt > 0 {
-            (
-                bytes.saturating_sub(prev_bytes) as f64 * 8.0 / dt as f64,
-                naks.saturating_sub(prev_naks) as f64 * 1e6 / dt as f64,
-            )
-        } else {
-            (0.0, 0.0)
-        };
-        self.prev_sample = (now, bytes, naks);
-        self.timeseries.push(SimSamplePoint {
-            t_us: now,
-            bytes_received: bytes,
-            throughput_mbps,
-            naks_sent: naks,
-            nak_rate_per_sec,
-            retransmissions: sender.stats.retransmissions,
-            sender_buffered_bytes: sender.buffered_bytes() as u64,
-            rate_bps: sender.rate(),
-            rtt_us: sender.rtt(),
-            recovery_backlog: backlog,
-            window_occupancy: if n > 0 { occupancy / n as f64 } else { 0.0 },
-            completed_receivers: completed,
-            rate_halvings: sender.rate_halvings(),
-        });
+        let n = (self.hosts.len() - 1).max(1) as f64;
+        reg.set_gauge("recovery_backlog", backlog);
+        reg.set_gauge(
+            "window_occupancy_pct",
+            (occupancy / n * 100.0).round() as u64,
+        );
+        reg.set_gauge("completed_receivers", completed);
+        self.sampler
+            .as_mut()
+            .expect("sampling armed")
+            .sample(now, &reg);
     }
 
     fn report(mut self) -> SimReport {
         // Close the telemetry grid with a final sample at the run's last
         // instant: short runs (finished inside the first interval) still
-        // yield a non-empty series, and the series always reflects the
-        // final state.
-        if self.next_sample_at.is_some() {
-            let now = self.queue.now();
-            if self.timeseries.last().is_none_or(|s| s.t_us < now) {
-                self.take_sample(now);
-            }
+        // yield a non-empty series, and the series always ends on the
+        // final state. A grid sample is taken before the event at its
+        // instant runs, so when the last event (a sender tick, on the
+        // jiffy grid) lands on a grid point, this one follows it at the
+        // same instant with a zero interval.
+        if self.sampler.is_some() {
+            self.take_sample(self.queue.now());
         }
-        let timeseries = self
-            .params
-            .sample_interval_us
-            .map(|_| std::mem::take(&mut self.timeseries));
+        let timeseries = self.sampler.take().map(|s| s.samples().cloned().collect());
         let Engine::Sender(sender) = &self.hosts[0].engine else {
             unreachable!()
         };
@@ -1274,7 +1232,6 @@ impl Simulation {
                 !legit_host && !partitioned
             })
             .count() as u64;
-        let mut trace = self.trace.clone();
         let alerts: Vec<AlertRecord> = self
             .obs
             .as_ref()
@@ -1297,9 +1254,6 @@ impl Simulation {
         let latency = self.obs.as_ref().map(|shared| {
             let mut s = shared.lock().unwrap();
             s.flush();
-            if let Some(t) = trace.as_mut() {
-                t.merge_latency(&s.delivery);
-            }
             LatencyReport {
                 delivery: s.delivery.summary(),
                 recovery: s.recovery.summary(),
@@ -1337,7 +1291,6 @@ impl Simulation {
             receivers,
             timeseries,
             alerts,
-            trace,
         }
     }
 }
@@ -1508,31 +1461,70 @@ mod tests {
         for w in ts.windows(2) {
             assert!(w[0].t_us < w[1].t_us, "non-monotonic grid");
             assert!(
-                w[0].bytes_received <= w[1].bytes_received,
+                w[0].total("bytes_received") <= w[1].total("bytes_received"),
                 "cumulative bytes regressed"
             );
             assert!(
-                w[0].naks_sent <= w[1].naks_sent,
+                w[0].total("naks_sent") <= w[1].total("naks_sent"),
                 "cumulative NAKs regressed"
             );
         }
         for s in ts {
-            assert!((0.0..=1.0).contains(&s.window_occupancy), "{s:?}");
-            assert!(s.throughput_mbps >= 0.0);
-            assert!(s.completed_receivers <= 64);
+            assert!(s.gauge("window_occupancy_pct").unwrap() <= 100, "{s:?}");
+            assert!(s.gauge("completed_receivers").unwrap() <= 64);
         }
         // The series closes on the final state: everything delivered,
         // all 64 receivers done, recovery backlog drained.
         let last = ts.last().unwrap();
-        assert_eq!(last.bytes_received, 64 * 300_000);
-        assert_eq!(last.completed_receivers, 64);
-        assert_eq!(last.recovery_backlog, 0);
+        assert_eq!(last.total("bytes_received"), 64 * 300_000);
+        assert_eq!(last.gauge("completed_receivers"), Some(64));
+        assert_eq!(last.gauge("recovery_backlog"), Some(0));
         // A mid-flight sample saw the transfer in progress.
         assert!(
-            ts.iter()
-                .any(|s| s.bytes_received > 0 && s.completed_receivers < 64),
+            ts.iter().any(|s| s.total("bytes_received") > 0
+                && s.gauge("completed_receivers") < Some(64)),
             "no mid-flight sample captured"
         );
+    }
+
+    /// The sim series is the report, sliced in time: per-interval deltas
+    /// sum to each counter's final total, and the final totals are the
+    /// report's own end-of-run counters.
+    #[test]
+    fn sim_series_agrees_with_the_report() {
+        let mut params = lan_params(8, 10_000_000, 0.01, 400_000, 128 * 1024);
+        params.sample_interval_us = Some(20_000);
+        let report = Simulation::new(params).run();
+        assert!(report.completed, "transfer did not complete");
+        let ts = report.timeseries.as_ref().expect("sampling was armed");
+        let last = ts.last().unwrap();
+        for name in last.totals.keys() {
+            let sum: u64 = ts.iter().map(|s| s.counter_delta(name)).sum();
+            assert_eq!(sum, last.total(name), "{name}: deltas vs total");
+        }
+        let s = &report.sender;
+        assert!(s.retransmissions > 0, "1% loss must force repairs");
+        for (name, want) in [
+            ("data_packets_sent", s.data_packets_sent),
+            ("first_tx_bytes", s.data_bytes_sent),
+            ("retransmissions", s.retransmissions),
+            ("probes_sent", s.probes_sent),
+            ("naks_sent", report.total_naks()),
+            (
+                "bytes_received",
+                report.receivers.iter().map(|r| r.bytes).sum(),
+            ),
+            ("rate_halvings", report.rate_halvings),
+        ] {
+            assert_eq!(last.total(name), want, "{name}: series vs report");
+        }
+        // The gauges close on the final state too: the sender lingers
+        // releasing its buffer after the last receiver completes, so only
+        // a sample at the run's last instant sees it drained.
+        assert_eq!(last.gauge("completed_receivers"), Some(8));
+        assert_eq!(last.gauge("sender_buffered_bytes"), Some(0));
+        assert_eq!(last.gauge("rate_bps"), Some(report.final_rate_bps));
+        assert_eq!(last.gauge("srtt_us"), Some(report.final_rtt_us));
     }
 
     #[test]

@@ -585,12 +585,7 @@ fn cmd_top(target: &str, opts: &Opts) -> Result<(), Box<dyn std::error::Error>> 
             std::thread::sleep(Duration::from_millis(opts.refresh_ms.max(100)));
         }
     }
-    let (mut samples, stats) = hrmc_trace::parse_telemetry_file(std::path::Path::new(target))?;
-    if samples.is_empty() {
-        // Not a sampler stream — maybe a simulator timeseries
-        // (`timeline --timeseries`): flat rows, no discriminator.
-        samples = hrmc::top::parse_sim_timeseries(&std::fs::read_to_string(target)?);
-    }
+    let (samples, stats) = hrmc_trace::parse_telemetry_file(std::path::Path::new(target))?;
     if samples.is_empty() {
         return Err(format!(
             "{target}: no telemetry samples found ({} lines read; is this an event-only trace?)",

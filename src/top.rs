@@ -5,9 +5,11 @@
 //!
 //! * **live** — the `/json` body of a running [`hrmc_net::Telemetry`]
 //!   endpoint, refreshed in place ([`render_endpoint_frame`]);
-//! * **recorded** — a JSONL file of sampler lines (written by
-//!   `--telemetry`'s sink, a simulation's `--timeseries`, or any mixed
-//!   event/telemetry stream), summarized once ([`render_trace`]).
+//! * **recorded** — a JSONL file of sampler lines, summarized once
+//!   ([`render_trace`]). The live `--telemetry` sink, a simulation's
+//!   `hrmc-exp timeline --timeseries` and any mixed event/telemetry
+//!   stream all write the same [`TelemetrySample`] lines, read by the
+//!   one parser `hrmc_trace::parse_telemetry_file`.
 //!
 //! Pure string-in/string-out so every frame is testable without a
 //! terminal; the only ANSI the caller needs is [`CLEAR`].
@@ -199,84 +201,6 @@ pub fn render_endpoint_frame(endpoint: &str, body: &Value) -> String {
     out
 }
 
-/// Adapt a simulator timeseries (flat [`hrmc_sim::SimSamplePoint`]
-/// rows, as `timeline --timeseries` writes) into sampler-shaped
-/// [`TelemetrySample`]s so both recorded formats render through one
-/// view. Cumulative fields become totals (with per-interval deltas
-/// recomputed), instantaneous fields become gauges; lines without the
-/// sim-point shape are passed over.
-pub fn parse_sim_timeseries(input: &str) -> Vec<TelemetrySample> {
-    let mut out: Vec<TelemetrySample> = Vec::new();
-    let mut prev_t = 0u64;
-    let mut prev: std::collections::BTreeMap<String, u64> = Default::default();
-    for line in input.lines() {
-        let Ok(v) = serde_json::from_str(line.trim()) else {
-            continue;
-        };
-        let (Some(t_us), Some(_)) = (
-            v.get("t_us").and_then(Value::as_u64),
-            v.get("bytes_received").and_then(Value::as_u64),
-        ) else {
-            continue;
-        };
-        let mut totals = std::collections::BTreeMap::new();
-        for key in [
-            "bytes_received",
-            "naks_sent",
-            "retransmissions",
-            "rate_halvings",
-        ] {
-            if let Some(n) = v.get(key).and_then(Value::as_u64) {
-                totals.insert(key.to_string(), n);
-            }
-        }
-        let counters = totals
-            .iter()
-            .map(|(k, &n)| {
-                (
-                    k.clone(),
-                    n.saturating_sub(prev.get(k).copied().unwrap_or(0)),
-                )
-            })
-            .collect();
-        let mut gauges = std::collections::BTreeMap::new();
-        for key in [
-            "sender_buffered_bytes",
-            "rate_bps",
-            "rtt_us",
-            "recovery_backlog",
-            "completed_receivers",
-        ] {
-            if let Some(n) = v.get(key).and_then(Value::as_u64) {
-                gauges.insert(key.to_string(), n);
-            }
-        }
-        if let Some(occ) = v.get("window_occupancy").and_then(Value::as_f64) {
-            gauges.insert(
-                "window_occupancy_pct".to_string(),
-                (occ * 100.0).round() as u64,
-            );
-        }
-        let interval_us = if out.is_empty() {
-            0
-        } else {
-            t_us.saturating_sub(prev_t)
-        };
-        prev_t = t_us;
-        prev = totals.clone();
-        out.push(TelemetrySample {
-            seq: out.len() as u64,
-            t_us,
-            interval_us,
-            counters,
-            totals,
-            gauges,
-            hists: Default::default(),
-        });
-    }
-    out
-}
-
 /// Summarize a recorded telemetry series: per-counter totals with a
 /// rate sparkline, final gauges, and the last sample in full.
 pub fn render_trace(source: &str, samples: &[TelemetrySample]) -> String {
@@ -459,29 +383,27 @@ mod tests {
         assert!(frame.contains("(no sample yet)"));
     }
 
+    /// A simulator recording is a telemetry recording: written with
+    /// `to_json_line`, it parses back through the one recorded-series
+    /// parser unchanged and renders with the sim-only names.
     #[test]
-    fn sim_timeseries_adapts_to_sampler_shape() {
-        let input = "\
-            {\"t_us\":50000,\"bytes_received\":1000,\"throughput_mbps\":0.16,\"naks_sent\":2,\
-             \"nak_rate_per_sec\":40.0,\"retransmissions\":1,\"sender_buffered_bytes\":4096,\
-             \"rate_bps\":125000,\"rtt_us\":2000,\"recovery_backlog\":3,\
-             \"window_occupancy\":0.25,\"completed_receivers\":0,\"rate_halvings\":0}\n\
-            not json\n\
-            {\"t_us\":100000,\"bytes_received\":3000,\"throughput_mbps\":0.32,\"naks_sent\":2,\
-             \"nak_rate_per_sec\":0.0,\"retransmissions\":1,\"sender_buffered_bytes\":0,\
-             \"rate_bps\":125000,\"rtt_us\":2100,\"recovery_backlog\":0,\
-             \"window_occupancy\":0.5,\"completed_receivers\":2,\"rate_halvings\":3}\n";
-        let samples = parse_sim_timeseries(input);
-        assert_eq!(samples.len(), 2);
-        assert_eq!(samples[0].total("bytes_received"), 1000);
-        assert_eq!(samples[0].interval_us, 0);
-        assert_eq!(samples[1].interval_us, 50_000);
-        assert_eq!(samples[1].counter_delta("bytes_received"), 2000);
-        assert_eq!(samples[1].counter_delta("rate_halvings"), 3);
-        assert_eq!(samples[1].gauge("window_occupancy_pct"), Some(50));
-        assert_eq!(samples[1].gauge("completed_receivers"), Some(2));
-        let text = render_trace("sim.jsonl", &samples);
-        assert!(text.contains("bytes_received"));
+    fn sim_recording_round_trips_into_top() {
+        let topology = hrmc_sim::TopologyBuilder::new().lan(2, 10_000_000, 0.01);
+        let protocol = hrmc_core::ProtocolConfig::hrmc();
+        let mut params = hrmc_sim::SimParams::new(protocol, topology, 200_000);
+        params.sample_interval_us = Some(20_000);
+        let recorded = hrmc_sim::Simulation::new(params)
+            .run()
+            .timeseries
+            .expect("sampling was armed");
+        assert!(recorded.len() > 1, "{} samples", recorded.len());
+        let jsonl: String = recorded.iter().map(|s| s.to_json_line() + "\n").collect();
+        let (parsed, stats) = hrmc_trace::parse_telemetry_str(&jsonl).unwrap();
+        assert_eq!(stats.skipped, 0);
+        assert_eq!(parsed, recorded);
+        let text = render_trace("sim.jsonl", &parsed);
+        assert!(text.contains("bytes_received"), "{text}");
+        assert!(text.contains("srtt_us"), "{text}");
     }
 
     #[test]
