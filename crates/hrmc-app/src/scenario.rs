@@ -3,7 +3,7 @@
 //! I/O — and runs it through the simulator. Every figure harness in
 //! `hrmc-experiments` is a sweep over scenarios.
 
-use hrmc_core::{HealthConfig, ProtocolConfig, ReliabilityMode};
+use hrmc_core::{HealthConfig, ProtocolConfig, ReliabilityMode, UpdateMode};
 use hrmc_sim::{
     ChurnAction, ChurnEvent, FaultPlan, GroupSpec, IoProfile, LinkSchedule, LossModel, Partition,
     SimParams, SimReport, Simulation, TopologyBuilder,
@@ -32,14 +32,16 @@ pub enum NetKind {
 pub struct Scenario {
     /// Label used in tables and bench ids.
     pub name: String,
-    /// RMC baseline or H-RMC.
-    pub mode: ReliabilityMode,
     /// Number of receivers.
     pub receivers: usize,
     /// Link/network speed in bits per second.
     pub bandwidth_bps: u64,
-    /// Per-socket kernel buffer size in bytes (the paper's sweep knob).
-    pub buffer: usize,
+    /// The protocol every engine runs: [`ProtocolConfig::hrmc`] with the
+    /// per-socket kernel buffer size (the paper's sweep knob) in both
+    /// `sndbuf` and `rcvbuf`, then whatever the builders set. Its
+    /// `max_rate` is not used: [`Scenario::params`] replaces it with the
+    /// cap derived from the wire speed and the host CPU.
+    pub protocol: ProtocolConfig,
     /// Transfer size in bytes.
     pub transfer_bytes: u64,
     /// Sender application I/O.
@@ -64,12 +66,6 @@ pub struct Scenario {
     pub seed: u64,
     /// Simulation horizon in µs.
     pub horizon_us: u64,
-    /// Optional XOR-parity FEC block size (the extension of paper
-    /// future-work item 4); `None` runs the published protocol.
-    pub fec_k: Option<usize>,
-    /// SRM-style local recovery (the extension of paper future-work
-    /// item 3); `false` keeps the paper's centralized recovery.
-    pub local_recovery: bool,
     /// Host-CPU speed scale (1.0 = the paper's measured 300 MHz
     /// constants; the Figure 13 experiment lowers it to model the real
     /// testbed's DMA-overlapped transmit path, which could outrun the
@@ -91,22 +87,6 @@ pub struct Scenario {
     /// bufferbloat, jitter spikes, asymmetric up-paths, receiver
     /// migration. Empty by default (a static network).
     pub links: LinkSchedule,
-    /// Eject a member after this many consecutive unanswered PROBEs
-    /// (0 = never; the protocol default).
-    pub probe_failure_limit: u32,
-    /// Eject a member silent for this long, µs (0 = never).
-    pub member_silence_us: u64,
-    /// Receivers presume the sender dead after `keepalive_max` × this
-    /// factor of silence (0 = never).
-    pub sender_death_factor: u32,
-    /// Receivers give up after this many unanswered JOINs (0 = retry
-    /// forever).
-    pub join_retry_limit: u32,
-    /// Cap on unicast PROBEs per sender tick (0 = probe every eligible
-    /// laggard, the published protocol). Large populations set this to
-    /// pace probe fan-out instead of bursting O(receivers) packets in
-    /// one tick.
-    pub probe_batch_limit: u32,
     /// Arm the online health monitor with this rule set (`None` leaves
     /// the run bit-identical to an unmonitored one; armed runs add only
     /// `health_alert` lines and `SimReport.alerts`).
@@ -118,10 +98,9 @@ impl Scenario {
     pub fn lan(receivers: usize, bandwidth_bps: u64, buffer: usize, transfer: u64) -> Scenario {
         Scenario {
             name: format!("lan-{receivers}r-{}K", buffer / 1024),
-            mode: ReliabilityMode::Hybrid,
             receivers,
             bandwidth_bps,
-            buffer,
+            protocol: ProtocolConfig::hrmc().with_buffer(buffer),
             transfer_bytes: transfer,
             source: IoProfile::Memory,
             sink: IoProfile::Memory,
@@ -130,17 +109,10 @@ impl Scenario {
             router_queue: 512,
             seed: 1,
             horizon_us: 1_800 * 1_000_000,
-            fec_k: None,
-            local_recovery: false,
             cpu_scale: 1.0,
             max_rate_factor: 0.95,
             faults: FaultPlan::default(),
             links: LinkSchedule::default(),
-            probe_failure_limit: 0,
-            member_silence_us: 0,
-            sender_death_factor: 0,
-            join_retry_limit: 0,
-            probe_batch_limit: 0,
             health: None,
         }
     }
@@ -168,33 +140,10 @@ impl Scenario {
         transfer: u64,
     ) -> Scenario {
         let receivers = specs.iter().map(|s| s.receivers).sum();
-        Scenario {
-            name: format!("groups-{receivers}r-{}K", buffer / 1024),
-            mode: ReliabilityMode::Hybrid,
-            receivers,
-            bandwidth_bps,
-            buffer,
-            transfer_bytes: transfer,
-            source: IoProfile::Memory,
-            sink: IoProfile::Memory,
-            net: NetKind::Groups(specs),
-            sender_txqueue: 30,
-            router_queue: 512,
-            seed: 1,
-            horizon_us: 1_800 * 1_000_000,
-            fec_k: None,
-            local_recovery: false,
-            cpu_scale: 1.0,
-            max_rate_factor: 0.95,
-            faults: FaultPlan::default(),
-            links: LinkSchedule::default(),
-            probe_failure_limit: 0,
-            member_silence_us: 0,
-            sender_death_factor: 0,
-            join_retry_limit: 0,
-            probe_batch_limit: 0,
-            health: None,
-        }
+        let mut s = Scenario::lan(receivers, bandwidth_bps, buffer, transfer);
+        s.name = format!("groups-{receivers}r-{}K", buffer / 1024);
+        s.net = NetKind::Groups(specs);
+        s
     }
 
     /// Switch to disk-to-disk application I/O (paper §5.1 disk tests).
@@ -204,9 +153,12 @@ impl Scenario {
         self
     }
 
-    /// Switch to the RMC pure-NAK baseline.
+    /// Switch to the RMC pure-NAK baseline: exactly what
+    /// [`ProtocolConfig::rmc`] changes, the buffer and every other
+    /// setting kept.
     pub fn rmc(mut self) -> Scenario {
-        self.mode = ReliabilityMode::RmcNakOnly;
+        self.protocol.mode = ReliabilityMode::RmcNakOnly;
+        self.protocol.update_mode = UpdateMode::Disabled;
         self
     }
 
@@ -227,20 +179,20 @@ impl Scenario {
 
     /// Enable XOR-parity FEC with block size `k`.
     pub fn with_fec(mut self, k: usize) -> Scenario {
-        self.fec_k = Some(k);
+        self.protocol = self.protocol.with_fec(k);
         self
     }
 
     /// Enable SRM-style local recovery (multicast NAKs, peer repairs).
     pub fn with_local_recovery(mut self) -> Scenario {
-        self.local_recovery = true;
+        self.protocol = self.protocol.with_local_recovery();
         self
     }
 
     /// Cap unicast PROBE fan-out at `limit` per sender tick (0 =
     /// unlimited, the published protocol).
     pub fn with_probe_batch(mut self, limit: u32) -> Scenario {
-        self.probe_batch_limit = limit;
+        self.protocol.probe_batch_limit = limit;
         self
     }
 
@@ -274,11 +226,12 @@ impl Scenario {
             at_us,
             action: ChurnAction::Crash { host: receiver + 1 },
         });
-        if self.probe_failure_limit == 0 {
-            self.probe_failure_limit = 3;
+        let p = &mut self.protocol;
+        if p.probe_failure_limit == 0 {
+            p.probe_failure_limit = 3;
         }
-        if self.member_silence_us == 0 {
-            self.member_silence_us = 3_000_000;
+        if p.member_silence_us == 0 {
+            p.member_silence_us = 3_000_000;
         }
         self
     }
@@ -296,49 +249,31 @@ impl Scenario {
 
     /// Set the failure-domain detectors explicitly (0 disables each):
     /// PROBE-failure ejection, silence ejection, and sender-death
-    /// presumption (`keepalive_max` × `death_factor`).
+    /// presumption (the keepalive cap × `sender_death_factor`).
     pub fn with_failure_domains(
         mut self,
         probe_failure_limit: u32,
         member_silence_us: u64,
         sender_death_factor: u32,
     ) -> Scenario {
-        self.probe_failure_limit = probe_failure_limit;
-        self.member_silence_us = member_silence_us;
-        self.sender_death_factor = sender_death_factor;
+        let p = &mut self.protocol;
+        p.probe_failure_limit = probe_failure_limit;
+        p.member_silence_us = member_silence_us;
+        p.sender_death_factor = sender_death_factor;
         self
     }
 
-    /// The protocol configuration this scenario induces. The rate cap
-    /// (the kernel's `max_snd_rate_wnd` bound) is the smaller of
+    /// Build the simulator parameters. The protocol's rate cap (the
+    /// kernel's `max_snd_rate_wnd` bound) is the smaller of
     /// `max_rate_factor` × the wire speed and the host-CPU transmit
     /// ceiling (one 300 MHz CPU cannot emit packets faster than ~195 µs
     /// apiece; see [`hrmc_sim::cpu_tx_rate_bps`]).
-    pub fn protocol(&self) -> ProtocolConfig {
-        let mut p = match self.mode {
-            ReliabilityMode::Hybrid => ProtocolConfig::hrmc(),
-            ReliabilityMode::RmcNakOnly => ProtocolConfig::rmc(),
-        }
-        .with_buffer(self.buffer);
-        let cpu_cap = (hrmc_sim::cpu_tx_rate_bps(p.segment_size) as f64 / self.cpu_scale) as u64;
-        let wire_cap = (self.bandwidth_bps as f64 / 8.0 * self.max_rate_factor) as u64;
-        p.max_rate = wire_cap.min(cpu_cap).max(p.min_rate);
-        if let Some(k) = self.fec_k {
-            p = p.with_fec(k);
-        }
-        if self.local_recovery {
-            p = p.with_local_recovery();
-        }
-        p.probe_failure_limit = self.probe_failure_limit;
-        p.member_silence_us = self.member_silence_us;
-        p.sender_death_factor = self.sender_death_factor;
-        p.join_retry_limit = self.join_retry_limit;
-        p.probe_batch_limit = self.probe_batch_limit;
-        p
-    }
-
-    /// Build the simulator parameters.
     pub fn params(&self) -> SimParams {
+        let mut protocol = self.protocol.clone();
+        let cpu_cap =
+            (hrmc_sim::cpu_tx_rate_bps(protocol.segment_size) as f64 / self.cpu_scale) as u64;
+        let wire_cap = (self.bandwidth_bps as f64 / 8.0 * self.max_rate_factor) as u64;
+        protocol.max_rate = wire_cap.min(cpu_cap).max(protocol.min_rate);
         let mut builder = TopologyBuilder::new();
         builder.sender_txqueue = self.sender_txqueue;
         builder.router_queue = self.router_queue;
@@ -349,7 +284,7 @@ impl Scenario {
                 builder.wireless(self.receivers, self.bandwidth_bps, *model)
             }
         };
-        let mut params = SimParams::new(self.protocol(), topology, self.transfer_bytes);
+        let mut params = SimParams::new(protocol, topology, self.transfer_bytes);
         params.source = self.source;
         params.sink = self.sink;
         params.seed = self.seed;
@@ -409,9 +344,52 @@ mod tests {
     #[test]
     fn rmc_builder_switches_mode() {
         let s = Scenario::lan(1, 10_000_000, 64 * 1024, 100_000).rmc();
-        assert_eq!(s.protocol().mode, ReliabilityMode::RmcNakOnly);
+        assert_eq!(s.protocol.mode, ReliabilityMode::RmcNakOnly);
         let report = s.run();
         assert_eq!(report.sender.probes_sent, 0);
+    }
+
+    /// The builders write into one `ProtocolConfig`, so the order they
+    /// are called in must not matter, `rmc()` must keep what the others
+    /// set, and `params()` must still own the rate cap.
+    #[test]
+    fn builders_commute_into_one_protocol() {
+        let lan = || Scenario::lan(4, 10_000_000, 128 * 1024, 100_000);
+        let forward = lan()
+            .rmc()
+            .with_fec(4)
+            .with_local_recovery()
+            .with_probe_batch(8);
+        let reverse = lan()
+            .with_probe_batch(8)
+            .with_local_recovery()
+            .with_fec(4)
+            .rmc();
+        let p = forward.params().protocol;
+        assert_eq!(p, reverse.params().protocol);
+        let mut expected = ProtocolConfig::rmc()
+            .with_buffer(128 * 1024)
+            .with_fec(4)
+            .with_local_recovery();
+        expected.probe_batch_limit = 8;
+        expected.max_rate = p.max_rate;
+        assert_eq!(p, expected);
+
+        // The crash builder arms only the detectors left unset.
+        let crash = |s: Scenario| s.with_receiver_crash(0, 1).protocol;
+        let armed = crash(lan());
+        assert_eq!(armed.probe_failure_limit, 3);
+        assert_eq!(armed.member_silence_us, 3_000_000);
+        let kept = crash(lan().with_failure_domains(5, 7, 0));
+        assert_eq!(kept.probe_failure_limit, 5);
+        assert_eq!(kept.member_silence_us, 7);
+
+        // A hand-set rate cap is replaced by the derived one.
+        let mut hand = lan();
+        hand.protocol.max_rate = 1 << 20;
+        let derived = lan().params().protocol.max_rate;
+        assert_ne!(derived, 1 << 20);
+        assert_eq!(hand.params().protocol.max_rate, derived);
     }
 
     #[test]
@@ -479,7 +457,7 @@ mod tests {
         let s = Scenario::lan(3, 10_000_000, 256 * 1024, 400_000)
             .with_receiver_crash(1, 150_000)
             .with_seed(2);
-        assert_eq!(s.protocol().probe_failure_limit, 3);
+        assert_eq!(s.protocol.probe_failure_limit, 3);
         let report = s.run();
         assert!(report.completed, "survivors must finish the transfer");
         assert_eq!(report.sender.members_ejected, 1);

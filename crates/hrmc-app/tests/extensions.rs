@@ -6,17 +6,10 @@
 //! end-to-end check that they still deliver.
 
 use hrmc_app::Scenario;
-use hrmc_core::{ProbePolicy, ProbeTransport, ProtocolConfig, UpdateMode};
-use hrmc_sim::{LossModel, SimReport, Simulation};
+use hrmc_core::{ProbePolicy, ProbeTransport, UpdateMode};
+use hrmc_sim::{LossModel, SimReport};
 
 const KB: usize = 1024;
-
-/// `scenario` with `tweak` applied to its protocol config.
-fn run_with(scenario: &Scenario, tweak: impl Fn(&mut ProtocolConfig)) -> SimReport {
-    let mut params = scenario.params();
-    tweak(&mut params.protocol);
-    Simulation::new(params).run()
-}
 
 #[track_caller]
 fn assert_delivered(cell: &str, r: &SimReport) {
@@ -35,29 +28,27 @@ fn update_timer_variants_deliver() {
         ("fixed_50j", UpdateMode::Fixed(50)),
         ("fixed_5j", UpdateMode::Fixed(5)),
     ] {
-        assert_delivered(cell, &run_with(&base(), |p| p.update_mode = mode));
+        let mut s = base();
+        s.protocol.update_mode = mode;
+        assert_delivered(cell, &s.run());
     }
 }
 
 /// Small buffers, where the paper predicts early probes help.
 #[test]
 fn early_probes_deliver() {
-    let scenario = Scenario::lan(2, 100_000_000, 64 * KB, 500_000);
     for (cell, lead_rtts) in [("early_2rtt", 2), ("early_5rtt", 5)] {
-        let r = run_with(&scenario, |p| {
-            p.probe_policy = ProbePolicy::Early { lead_rtts }
-        });
-        assert_delivered(cell, &r);
+        let mut s = Scenario::lan(2, 100_000_000, 64 * KB, 500_000);
+        s.protocol.probe_policy = ProbePolicy::Early { lead_rtts };
+        assert_delivered(cell, &s.run());
     }
 }
 
 #[test]
 fn multicast_probes_deliver() {
-    let scenario = Scenario::lan(10, 10_000_000, 64 * KB, 200_000);
-    let r = run_with(&scenario, |p| {
-        p.probe_transport = ProbeTransport::MulticastAbove(3)
-    });
-    assert_delivered("multicast_above_3", &r);
+    let mut s = Scenario::lan(10, 10_000_000, 64 * KB, 200_000);
+    s.protocol.probe_transport = ProbeTransport::MulticastAbove(3);
+    assert_delivered("multicast_above_3", &s.run());
 }
 
 #[test]

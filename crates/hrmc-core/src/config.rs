@@ -1,14 +1,19 @@
 //! Protocol configuration.
 //!
-//! Constants the paper states explicitly default to the paper's values
-//! (MINBUF = 10 RTTs, WARNBUF = 4 RTTs, urgent stop = 2 RTTs, keepalive
-//! cap 2 s, initial update period 50 jiffies, ±1 jiffy adaptation).
-//! Parameters the paper leaves unstated (slow-start initial window, region
-//! thresholds, NAK suppression interval, ...) get TCP-like defaults and
-//! are exposed here so the ablation benches can vary them.
+//! A field exists here only if a caller sets it: a driver, the
+//! benchmark, a figure cell, an ablation or a test. Every other protocol
+//! constant is a named `const` beside the one module that reads it,
+//! citing the paper where the paper states it: WARNBUF and the urgent
+//! stop in [`crate::receiver`] and [`crate::rate`], the 2 s keepalive cap
+//! in [`crate::keepalive`], the 50-jiffy initial update period and its
+//! clamps in [`crate::update`], the NAK suppression interval in
+//! [`crate::nak`]. A constant that a new caller needs to vary comes back
+//! as a field with that caller.
 
 use crate::fec::FecConfig;
-use crate::time::{Micros, JIFFY_US, MS, SEC};
+use crate::receiver::JOIN_RETRY_US;
+use crate::time::{Micros, MS, SEC};
+use crate::update::{MAX_PERIOD_JIFFIES, MIN_PERIOD_JIFFIES};
 
 /// Which reliability architecture the engines run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,12 +35,14 @@ pub enum ReliabilityMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateMode {
     /// H-RMC's adaptive timer (paper §4.3): period starts at
-    /// [`ProtocolConfig::initial_update_period_jiffies`], shrinks by one
-    /// jiffy after a period in which a PROBE arrived, and grows by one
-    /// jiffy after a probe-free period.
+    /// [`INITIAL_PERIOD_JIFFIES`](crate::update::INITIAL_PERIOD_JIFFIES),
+    /// shrinks by one jiffy after a period in which a PROBE arrived, and
+    /// grows by one jiffy after a probe-free period.
     Dynamic,
-    /// A fixed period (the paper's "original design ... fixed
-    /// (0.5 seconds)"), kept for the ablation bench.
+    /// A fixed period in jiffies (the paper's "original design ... fixed
+    /// (0.5 seconds)"), kept for the ablation bench. Must lie within
+    /// [`MIN_PERIOD_JIFFIES`], [`MAX_PERIOD_JIFFIES`], the clamps of the
+    /// dynamic timer.
     Fixed(u64),
     /// No updates at all (RMC baseline).
     Disabled,
@@ -114,65 +121,12 @@ pub struct ProtocolConfig {
     /// Hard cap on the transmission rate in bytes/second (the sender does
     /// not know the link speed; drivers may lower this to model one).
     pub max_rate: u64,
-    /// Slow-start threshold as a fraction of `max_rate` at connection
-    /// start; above it growth turns linear (congestion avoidance).
-    pub initial_ssthresh_fraction: f64,
-    /// Linear-increase step in bytes/second applied once per RTT during
-    /// congestion avoidance.
-    pub linear_increase_per_rtt: u64,
-    /// Stop duration after an urgent rate request, in RTTs. Paper §2
-    /// rule 3: "stop forward transmission for two round-trip times".
-    pub urgent_stop_rtts: u32,
-    /// Minimum spacing between rate halvings, in RTTs: several NAKs from
-    /// one loss burst count as one congestion event (TCP-style).
-    pub halving_min_interval_rtts: f64,
-
-    // ------------------------------------------------------------------
-    // Receiver flow control (paper Figure 2 regions)
-    // ------------------------------------------------------------------
-    /// Receive-window occupancy at which the warning region begins.
-    pub warn_threshold: f64,
-    /// Receive-window occupancy at which the critical region begins.
-    pub critical_threshold: f64,
-    /// Rate rule 2 look-ahead in RTTs. Paper §2: "the amount of data that
-    /// may be sent at the advertised rate for the next WARNBUF (currently
-    /// set to 4) round-trip times".
-    pub warnbuf_rtts: u32,
-    /// Minimum spacing between CONTROL packets from one receiver, in RTTs.
-    pub control_min_interval_rtts: f64,
-
-    // ------------------------------------------------------------------
-    // NAKs
-    // ------------------------------------------------------------------
-    /// Local NAK suppression interval in RTTs: a NAK for a given gap is
-    /// not repeated until the sender has had this long to respond.
-    pub nak_suppress_rtts: f64,
-    /// Floor for the NAK suppression interval (guards tiny RTT estimates).
-    pub nak_suppress_floor: Micros,
-    /// Period of the receiver's NAK manager timer in jiffies.
-    pub nak_timer_jiffies: u64,
-
-    // ------------------------------------------------------------------
-    // Keepalives
-    // ------------------------------------------------------------------
-    /// Initial keepalive delay in microseconds; doubles while idle.
-    pub keepalive_initial: Micros,
-    /// Exponential-backoff cap. Paper §2: "up to a maximum delay
-    /// (currently 2 seconds)".
-    pub keepalive_max: Micros,
 
     // ------------------------------------------------------------------
     // Updates (H-RMC)
     // ------------------------------------------------------------------
     /// Update timer behaviour; see [`UpdateMode`].
     pub update_mode: UpdateMode,
-    /// Initial update period in jiffies. Paper §4.3: "initially set at 50
-    /// jiffies".
-    pub initial_update_period_jiffies: u64,
-    /// Lower clamp for the adaptive update period, in jiffies.
-    pub min_update_period_jiffies: u64,
-    /// Upper clamp for the adaptive update period, in jiffies.
-    pub max_update_period_jiffies: u64,
 
     // ------------------------------------------------------------------
     // Probes (H-RMC)
@@ -181,8 +135,6 @@ pub struct ProtocolConfig {
     pub probe_policy: ProbePolicy,
     /// How to transport probes; see [`ProbeTransport`].
     pub probe_transport: ProbeTransport,
-    /// Re-probe interval for an unanswered probe, in RTTs.
-    pub probe_retry_rtts: f64,
     /// Cap on unicast PROBEs emitted per tick. `0` (the default) probes
     /// every eligible laggard each tick — the published protocol. Above
     /// the cap, the sender round-robins through the laggard set across
@@ -196,17 +148,14 @@ pub struct ProtocolConfig {
     // ------------------------------------------------------------------
     /// RTT estimate before any sample has been taken.
     pub initial_rtt: Micros,
-    /// Floor for the RTT estimate.
-    pub min_rtt: Micros,
 
     // ------------------------------------------------------------------
     // Connection management
     // ------------------------------------------------------------------
-    /// JOIN retry interval while unconfirmed (the initial backoff step).
-    pub join_retry: Micros,
-    /// Cap for the JOIN retry exponential backoff. Defaults to
-    /// `join_retry`, which degenerates to the original fixed-interval
-    /// retry; raise it to spread retries out on lossy paths.
+    /// Cap for the JOIN retry exponential backoff, whose first step is
+    /// [`JOIN_RETRY_US`]. Defaults to that step, which degenerates to the
+    /// original fixed-interval retry; raise it to spread retries out on
+    /// lossy paths.
     pub join_retry_max: Micros,
     /// Maximum JOIN attempts before the receiver gives up and reports
     /// [`SessionFailed`](crate::events::ReceiverEvent::SessionFailed).
@@ -237,10 +186,10 @@ pub struct ProtocolConfig {
     /// outstanding for them). `0` disables silence-based ejection.
     pub member_silence_us: Micros,
     /// Receiver-side sender-death detection: declare the session failed
-    /// after `keepalive_max × this factor` of sender silence. An alive
-    /// but idle sender keeps the line warm at `keepalive_max` intervals,
-    /// so any factor ≥ 2 tolerates lost keepalives. `0` disables death
-    /// detection.
+    /// after [`KEEPALIVE_MAX_US`](crate::keepalive::KEEPALIVE_MAX_US) ×
+    /// this factor of sender silence. An alive but idle sender keeps the
+    /// line warm at that interval, so any factor ≥ 2 tolerates lost
+    /// keepalives. `0` disables death detection.
     pub sender_death_factor: u32,
 
     // ------------------------------------------------------------------
@@ -262,11 +211,6 @@ pub struct ProtocolConfig {
     /// centralized recovery: "Recovery of lost packets is centralized:
     /// the sender is solely responsible for retransmitting data."
     pub local_recovery: bool,
-    /// Sender hold-back before serving a NAK when local recovery is on,
-    /// in RTTs — the window in which a peer repair can win: first-slot
-    /// repair (~0.5 RTT) + healing (~0.5 RTT) + the requester's recovery
-    /// UPDATE (~0.5 RTT) plus margin.
-    pub local_repair_wait_rtts: f64,
 }
 
 impl Default for ProtocolConfig {
@@ -280,31 +224,12 @@ impl Default for ProtocolConfig {
             anonymous_release_hold: 2 * SEC,
             min_rate: 64 * 1024,
             max_rate: 1 << 40,
-            initial_ssthresh_fraction: 1.0,
-            linear_increase_per_rtt: 64 * 1024,
-            urgent_stop_rtts: 2,
-            halving_min_interval_rtts: 1.0,
-            warn_threshold: 0.50,
-            critical_threshold: 0.90,
-            warnbuf_rtts: 4,
-            control_min_interval_rtts: 1.0,
-            nak_suppress_rtts: 1.5,
-            nak_suppress_floor: 2 * MS,
-            nak_timer_jiffies: 1,
-            keepalive_initial: 20 * JIFFY_US,
-            keepalive_max: 2 * SEC,
             update_mode: UpdateMode::Dynamic,
-            initial_update_period_jiffies: 50,
-            min_update_period_jiffies: 2,
-            max_update_period_jiffies: 500,
             probe_policy: ProbePolicy::AtRelease,
             probe_transport: ProbeTransport::Unicast,
-            probe_retry_rtts: 2.0,
             probe_batch_limit: 0,
             initial_rtt: 10 * MS,
-            min_rtt: 100,
-            join_retry: 200 * MS,
-            join_retry_max: 200 * MS,
+            join_retry_max: JOIN_RETRY_US,
             join_retry_limit: 0,
             join_jitter: 0.0,
             probe_failure_limit: 0,
@@ -312,7 +237,6 @@ impl Default for ProtocolConfig {
             sender_death_factor: 0,
             fec: None,
             local_recovery: false,
-            local_repair_wait_rtts: 4.0,
         }
     }
 }
@@ -378,25 +302,22 @@ impl ProtocolConfig {
         if self.sndbuf < self.segment_size || self.rcvbuf < self.segment_size {
             return Err("buffers must hold at least one segment".into());
         }
-        if !(0.0..=1.0).contains(&self.warn_threshold)
-            || !(0.0..=1.0).contains(&self.critical_threshold)
-            || self.warn_threshold > self.critical_threshold
-        {
-            return Err("region thresholds must satisfy 0 <= warn <= critical <= 1".into());
-        }
         if self.min_rate == 0 || self.min_rate > self.max_rate {
             return Err("rates must satisfy 0 < min_rate <= max_rate".into());
         }
-        if self.min_update_period_jiffies == 0
-            || self.min_update_period_jiffies > self.max_update_period_jiffies
-        {
-            return Err("update period clamps must satisfy 0 < min <= max".into());
+        if let UpdateMode::Fixed(j) = self.update_mode {
+            if !(MIN_PERIOD_JIFFIES..=MAX_PERIOD_JIFFIES).contains(&j) {
+                return Err(format!(
+                    "UpdateMode::Fixed({j}) must lie within \
+                     [{MIN_PERIOD_JIFFIES}, {MAX_PERIOD_JIFFIES}] jiffies"
+                ));
+            }
         }
         if self.mode == ReliabilityMode::RmcNakOnly && self.update_mode != UpdateMode::Disabled {
             return Err("RMC mode requires UpdateMode::Disabled".into());
         }
-        if self.join_retry_max < self.join_retry {
-            return Err("join_retry_max must be >= join_retry".into());
+        if self.join_retry_max < JOIN_RETRY_US {
+            return Err(format!("join_retry_max must be >= {JOIN_RETRY_US} µs"));
         }
         if !(0.0..=1.0).contains(&self.join_jitter) {
             return Err("join_jitter must be within [0, 1]".into());
@@ -416,10 +337,10 @@ mod tests {
     fn defaults_match_paper_constants() {
         let c = ProtocolConfig::default();
         assert_eq!(c.minbuf_rtts, 10); // MINBUF
-        assert_eq!(c.warnbuf_rtts, 4); // WARNBUF
-        assert_eq!(c.urgent_stop_rtts, 2);
-        assert_eq!(c.keepalive_max, 2_000_000); // 2 s cap
-        assert_eq!(c.initial_update_period_jiffies, 50); // 0.5 s
+        assert_eq!(crate::receiver::WARNBUF_RTTS, 4.0); // WARNBUF
+        assert_eq!(crate::rate::URGENT_STOP_RTTS, 2);
+        assert_eq!(crate::keepalive::KEEPALIVE_MAX_US, 2_000_000); // 2 s cap
+        assert_eq!(crate::update::INITIAL_PERIOD_JIFFIES, 50); // 0.5 s
         assert!(c.validate().is_ok());
     }
 
@@ -458,11 +379,6 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = ProtocolConfig::default();
-        c.warn_threshold = 0.95;
-        c.critical_threshold = 0.5;
-        assert!(c.validate().is_err());
-
-        let mut c = ProtocolConfig::default();
         c.min_rate = 0;
         assert!(c.validate().is_err());
 
@@ -470,12 +386,19 @@ mod tests {
         c.mode = ReliabilityMode::RmcNakOnly; // but updates left on
         assert!(c.validate().is_err());
 
+        // A fixed update period outside the dynamic timer's clamps is an
+        // error; both ablation cells (5 and 50 jiffies) are inside.
         let mut c = ProtocolConfig::default();
-        c.min_update_period_jiffies = 1000;
-        assert!(c.validate().is_err());
+        for (j, ok) in [(0, false), (1000, false), (5, true), (50, true)] {
+            c.update_mode = UpdateMode::Fixed(j);
+            assert_eq!(c.validate().is_ok(), ok, "Fixed({j})");
+        }
+        c.update_mode = UpdateMode::Fixed(0);
+        let msg = c.validate().unwrap_err();
+        assert!(msg.contains("[2, 500]"), "{msg}");
 
         let mut c = ProtocolConfig::default();
-        c.join_retry_max = c.join_retry - 1;
+        c.join_retry_max = JOIN_RETRY_US - 1;
         assert!(c.validate().is_err());
 
         let mut c = ProtocolConfig::default();
@@ -492,7 +415,7 @@ mod tests {
         assert_eq!(c.member_silence_us, 0);
         assert_eq!(c.sender_death_factor, 0);
         assert_eq!(c.join_retry_limit, 0);
-        assert_eq!(c.join_retry_max, c.join_retry);
+        assert_eq!(c.join_retry_max, JOIN_RETRY_US);
         assert!(c.validate().is_ok());
     }
 }

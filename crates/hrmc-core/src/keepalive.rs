@@ -13,15 +13,20 @@
 //! other periods when the window cannot be advanced" (paper §4.2), which
 //! falls out naturally: any lull in data/retransmission traffic arms it.
 
-use crate::time::Micros;
+use crate::time::{Micros, JIFFY_US, SEC};
+
+/// Delay before the first keepalive after activity; doubles per firing.
+pub(crate) const KEEPALIVE_INITIAL_US: Micros = 20 * JIFFY_US;
+
+/// Exponential-backoff cap. Paper §2: "up to a maximum delay (currently
+/// 2 seconds)".
+pub const KEEPALIVE_MAX_US: Micros = 2 * SEC;
 
 /// Exponential-backoff keepalive timer.
 #[derive(Debug, Clone)]
 pub struct KeepaliveController {
     /// Current delay before the next keepalive.
     delay: Micros,
-    initial_delay: Micros,
-    max_delay: Micros,
     /// When the last data, retransmission, or keepalive left the sender.
     last_activity: Micros,
     /// Total keepalives fired (stat).
@@ -30,11 +35,9 @@ pub struct KeepaliveController {
 
 impl KeepaliveController {
     /// Create a controller; the clock starts at `now`.
-    pub fn new(initial_delay: Micros, max_delay: Micros, now: Micros) -> KeepaliveController {
+    pub fn new(now: Micros) -> KeepaliveController {
         KeepaliveController {
-            delay: initial_delay,
-            initial_delay,
-            max_delay,
+            delay: KEEPALIVE_INITIAL_US,
             last_activity: now,
             keepalives_fired: 0,
         }
@@ -43,7 +46,7 @@ impl KeepaliveController {
     /// Record data or retransmission traffic: resets the backoff.
     pub fn on_activity(&mut self, now: Micros) {
         self.last_activity = now;
-        self.delay = self.initial_delay;
+        self.delay = KEEPALIVE_INITIAL_US;
     }
 
     /// Poll the timer. Returns `true` when a KEEPALIVE should be sent;
@@ -53,7 +56,7 @@ impl KeepaliveController {
             return false;
         }
         self.last_activity = now;
-        self.delay = (self.delay * 2).min(self.max_delay);
+        self.delay = (self.delay * 2).min(KEEPALIVE_MAX_US);
         self.keepalives_fired += 1;
         true
     }
@@ -75,7 +78,7 @@ mod tests {
 
     #[test]
     fn quiet_line_fires_keepalive() {
-        let mut k = KeepaliveController::new(200_000, 2_000_000, 0);
+        let mut k = KeepaliveController::new(0);
         assert!(!k.poll(199_999));
         assert!(k.poll(200_000));
         assert_eq!(k.keepalives_fired, 1);
@@ -83,7 +86,7 @@ mod tests {
 
     #[test]
     fn backoff_doubles_to_cap() {
-        let mut k = KeepaliveController::new(200_000, 2_000_000, 0);
+        let mut k = KeepaliveController::new(0);
         let mut delays = Vec::new();
         for _ in 0..6 {
             let now = k.next_fire();
@@ -98,7 +101,7 @@ mod tests {
 
     #[test]
     fn activity_resets_backoff() {
-        let mut k = KeepaliveController::new(200_000, 2_000_000, 0);
+        let mut k = KeepaliveController::new(0);
         for _ in 0..5 {
             let t = k.next_fire();
             k.poll(t);
@@ -112,7 +115,7 @@ mod tests {
 
     #[test]
     fn data_traffic_suppresses_keepalives() {
-        let mut k = KeepaliveController::new(200_000, 2_000_000, 0);
+        let mut k = KeepaliveController::new(0);
         // Activity every 100 ms keeps the timer from ever firing.
         for i in 1..100u64 {
             k.on_activity(i * 100_000);

@@ -14,7 +14,21 @@
 
 use std::collections::BTreeMap;
 
-use crate::time::Micros;
+use crate::time::{scale, Micros, MS};
+
+/// Local NAK suppression interval in RTTs: a NAK for a given gap is not
+/// repeated until the sender has had this long to respond.
+const SUPPRESS_RTTS: f64 = 1.5;
+
+/// Floor for the suppression interval (guards tiny RTT estimates).
+const SUPPRESS_FLOOR_US: Micros = 2 * MS;
+
+/// The local NAK suppression interval at round-trip time `rtt`: the
+/// `suppress` argument of [`NakManager::due`] and
+/// [`NakManager::next_due`].
+pub(crate) fn suppress_interval(rtt: Micros) -> Micros {
+    scale(rtt, SUPPRESS_RTTS).max(SUPPRESS_FLOOR_US)
+}
 
 /// State of one missing sequence number.
 #[derive(Debug, Clone, Copy)]
@@ -278,6 +292,12 @@ mod tests {
         assert_eq!(m.due(2_000, 1_000), vec![(2, 2)]);
         // The forced entries' suppression clocks restarted at 1500.
         assert_eq!(m.due(2_500, 1_000), vec![(0, 2)]);
+    }
+
+    #[test]
+    fn suppress_interval_scales_rtt_above_a_floor() {
+        assert_eq!(suppress_interval(10_000), 15_000);
+        assert_eq!(suppress_interval(100), SUPPRESS_FLOOR_US);
     }
 
     #[test]

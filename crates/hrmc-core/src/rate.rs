@@ -36,6 +36,18 @@ use crate::time::{scale, Micros, MS};
 /// second whatever its rate instead of once per packet.
 pub const PACING_QUANTUM_US: Micros = MS;
 
+/// Linear-increase step in bytes/second, applied once per RTT during
+/// congestion avoidance.
+const LINEAR_INCREASE_PER_RTT: u64 = 64 * 1024;
+
+/// Minimum spacing between rate halvings, in RTTs: several NAKs from one
+/// loss burst count as one congestion event (TCP-style).
+const HALVING_MIN_INTERVAL_RTTS: f64 = 1.0;
+
+/// Stop duration after an urgent rate request, in RTTs. Paper §2 rule 3:
+/// "stop forward transmission for two round-trip times".
+pub(crate) const URGENT_STOP_RTTS: u64 = 2;
+
 /// Growth phase of the transmission rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RatePhase {
@@ -58,14 +70,11 @@ pub struct RateController {
     ssthresh: u64,
     min_rate: u64,
     max_rate: u64,
-    linear_step: u64,
     phase: RatePhase,
     /// Last time the rate was grown (growth applied once per RTT).
     last_growth: Micros,
     /// Last time the rate was halved (congestion events deduplicated).
     last_halving: Option<Micros>,
-    halving_min_interval_rtts: f64,
-    urgent_stop_rtts: u32,
     /// Fractional-byte budget accumulator (microsecond-rate products).
     credit_us_bytes: u128,
     /// Overdraft to repay before new credit accrues: the transmitter may
@@ -84,28 +93,17 @@ pub struct RateController {
 
 impl RateController {
     /// Create a controller starting at `min_rate` in slow start at `now`.
-    pub fn new(
-        min_rate: u64,
-        max_rate: u64,
-        initial_ssthresh_fraction: f64,
-        linear_step: u64,
-        halving_min_interval_rtts: f64,
-        urgent_stop_rtts: u32,
-        now: Micros,
-    ) -> RateController {
-        let ssthresh =
-            ((max_rate as f64 * initial_ssthresh_fraction) as u64).clamp(min_rate, max_rate);
+    /// Slow start runs until the rate reaches `max_rate` or the first
+    /// congestion event, whichever comes first.
+    pub fn new(min_rate: u64, max_rate: u64, now: Micros) -> RateController {
         RateController {
             rate: min_rate,
-            ssthresh,
+            ssthresh: max_rate,
             min_rate,
             max_rate,
-            linear_step,
             phase: RatePhase::SlowStart,
             last_growth: now,
             last_halving: None,
-            halving_min_interval_rtts,
-            urgent_stop_rtts,
             credit_us_bytes: 0,
             deficit_us_bytes: 0,
             last_budget: now,
@@ -157,7 +155,7 @@ impl RateController {
                     }
                 }
                 RatePhase::CongestionAvoidance => {
-                    self.rate = (self.rate + self.linear_step).min(self.max_rate);
+                    self.rate = (self.rate + LINEAR_INCREASE_PER_RTT).min(self.max_rate);
                 }
                 RatePhase::Stopped { .. } => unreachable!("handled above"),
             }
@@ -165,14 +163,14 @@ impl RateController {
     }
 
     /// React to a NAK or warning rate request: halve the rate (at most
-    /// once per `halving_min_interval_rtts`) and begin linear increase.
+    /// once per RTT) and begin linear increase.
     /// `suggested` is the rate the receiver proposed in the CONTROL
     /// packet's rate-advertisement field, if any.
     pub fn on_congestion(&mut self, now: Micros, rtt: Micros, suggested: Option<u64>) {
         if self.is_stopped(now) {
             return; // already fully stopped; nothing softer applies
         }
-        let min_gap = scale(rtt, self.halving_min_interval_rtts);
+        let min_gap = scale(rtt, HALVING_MIN_INTERVAL_RTTS);
         if let Some(last) = self.last_halving {
             if now.saturating_sub(last) < min_gap {
                 return; // same congestion event
@@ -194,10 +192,9 @@ impl RateController {
     }
 
     /// React to an urgent rate request: stop forward transmission for
-    /// `urgent_stop_rtts` RTTs; on resume, restart from the minimum rate
-    /// in slow start.
+    /// two RTTs; on resume, restart from the minimum rate in slow start.
     pub fn on_urgent(&mut self, now: Micros, rtt: Micros) {
-        let until = now + (rtt.max(1)) * self.urgent_stop_rtts as u64;
+        let until = now + (rtt.max(1)) * URGENT_STOP_RTTS;
         match self.phase {
             // Extend an in-force stop rather than resetting counters.
             RatePhase::Stopped { until: cur } if cur >= until => {}
@@ -297,7 +294,7 @@ mod tests {
     use super::*;
 
     fn ctl(now: Micros) -> RateController {
-        RateController::new(64_000, 10_000_000, 1.0, 64_000, 1.0, 2, now)
+        RateController::new(64_000, 10_000_000, now)
     }
 
     #[test]
@@ -337,7 +334,7 @@ mod tests {
         assert_eq!(c.phase(), RatePhase::CongestionAvoidance);
         // Next RTT grows linearly, not exponentially.
         c.on_tick(110_000, 10_000);
-        assert_eq!(c.rate(), before / 2 + 64_000);
+        assert_eq!(c.rate(), before / 2 + LINEAR_INCREASE_PER_RTT);
     }
 
     #[test]
@@ -447,7 +444,7 @@ mod tests {
         c.overdraw(1_356);
         assert_eq!(c.pacing_deadline(1_000, rtt, 10_000, 1_420), 1_000 + 43_375);
         // At a high rate the quantum is a millisecond of it, not a packet.
-        let mut fast = RateController::new(8_000_000, 8_000_000, 1.0, 0, 1.0, 2, 0);
+        let mut fast = RateController::new(8_000_000, 8_000_000, 0);
         assert_eq!(fast.budget(500, 10_000), 4_000);
         assert_eq!(fast.pacing_deadline(500, rtt, 10_000, 1_420), 1_500);
         // An urgent stop gates until it ends.

@@ -21,14 +21,29 @@ use std::collections::BTreeMap;
 use crate::config::{ProtocolConfig, UpdateMode};
 use crate::events::ReceiverEvent;
 use crate::fec::FecDecoder;
-use crate::nak::NakManager;
+use crate::keepalive::KEEPALIVE_MAX_US;
+use crate::nak::{suppress_interval, NakManager};
 use crate::obs::emit;
 use crate::obs::{Event, NakTrigger, ProtocolObserver};
+use crate::rate::URGENT_STOP_RTTS;
+use crate::rtt::MIN_RTT_US;
 use crate::rxwindow::{unwrap_seq, Offer, ReceiveWindow, Region};
 use crate::stats::ReceiverStats;
-use crate::time::{scale, Micros, JIFFY_US};
+use crate::time::{scale, Micros, JIFFY_US, MS};
 use crate::update::UpdateGenerator;
 use crate::{Dest, Outgoing};
+
+/// Rate rule 2 look-ahead in RTTs. Paper §2: "the amount of data that may
+/// be sent at the advertised rate for the next WARNBUF (currently set to
+/// 4) round-trip times".
+pub(crate) const WARNBUF_RTTS: f64 = 4.0;
+
+/// Minimum spacing between warning CONTROL packets, in RTTs.
+const CONTROL_MIN_INTERVAL_RTTS: f64 = 1.0;
+
+/// JOIN retry interval while unconfirmed: the first step of the backoff
+/// that [`ProtocolConfig::join_retry_max`] caps.
+pub const JOIN_RETRY_US: Micros = 200 * MS;
 
 /// JOIN handshake progress.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +84,7 @@ pub struct ReceiverEngine {
     /// JOINs sent since the last confirmation (bounded by
     /// `join_retry_limit` when nonzero).
     join_attempts: u32,
-    /// Current JOIN retry backoff; starts at `join_retry`, doubles per
+    /// Current JOIN retry backoff; starts at [`JOIN_RETRY_US`], doubles per
     /// retry up to `join_retry_max`.
     join_delay: Micros,
     /// When we last heard anything sender-originated (death detection).
@@ -117,19 +132,8 @@ impl ReceiverEngine {
         now: Micros,
     ) -> ReceiverEngine {
         config.validate().expect("invalid ProtocolConfig");
-        let window = ReceiveWindow::new(
-            config.rcvbuf,
-            config.segment_size,
-            config.warn_threshold,
-            config.critical_threshold,
-        );
-        let updates = UpdateGenerator::new(
-            config.update_mode,
-            config.initial_update_period_jiffies,
-            config.min_update_period_jiffies,
-            config.max_update_period_jiffies,
-            now,
-        );
+        let window = ReceiveWindow::new(config.rcvbuf, config.segment_size);
+        let updates = UpdateGenerator::new(config.update_mode, now);
         let fec = config.fec.map(|f| FecDecoder::new(8 * f.k.max(4)));
         let repair_cache = config.local_recovery.then(BTreeMap::new);
         ReceiverEngine {
@@ -142,7 +146,7 @@ impl ReceiverEngine {
             last_recovery_update: None,
             join: JoinState::Idle,
             join_attempts: 0,
-            join_delay: config.join_retry,
+            join_delay: JOIN_RETRY_US,
             last_sender_heard: None,
             failed: false,
             leaving: false,
@@ -594,10 +598,10 @@ impl ReceiverEngine {
     fn on_join_response(&mut self, _pkt: &Packet, now: Micros) {
         if let JoinState::Sent { at, .. } = self.join {
             // The handshake round trip is the receiver's RTT sample.
-            self.rtt = now.saturating_sub(at).max(self.config.min_rtt);
+            self.rtt = now.saturating_sub(at).max(MIN_RTT_US);
             self.join = JoinState::Confirmed;
             self.join_attempts = 0;
-            self.join_delay = self.config.join_retry;
+            self.join_delay = JOIN_RETRY_US;
             self.events.push_back(ReceiverEvent::Joined);
             emit!(self, now, Event::Joined { rtt_us: self.rtt });
         }
@@ -728,10 +732,10 @@ impl ReceiverEngine {
             // would overrun the free window within WARNBUF RTTs at the
             // advertised rate.
             Region::Warning => {
-                let lookahead_bytes = self.advertised_rate as f64
-                    * (self.config.warnbuf_rtts as f64 * self.rtt as f64 / 1_000_000.0);
+                let lookahead_bytes =
+                    self.advertised_rate as f64 * (WARNBUF_RTTS * self.rtt as f64 / 1_000_000.0);
                 if lookahead_bytes > self.window.free_bytes() as f64 {
-                    let min_gap = scale(self.rtt, self.config.control_min_interval_rtts);
+                    let min_gap = scale(self.rtt, CONTROL_MIN_INTERVAL_RTTS);
                     if self
                         .last_control
                         .is_none_or(|t| now.saturating_sub(t) >= min_gap)
@@ -744,7 +748,7 @@ impl ReceiverEngine {
             // Rule 3: critical region — urgent request, which stops
             // forward transmission for two RTTs regardless of rate.
             Region::Critical => {
-                let min_gap = scale(self.rtt, self.config.urgent_stop_rtts as f64);
+                let min_gap = scale(self.rtt, URGENT_STOP_RTTS as f64);
                 if self
                     .last_urgent
                     .is_none_or(|t| now.saturating_sub(t) >= min_gap)
@@ -767,7 +771,7 @@ impl ReceiverEngine {
             return; // terminal: every timer is disarmed
         }
 
-        // Sender-death detection: silence beyond keepalive_max × factor
+        // Sender-death detection: silence beyond KEEPALIVE_MAX_US × factor
         // means even a fully backed-off keepalive line went quiet.
         if let Some(deadline) = self.death_deadline() {
             if now >= deadline {
@@ -777,9 +781,7 @@ impl ReceiverEngine {
         }
 
         // NAK manager: re-send suppressed NAKs whose interval lapsed.
-        let suppress =
-            scale(self.rtt, self.config.nak_suppress_rtts).max(self.config.nak_suppress_floor);
-        let due = self.naks.due(now, suppress);
+        let due = self.naks.due(now, suppress_interval(self.rtt));
         self.send_naks(&due, now, NakTrigger::Timer);
 
         // Update generator.
@@ -818,7 +820,7 @@ impl ReceiverEngine {
             return None;
         }
         let heard = self.last_sender_heard?;
-        Some(heard + self.config.keepalive_max * u64::from(self.config.sender_death_factor))
+        Some(heard + KEEPALIVE_MAX_US * u64::from(self.config.sender_death_factor))
     }
 
     /// Absolute time of the earliest armed timer [`on_tick`] would act
@@ -836,9 +838,7 @@ impl ReceiverEngine {
         let mut next: Option<Micros> = None;
         let mut arm = |t: Micros| next = Some(next.map_or(t, |cur| cur.min(t)));
 
-        let suppress =
-            scale(self.rtt, self.config.nak_suppress_rtts).max(self.config.nak_suppress_floor);
-        if let Some(t) = self.naks.next_due(suppress) {
+        if let Some(t) = self.naks.next_due(suppress_interval(self.rtt)) {
             arm(t);
         }
         if self.window.attached() && self.config.update_mode != UpdateMode::Disabled {
@@ -1000,8 +1000,7 @@ impl ReceiverEngine {
         pkt.header.flags.urg = urgent;
         // Suggest the rate at which the free window would last WARNBUF
         // round trips.
-        let window_secs =
-            (self.config.warnbuf_rtts as f64 * self.rtt as f64 / 1_000_000.0).max(1e-6);
+        let window_secs = (WARNBUF_RTTS * self.rtt as f64 / 1_000_000.0).max(1e-6);
         pkt.header.rate_adv = ((self.window.free_bytes() as f64 / window_secs) as u64)
             .min(u64::from(u32::MAX)) as u32;
         self.stats.rate_requests_sent += 1;
@@ -1127,7 +1126,7 @@ mod tests {
         let mut r = engine();
         r.handle_packet(&data(0, 100), 0);
         drain(&mut r);
-        r.on_tick(100_000); // before join_retry (200 ms)
+        r.on_tick(100_000); // before JOIN_RETRY_US (200 ms)
         assert!(drain(&mut r).is_empty());
         r.on_tick(200_000);
         let out = drain(&mut r);

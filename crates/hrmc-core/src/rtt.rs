@@ -23,23 +23,23 @@ use crate::time::Micros;
 const GAIN_UP: f64 = 0.5;
 /// Slow gain applied when a sample is below the estimate (decay cautiously).
 const GAIN_DOWN: f64 = 1.0 / 16.0;
+/// Floor for every RTT estimate and sample, sender and receiver alike.
+pub(crate) const MIN_RTT_US: Micros = 100;
 
 /// Karn-style RTT estimator biased toward the most distant receiver.
 #[derive(Debug, Clone)]
 pub struct RttEstimator {
     srtt: f64,
-    min_rtt: Micros,
     samples_taken: u64,
     samples_discarded: u64,
 }
 
 impl RttEstimator {
     /// Create an estimator seeded with `initial` (used until the first
-    /// valid sample) and floored at `min_rtt`.
-    pub fn new(initial: Micros, min_rtt: Micros) -> RttEstimator {
+    /// valid sample) and floored at 100 µs.
+    pub fn new(initial: Micros) -> RttEstimator {
         RttEstimator {
-            srtt: initial.max(min_rtt) as f64,
-            min_rtt,
+            srtt: initial.max(MIN_RTT_US) as f64,
             samples_taken: 0,
             samples_discarded: 0,
         }
@@ -48,7 +48,7 @@ impl RttEstimator {
     /// Current smoothed estimate in microseconds.
     #[inline]
     pub fn rtt(&self) -> Micros {
-        (self.srtt as u64).max(self.min_rtt)
+        (self.srtt as u64).max(MIN_RTT_US)
     }
 
     /// Absorb a measured sample. `tries` is the retransmission counter of
@@ -59,7 +59,7 @@ impl RttEstimator {
             self.samples_discarded += 1;
             return;
         }
-        let s = rtt.max(self.min_rtt) as f64;
+        let s = rtt.max(MIN_RTT_US) as f64;
         let gain = if s > self.srtt { GAIN_UP } else { GAIN_DOWN };
         if self.samples_taken == 0 {
             // First valid sample replaces the configured seed outright.
@@ -92,7 +92,7 @@ mod tests {
 
     #[test]
     fn seed_until_first_sample() {
-        let mut e = RttEstimator::new(10_000, 100);
+        let mut e = RttEstimator::new(10_000);
         assert!(e.is_seed());
         assert_eq!(e.rtt(), 10_000);
         e.sample(4_000, 0);
@@ -102,7 +102,7 @@ mod tests {
 
     #[test]
     fn karn_discards_retransmitted_samples() {
-        let mut e = RttEstimator::new(10_000, 100);
+        let mut e = RttEstimator::new(10_000);
         e.sample(4_000, 0);
         e.sample(400_000, 3); // retransmitted: ignored
         assert_eq!(e.rtt(), 4_000);
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn rises_fast_toward_distant_receiver() {
-        let mut e = RttEstimator::new(1_000, 100);
+        let mut e = RttEstimator::new(1_000);
         e.sample(2_000, 0);
         // A receiver 50 ms away appears; within a few samples the estimate
         // must be most of the way there.
@@ -124,7 +124,7 @@ mod tests {
 
     #[test]
     fn decays_slowly_when_samples_drop() {
-        let mut e = RttEstimator::new(1_000, 100);
+        let mut e = RttEstimator::new(1_000);
         e.sample(100_000, 0);
         // One small sample must barely dent the worst-case estimate.
         e.sample(2_000, 0);
@@ -138,17 +138,17 @@ mod tests {
 
     #[test]
     fn floor_is_respected() {
-        let mut e = RttEstimator::new(50, 100);
-        assert_eq!(e.rtt(), 100);
+        let mut e = RttEstimator::new(50);
+        assert_eq!(e.rtt(), MIN_RTT_US);
         e.sample(1, 0);
-        assert_eq!(e.rtt(), 100);
+        assert_eq!(e.rtt(), MIN_RTT_US);
     }
 
     #[test]
     fn alternating_near_and_far_receivers_track_far() {
         // Samples alternate between a 2 ms LAN receiver and a 100 ms WAN
         // receiver; the estimate must sit near the WAN RTT.
-        let mut e = RttEstimator::new(10_000, 100);
+        let mut e = RttEstimator::new(10_000);
         for _ in 0..50 {
             e.sample(2_000, 0);
             e.sample(100_000, 0);

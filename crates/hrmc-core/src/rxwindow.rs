@@ -25,6 +25,15 @@ use std::collections::{BTreeMap, VecDeque};
 use bytes::Bytes;
 use hrmc_wire::Seq;
 
+/// Receive-window occupancy at which the warning region begins.
+const WARN_THRESHOLD: f64 = 0.50;
+
+/// Receive-window occupancy at which the critical region begins.
+const CRITICAL_THRESHOLD: f64 = 0.90;
+
+const _: () = assert!(0.0 <= WARN_THRESHOLD && WARN_THRESHOLD <= CRITICAL_THRESHOLD);
+const _: () = assert!(CRITICAL_THRESHOLD <= 1.0);
+
 /// Flow-control region of the receive window (paper Figure 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Region {
@@ -82,8 +91,6 @@ pub struct ReceiveWindow {
     /// Window span in packets (`rcv_wnd_size`): offers at or beyond
     /// `next + span` land in region R4 and are rejected.
     span: u64,
-    warn_threshold: f64,
-    critical_threshold: f64,
     /// Total in-order bytes ever delivered to `ready` (stat).
     pub total_bytes_assembled: u64,
     /// Duplicates dropped (stat).
@@ -97,12 +104,7 @@ pub struct ReceiveWindow {
 impl ReceiveWindow {
     /// Create a window of `capacity` bytes. `segment_size` sets the packet
     /// span of region R3 (`rcv_wnd_size = capacity / segment_size`).
-    pub fn new(
-        capacity: usize,
-        segment_size: usize,
-        warn_threshold: f64,
-        critical_threshold: f64,
-    ) -> ReceiveWindow {
+    pub fn new(capacity: usize, segment_size: usize) -> ReceiveWindow {
         ReceiveWindow {
             ready: VecDeque::new(),
             front_offset: 0,
@@ -112,8 +114,6 @@ impl ReceiveWindow {
             buffered: 0,
             capacity,
             span: ((capacity / segment_size.max(1)).max(2)) as u64,
-            warn_threshold,
-            critical_threshold,
             total_bytes_assembled: 0,
             duplicates: 0,
             beyond_window_drops: 0,
@@ -171,9 +171,9 @@ impl ReceiveWindow {
     /// Current flow-control region.
     pub fn region(&self) -> Region {
         let occ = self.occupancy();
-        if occ >= self.critical_threshold {
+        if occ >= CRITICAL_THRESHOLD {
             Region::Critical
-        } else if occ >= self.warn_threshold {
+        } else if occ >= WARN_THRESHOLD {
             Region::Warning
         } else {
             Region::Safe
@@ -354,7 +354,7 @@ mod tests {
     use super::*;
 
     fn window() -> ReceiveWindow {
-        ReceiveWindow::new(10_000, 1_000, 0.5, 0.9)
+        ReceiveWindow::new(10_000, 1_000)
     }
 
     fn b(n: usize) -> Bytes {
@@ -443,7 +443,7 @@ mod tests {
 
     #[test]
     fn overflow_rejected_by_bytes() {
-        let mut w = ReceiveWindow::new(2_500, 1_000, 0.5, 0.9);
+        let mut w = ReceiveWindow::new(2_500, 1_000);
         assert_eq!(w.offer(0, b(1000), false), Offer::InOrder);
         assert_eq!(w.offer(1, b(1000), false), Offer::InOrder);
         assert_eq!(w.offer(2, b(1000), false), Offer::Overflow);
@@ -456,7 +456,7 @@ mod tests {
 
     #[test]
     fn regions_follow_occupancy() {
-        let mut w = ReceiveWindow::new(1_000, 100, 0.5, 0.9);
+        let mut w = ReceiveWindow::new(1_000, 100);
         assert_eq!(w.region(), Region::Safe);
         w.offer(0, b(499), false);
         assert_eq!(w.region(), Region::Safe);

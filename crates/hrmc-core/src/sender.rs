@@ -43,6 +43,15 @@ use crate::{Dest, Outgoing, PeerId};
 /// How long probe-nonce RTT bookkeeping survives before pruning, in RTTs.
 const NONCE_TTL_RTTS: f64 = 16.0;
 
+/// Re-probe interval for an unanswered probe, in RTTs.
+const PROBE_RETRY_RTTS: f64 = 2.0;
+
+/// Hold-back before serving a NAK when local recovery is on, in RTTs —
+/// the window in which a peer repair can win: first-slot repair
+/// (~0.5 RTT) + healing (~0.5 RTT) + the requester's recovery UPDATE
+/// (~0.5 RTT) plus margin.
+const LOCAL_REPAIR_WAIT_RTTS: f64 = 4.0;
+
 /// Size of the transmission-timestamp ring (power of two).
 const SEND_TIMES_RING: usize = 8192;
 
@@ -141,18 +150,9 @@ impl SenderEngine {
         now: Micros,
     ) -> SenderEngine {
         config.validate().expect("invalid ProtocolConfig");
-        let rate = RateController::new(
-            config.min_rate,
-            config.max_rate,
-            config.initial_ssthresh_fraction,
-            config.linear_increase_per_rtt,
-            config.halving_min_interval_rtts,
-            config.urgent_stop_rtts,
-            now,
-        );
-        let rtt = RttEstimator::new(config.initial_rtt, config.min_rtt);
-        let keepalive =
-            KeepaliveController::new(config.keepalive_initial, config.keepalive_max, now);
+        let rate = RateController::new(config.min_rate, config.max_rate, now);
+        let rtt = RttEstimator::new(config.initial_rtt);
+        let keepalive = KeepaliveController::new(now);
         let last_phase = rate.phase();
         SenderEngine {
             window: SendWindow::new(config.sndbuf, initial_seq),
@@ -378,7 +378,7 @@ impl SenderEngine {
         let mut released_start: Option<Seq> = None;
         let ready_at = if self.config.local_recovery {
             // Capped: a wild RTT estimate must not park repairs forever.
-            now + scale(self.rtt.rtt(), self.config.local_repair_wait_rtts).min(1_000_000)
+            now + scale(self.rtt.rtt(), LOCAL_REPAIR_WAIT_RTTS).min(1_000_000)
         } else {
             now
         };
@@ -839,7 +839,7 @@ impl SenderEngine {
     /// the *uncapped* laggard count: demand decides the transport, the
     /// cap only paces it.
     fn send_probes(&mut self, seq: Seq, now: Micros) {
-        let retry = scale(self.rtt.rtt(), self.config.probe_retry_rtts).max(JIFFY_US);
+        let retry = scale(self.rtt.rtt(), PROBE_RETRY_RTTS).max(JIFFY_US);
         let mut lacking = std::mem::take(&mut self.probe_scratch);
         self.membership.lacking_into(seq, &mut lacking);
         lacking.retain(|p| {
@@ -1036,6 +1036,7 @@ impl SenderEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keepalive::{KEEPALIVE_INITIAL_US, KEEPALIVE_MAX_US};
 
     const P1: PeerId = PeerId(1);
 
@@ -1619,12 +1620,12 @@ mod tests {
         update(&mut s, P1, 1, 0);
         // Idle long enough for the backoff to reach the 2 s cap.
         run_until(&mut s, 0, 10_000_000);
-        assert_eq!(s.keepalive.delay(), s.config.keepalive_max);
+        assert_eq!(s.keepalive.delay(), KEEPALIVE_MAX_US);
         let pkt = Packet::control(PacketType::Leave, 9, 7000, 0);
         s.handle_packet(&pkt, P1, 10_000_000);
         assert_eq!(
             s.keepalive.delay(),
-            s.config.keepalive_initial,
+            KEEPALIVE_INITIAL_US,
             "a re-JOIN after this LEAVE must not inherit the capped backoff"
         );
     }
@@ -1648,7 +1649,7 @@ mod tests {
             "ejection must unblock the release gate"
         );
         // Keepalive backoff restarted at ejection time.
-        assert!(s.keepalive.delay() < s.config.keepalive_max);
+        assert!(s.keepalive.delay() < KEEPALIVE_MAX_US);
     }
 
     #[test]

@@ -18,14 +18,30 @@
 use crate::config::UpdateMode;
 use crate::time::{jiffies, Micros, JIFFY_US};
 
+/// Initial update period in jiffies. Paper §4.3: "Every update period,
+/// which is initially set at 50 jiffies".
+pub const INITIAL_PERIOD_JIFFIES: u64 = 50;
+
+/// Lower clamp for the adaptive update period, in jiffies, and the
+/// shortest [`UpdateMode::Fixed`] period.
+pub const MIN_PERIOD_JIFFIES: u64 = 2;
+
+/// Upper clamp for the adaptive update period, in jiffies, and the
+/// longest [`UpdateMode::Fixed`] period.
+pub const MAX_PERIOD_JIFFIES: u64 = 500;
+
+const _: () = assert!(
+    0 < MIN_PERIOD_JIFFIES
+        && MIN_PERIOD_JIFFIES <= INITIAL_PERIOD_JIFFIES
+        && INITIAL_PERIOD_JIFFIES <= MAX_PERIOD_JIFFIES
+);
+
 /// Adaptive update timer.
 #[derive(Debug, Clone)]
 pub struct UpdateGenerator {
     mode: UpdateMode,
     /// Current period in jiffies.
     period_jiffies: u64,
-    min_jiffies: u64,
-    max_jiffies: u64,
     /// Next firing time.
     next_fire: Micros,
     /// PROBEs seen since the last firing.
@@ -36,24 +52,17 @@ pub struct UpdateGenerator {
 
 impl UpdateGenerator {
     /// Create a generator; the first update fires one period after `now`.
-    pub fn new(
-        mode: UpdateMode,
-        initial_jiffies: u64,
-        min_jiffies: u64,
-        max_jiffies: u64,
-        now: Micros,
-    ) -> UpdateGenerator {
+    /// A [`UpdateMode::Fixed`] period is taken as given:
+    /// [`ProtocolConfig::validate`](crate::ProtocolConfig::validate)
+    /// bounds it.
+    pub fn new(mode: UpdateMode, now: Micros) -> UpdateGenerator {
         let period_jiffies = match mode {
-            UpdateMode::Dynamic => initial_jiffies,
             UpdateMode::Fixed(j) => j,
-            UpdateMode::Disabled => initial_jiffies,
-        }
-        .clamp(min_jiffies, max_jiffies);
+            UpdateMode::Dynamic | UpdateMode::Disabled => INITIAL_PERIOD_JIFFIES,
+        };
         UpdateGenerator {
             mode,
             period_jiffies,
-            min_jiffies,
-            max_jiffies,
             next_fire: now + jiffies(period_jiffies),
             probes_this_period: 0,
             updates_fired: 0,
@@ -89,7 +98,7 @@ impl UpdateGenerator {
             }
             self.period_jiffies = self
                 .period_jiffies
-                .clamp(self.min_jiffies, self.max_jiffies);
+                .clamp(MIN_PERIOD_JIFFIES, MAX_PERIOD_JIFFIES);
         }
         self.probes_this_period = 0;
         self.next_fire = now + jiffies(self.period_jiffies);
@@ -108,7 +117,7 @@ mod tests {
     use super::*;
 
     fn dynamic(now: Micros) -> UpdateGenerator {
-        UpdateGenerator::new(UpdateMode::Dynamic, 50, 2, 500, now)
+        UpdateGenerator::new(UpdateMode::Dynamic, now)
     }
 
     #[test]
@@ -148,25 +157,27 @@ mod tests {
 
     #[test]
     fn period_clamped_at_bounds() {
-        let mut g = UpdateGenerator::new(UpdateMode::Dynamic, 3, 2, 500, 0);
-        for _ in 0..10 {
+        // Probed every period: steps down from 50 to the floor, and stays.
+        let mut g = dynamic(0);
+        for _ in 0..INITIAL_PERIOD_JIFFIES + 10 {
             g.on_probe();
             let now = g.next_fire();
             assert!(g.poll(now));
         }
-        assert_eq!(g.period_jiffies(), 2); // clamped at min
+        assert_eq!(g.period_jiffies(), MIN_PERIOD_JIFFIES);
 
-        let mut g = UpdateGenerator::new(UpdateMode::Dynamic, 499, 2, 500, 0);
-        for _ in 0..10 {
+        // Never probed: steps up from 50 to the ceiling, and stays.
+        let mut g = dynamic(0);
+        for _ in 0..MAX_PERIOD_JIFFIES - INITIAL_PERIOD_JIFFIES + 10 {
             let now = g.next_fire();
             assert!(g.poll(now));
         }
-        assert_eq!(g.period_jiffies(), 500); // clamped at max
+        assert_eq!(g.period_jiffies(), MAX_PERIOD_JIFFIES);
     }
 
     #[test]
     fn fixed_mode_never_adapts() {
-        let mut g = UpdateGenerator::new(UpdateMode::Fixed(50), 999, 2, 500, 0);
+        let mut g = UpdateGenerator::new(UpdateMode::Fixed(50), 0);
         g.on_probe();
         assert!(g.poll(500_000));
         assert_eq!(g.period_jiffies(), 50);
@@ -176,7 +187,7 @@ mod tests {
 
     #[test]
     fn disabled_mode_never_fires() {
-        let mut g = UpdateGenerator::new(UpdateMode::Disabled, 50, 2, 500, 0);
+        let mut g = UpdateGenerator::new(UpdateMode::Disabled, 0);
         g.on_probe();
         assert!(!g.poll(u64::MAX));
         assert_eq!(g.updates_fired, 0);

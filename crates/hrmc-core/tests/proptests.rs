@@ -47,7 +47,7 @@ proptest! {
         order in proptest::collection::vec(any::<prop::sample::Index>(), 0..120),
     ) {
         // Stream: packet i carries byte value i, 10 bytes each.
-        let mut w = ReceiveWindow::new(1 << 20, 10, 0.5, 0.9);
+        let mut w = ReceiveWindow::new(1 << 20, 10);
         // Attach at 0 deterministically.
         w.offer(0, Bytes::from(vec![0u8; 10]), false);
         let mut offered = vec![false; n_packets];
@@ -86,7 +86,7 @@ proptest! {
         present in proptest::collection::btree_set(1u32..60, 0..30),
         limit in 1u64..80,
     ) {
-        let mut w = ReceiveWindow::new(1 << 20, 10, 0.5, 0.9);
+        let mut w = ReceiveWindow::new(1 << 20, 10);
         w.offer(0, Bytes::from(vec![0u8; 10]), false);
         for &s in &present {
             w.offer(s, Bytes::from(vec![1u8; 10]), false);
@@ -165,7 +165,7 @@ proptest! {
     ) {
         let min_rate = 1_000u64;
         let max_rate = 1_000_000u64;
-        let mut c = RateController::new(min_rate, max_rate, 1.0, 1_000, 1.0, 2, 0);
+        let mut c = RateController::new(min_rate, max_rate, 0);
         let rtt = 10_000u64;
         let mut now = 0u64;
         for e in events {
@@ -186,7 +186,7 @@ proptest! {
         ticks in proptest::collection::vec(1_000u64..50_000, 1..100),
     ) {
         let max_rate = 500_000u64;
-        let mut c = RateController::new(10_000, max_rate, 1.0, 1_000, 1.0, 2, 0);
+        let mut c = RateController::new(10_000, max_rate, 0);
         let mut now = 0u64;
         let mut total = 0u128;
         for dt in ticks {

@@ -129,7 +129,7 @@ fn plot(
 ) -> Output {
     let mut panels = Map::new();
     for Done { cell, runs, .. } in done {
-        let buffer = cell.scenario.buffer;
+        let buffer = cell.scenario.protocol.sndbuf;
         let mut points = Vec::new();
         let mut whole = Map::new();
         whole.insert("buffer".into(), json!(buffer));

@@ -81,8 +81,8 @@ pub fn cells(opts: &ExpOptions) -> Vec<Cell> {
     let mut spikes = LinkSchedule::default();
     spikes.jitter_spikes(0, 200_000, 150_000, 8, 50, 30_000);
     let mut jitter = base().with_links(spikes);
-    jitter.probe_failure_limit = 3;
-    jitter.member_silence_us = 3_000_000;
+    jitter.protocol.probe_failure_limit = 3;
+    jitter.protocol.member_silence_us = 3_000_000;
     // Feedback path only: 30% loss and +20 ms, healing after 1.5 s.
     let mut uplink = LinkSchedule::default();
     uplink.push(100_000, up_path(20_000, 0.30));
@@ -112,7 +112,7 @@ pub fn cells(opts: &ExpOptions) -> Vec<Cell> {
         ("hostile-combined", base().with_links(combined)),
     ]
     .map(|(label, s)| {
-        let probe_failure_limit = s.probe_failure_limit;
+        let probe_failure_limit = s.protocol.probe_failure_limit;
         let health = HealthConfig {
             probe_failure_limit,
             ..HealthConfig::default()

@@ -44,6 +44,11 @@ use crate::report::{AlertRecord, LatencyReport, ReceiverReport, SimReport};
 use crate::router::{EnqueueOutcome, Route, Router, Transit};
 use crate::topology::Topology;
 
+/// Drop an arriving packet when the destination host's RX processing
+/// backlog exceeds this many microseconds (`netdev_max_backlog` analog):
+/// an overdriven host sheds load instead of queueing unboundedly.
+const HOST_BACKLOG_US: u64 = 50_000;
+
 /// Parameters of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimParams {
@@ -64,11 +69,6 @@ pub struct SimParams {
     /// Scale factor on the paper's per-packet host processing delays
     /// (1.0 = the measured 300 MHz constants).
     pub cpu_scale: f64,
-    /// Drop an arriving packet when the destination host's RX processing
-    /// backlog exceeds this many microseconds (`netdev_max_backlog`
-    /// analog): an overdriven host sheds load instead of queueing
-    /// unboundedly.
-    pub host_backlog_us: u64,
     /// When set, sample the world into a [`MetricsRegistry`] every this
     /// many simulated microseconds and record it through the core
     /// [`Sampler`]; retrieve the [`hrmc_core::TelemetrySample`] series
@@ -118,7 +118,6 @@ impl SimParams {
             seed: 1,
             horizon_us: 3_600 * 1_000_000, // one simulated hour
             cpu_scale: 1.0,
-            host_backlog_us: 50_000,
             sample_interval_us: None,
             observe: false,
             health: None,
@@ -958,7 +957,7 @@ impl Simulation {
                         self.partition_drops += 1;
                         return; // feedback cannot cross the partition
                     }
-                    if self.hosts[0].cpu_backlog(now) > self.params.host_backlog_us {
+                    if self.hosts[0].cpu_backlog(now) > HOST_BACKLOG_US {
                         self.hosts[0].backlog_drops += 1;
                         return; // feedback implosion sheds load too
                     }
@@ -1008,7 +1007,7 @@ impl Simulation {
         if !self.nics[host].rx_accept(rolls.0, rolls.1) {
             return; // uncorrelated NIC loss
         }
-        if self.hosts[host].cpu_backlog(now) > self.params.host_backlog_us {
+        if self.hosts[host].cpu_backlog(now) > HOST_BACKLOG_US {
             self.hosts[host].backlog_drops += 1;
             return; // RX backlog overflow: shed load
         }

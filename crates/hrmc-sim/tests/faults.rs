@@ -7,6 +7,7 @@
 //! window, sender death is declared at every receiver, corruption is
 //! audited, and everything stays deterministic under a seed.
 
+use hrmc_core::keepalive::KEEPALIVE_MAX_US;
 use hrmc_core::ProtocolConfig;
 use hrmc_sim::faults::{ChurnAction, ChurnEvent, FaultModel, Partition};
 use hrmc_sim::topology::TopologyBuilder;
@@ -63,9 +64,9 @@ fn receiver_crash_is_ejected_and_survivors_complete() {
 #[test]
 fn sender_death_fails_every_receiver() {
     let mut params = lan_params(3, 0.0, 500_000);
-    // Presume the sender dead after 2 × keepalive_max of silence.
+    // Presume the sender dead after 2 × the keepalive cap of silence.
     params.protocol.sender_death_factor = 2;
-    let death_deadline = 2 * params.protocol.keepalive_max;
+    let death_deadline = 2 * KEEPALIVE_MAX_US;
     params.faults.churn.push(ChurnEvent {
         at_us: 300_000,
         action: ChurnAction::Crash { host: 0 },
