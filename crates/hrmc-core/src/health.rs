@@ -20,7 +20,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use crate::obs::{Event, ProtocolObserver};
+use crate::obs::{event_json, Event, ProtocolObserver};
 use crate::telemetry::TelemetrySample;
 use crate::time::Micros;
 
@@ -73,24 +73,6 @@ impl AlertRule {
         AlertRule::EjectionImminent,
         AlertRule::FalseEjection,
     ];
-
-    /// Stable lower-case name (JSONL `rule` field value).
-    pub fn name(self) -> &'static str {
-        match self {
-            AlertRule::NakStorm => "nak_storm",
-            AlertRule::WindowStall => "window_stall",
-            AlertRule::Livelock => "livelock",
-            AlertRule::RttDivergence => "rtt_divergence",
-            AlertRule::BacklogGrowth => "backlog_growth",
-            AlertRule::EjectionImminent => "ejection_imminent",
-            AlertRule::FalseEjection => "false_ejection",
-        }
-    }
-
-    /// Inverse of [`AlertRule::name`].
-    pub fn from_name(name: &str) -> Option<AlertRule> {
-        AlertRule::ALL.into_iter().find(|r| r.name() == name)
-    }
 }
 
 /// How urgent a raised alert is.
@@ -101,25 +83,6 @@ pub enum Severity {
     /// The protocol is failing its contract (stall, livelock, false
     /// ejection).
     Critical,
-}
-
-impl Severity {
-    /// Stable lower-case name (JSONL `severity` field value).
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Critical => "critical",
-        }
-    }
-
-    /// Inverse of [`Severity::name`].
-    pub fn from_name(name: &str) -> Option<Severity> {
-        match name {
-            "warning" => Some(Severity::Warning),
-            "critical" => Some(Severity::Critical),
-            _ => None,
-        }
-    }
 }
 
 /// One alert transition: a rule crossing into (`raised == true`) or out
@@ -763,20 +726,13 @@ impl SharedMonitor {
         self.with_monitor(|m| m.raised_total())
     }
 
-    /// Recent transitions plus currently-raised rules, rendered as one
-    /// JSON array (the `/alerts` exposition body — `[]` when healthy).
+    /// The retained transition history (the newest 256) as one
+    /// JSON array of `health_alert` event lines, oldest first: the
+    /// `/alerts` exposition body, `[]` when healthy.
     pub fn render_json(&self) -> String {
-        self.with_monitor(|m| {
-            let mut out = String::from("[");
-            for (i, a) in m.history().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&alert_json(a));
-            }
-            out.push(']');
-            out
-        })
+        let line = |a: &Alert| event_json(a.t_us, &a.to_event());
+        let lines: Vec<String> = self.with_monitor(|m| m.history().map(line).collect());
+        format!("[{}]", lines.join(","))
     }
 }
 
@@ -786,25 +742,12 @@ impl ProtocolObserver for SharedMonitor {
     }
 }
 
-/// Render one alert as a flat JSON object (shared by `/alerts`, `/json`
-/// and `SimReport.alerts` consumers).
-pub fn alert_json(a: &Alert) -> String {
-    format!(
-        "{{\"t_us\":{},\"rule\":\"{}\",\"severity\":\"{}\",\"raised\":{},\
-         \"value_m\":{},\"limit_m\":{}}}",
-        a.t_us,
-        a.rule.name(),
-        a.severity.name(),
-        a.raised,
-        a.value_m,
-        a.limit_m
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::obs::NakTrigger;
+    use crate::rate::RatePhase;
+    use crate::rxwindow::Region;
     use crate::PeerId;
 
     fn nak(count: u32) -> Event {
@@ -827,6 +770,23 @@ mod tests {
         for s in [Severity::Warning, Severity::Critical] {
             assert_eq!(Severity::from_name(s.name()), Some(s));
         }
+        for t in [
+            NakTrigger::Gap,
+            NakTrigger::Timer,
+            NakTrigger::Probe,
+            NakTrigger::Keepalive,
+        ] {
+            assert_eq!(NakTrigger::from_name(t.name()), Some(t));
+        }
+        for r in [Region::Safe, Region::Warning, Region::Critical] {
+            assert_eq!(Region::from_name(r.name()), Some(r));
+        }
+        for p in [RatePhase::SlowStart, RatePhase::CongestionAvoidance] {
+            assert_eq!(RatePhase::from_name(p.name()), Some(p));
+        }
+        // A stopped phase reads back without its resume deadline.
+        let stopped = RatePhase::from_name(RatePhase::Stopped { until: 7 }.name());
+        assert_eq!(stopped, Some(RatePhase::Stopped { until: 0 }));
         assert_eq!(AlertRule::from_name("nope"), None);
     }
 
@@ -1103,23 +1063,6 @@ mod tests {
         let json = shared.render_json();
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"rule\":\"nak_storm\""), "{json}");
-    }
-
-    #[test]
-    fn alert_json_shape() {
-        let a = Alert {
-            t_us: 42,
-            rule: AlertRule::Livelock,
-            severity: Severity::Critical,
-            raised: true,
-            value_m: 99_000,
-            limit_m: 50_000,
-        };
-        assert_eq!(
-            alert_json(&a),
-            "{\"t_us\":42,\"rule\":\"livelock\",\"severity\":\"critical\",\
-             \"raised\":true,\"value_m\":99000,\"limit_m\":50000}"
-        );
     }
 
     #[test]

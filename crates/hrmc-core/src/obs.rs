@@ -14,9 +14,11 @@
 //! serves both.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use hrmc_wire::Seq;
+use serde::Value;
 
 use crate::health::{AlertRule, Severity};
 use crate::metrics::MetricsRegistry;
@@ -57,36 +59,92 @@ pub enum NakTrigger {
     Keepalive,
 }
 
-impl NakTrigger {
-    /// Stable lower-case name (JSONL field value).
-    pub fn name(self) -> &'static str {
-        match self {
-            NakTrigger::Gap => "gap",
-            NakTrigger::Timer => "timer",
-            NakTrigger::Probe => "probe",
-            NakTrigger::Keepalive => "keepalive",
+/// One JSONL field value: how it renders after its key and how it reads
+/// back. Implemented for exactly the types events carry.
+pub(crate) trait Field: Sized {
+    /// Append the JSON rendering: numbers and booleans bare, names quoted.
+    fn write(&self, out: &mut String);
+    /// Decode a parsed value; `None` when its type or range is wrong.
+    fn read(v: &Value) -> Option<Self>;
+}
+
+/// Integers and booleans render as their `Display` form.
+macro_rules! display_field {
+    ($($ty:ty => $read:expr;)*) => {$(
+        impl Field for $ty {
+            fn write(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+            fn read(v: &Value) -> Option<$ty> {
+                $read(v)
+            }
         }
+    )*};
+}
+
+display_field! {
+    u64 => Value::as_u64;
+    u32 => |v: &Value| u32::try_from(v.as_u64()?).ok();
+    bool => Value::as_bool;
+}
+
+impl Field for PeerId {
+    fn write(&self, out: &mut String) {
+        self.0.write(out);
+    }
+    fn read(v: &Value) -> Option<PeerId> {
+        u32::read(v).map(PeerId)
     }
 }
 
-/// Stable lower-case name for a rate phase (JSONL field value).
-pub fn phase_name(p: RatePhase) -> &'static str {
-    match p {
-        RatePhase::SlowStart => "slow_start",
-        RatePhase::CongestionAvoidance => "congestion_avoidance",
-        RatePhase::Stopped { .. } => "stopped",
-    }
+/// Give an enum its stable lower-case JSONL names from one list: `name`,
+/// its inverse `from_name`, and a quoted-name [`Field`]. A variant with
+/// fields lists the value `from_name` rebuilds it with.
+macro_rules! names {
+    ($ty:ident { $($variant:ident $({ $($f:ident: $v:expr),* })? = $name:literal),* $(,)? }) => {
+        impl $ty {
+            /// Stable lower-case name (its JSONL field value).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant { .. } => $name,)*
+                }
+            }
+
+            /// Inverse of [`Self::name`].
+            pub fn from_name(name: &str) -> Option<$ty> {
+                match name {
+                    $($name => Some($ty::$variant $({ $($f: $v),* })?),)*
+                    _ => None,
+                }
+            }
+        }
+
+        impl Field for $ty {
+            fn write(&self, out: &mut String) {
+                out.push('"');
+                out.push_str(self.name());
+                out.push('"');
+            }
+            fn read(v: &Value) -> Option<$ty> {
+                $ty::from_name(v.as_str()?)
+            }
+        }
+    };
 }
 
-/// Stable lower-case name for a receive-window region (JSONL field
-/// value).
-pub fn region_name(r: Region) -> &'static str {
-    match r {
-        Region::Safe => "safe",
-        Region::Warning => "warning",
-        Region::Critical => "critical",
-    }
-}
+names!(NakTrigger { Gap = "gap", Timer = "timer", Probe = "probe", Keepalive = "keepalive" });
+names!(RatePhase {
+    SlowStart = "slow_start", CongestionAvoidance = "congestion_avoidance",
+    // The line does not carry the resume deadline; no analysis needs it.
+    Stopped { until: 0 } = "stopped",
+});
+names!(Region { Safe = "safe", Warning = "warning", Critical = "critical" });
+names!(AlertRule {
+    NakStorm = "nak_storm", WindowStall = "window_stall", Livelock = "livelock",
+    RttDivergence = "rtt_divergence", BacklogGrowth = "backlog_growth",
+    EjectionImminent = "ejection_imminent", FalseEjection = "false_ejection",
+});
+names!(Severity { Warning = "warning", Critical = "critical" });
 
 /// One protocol state transition. Sender-side events come from
 /// [`SenderEngine`](crate::SenderEngine), receiver-side events from
@@ -245,33 +303,85 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// Stable lower-case event name (JSONL `event` field).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Event::RatePhaseChanged { .. } => "rate_phase_changed",
-            Event::RateHalved { .. } => "rate_halved",
-            Event::UrgentStopped { .. } => "urgent_stopped",
-            Event::RttSample { .. } => "rtt_sample",
-            Event::ProbeSent { .. } => "probe_sent",
-            Event::KeepaliveSent { .. } => "keepalive_sent",
-            Event::ReleaseAttempt { .. } => "release_attempt",
-            Event::DataSent { .. } => "data_sent",
-            Event::PeerJoined { .. } => "peer_joined",
-            Event::MemberEjected { .. } => "member_ejected",
-            Event::ChecksumFailed => "checksum_failed",
-            Event::RegionChanged { .. } => "region_changed",
-            Event::NakSent { .. } => "nak_sent",
-            Event::NakSuppressed { .. } => "nak_suppressed",
-            Event::UpdateSent { .. } => "update_sent",
-            Event::Recovered { .. } => "recovered",
-            Event::Delivered { .. } => "delivered",
-            Event::Joined { .. } => "joined",
-            Event::SessionFailed => "session_failed",
-            Event::HealthAlert { .. } => "health_alert",
-        }
-    }
+/// A schema key: the field's own name unless the table renames it.
+macro_rules! key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
 
+/// The JSONL event schema. Each line of the table is one [`Event`]
+/// variant: its `"event"` name, then its fields in line order, each
+/// under its own name unless `as` renames it. [`Event::name`],
+/// [`Event::from_json`] and the field writer behind [`event_json_with`]
+/// are all generated from the table, so the compiler rejects a variant
+/// or a field it leaves out, and encoder and decoder cannot disagree on
+/// a key.
+macro_rules! schema {
+    ($($variant:ident = $name:literal { $($field:ident $(as $key:literal)?),* },)*) => {
+        impl Event {
+            /// Stable lower-case event name (JSONL `event` field).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $name,)*
+                }
+            }
+
+            /// Decode one parsed JSONL event line: the inverse of
+            /// [`event_json_with`]. Envelope keys (`t_us`, `host`, `src`)
+            /// are left to the caller. `None` for an unknown event name
+            /// or a missing or mistyped field.
+            pub fn from_json(line: &Value) -> Option<Event> {
+                Some(match line.get("event")?.as_str()? {
+                    $($name => Event::$variant {
+                        $($field: Field::read(line.get(key!($field $($key)?))?)?,)*
+                    },)*
+                    _ => return None,
+                })
+            }
+        }
+
+        /// Append `ev`'s fields, each as `,"key":value`.
+        fn write_fields(ev: &Event, out: &mut String) {
+            match *ev {
+                $(Event::$variant { $($field),* } => {
+                    $(
+                        out.push_str(concat!(",\"", key!($field $($key)?), "\":"));
+                        $field.write(out);
+                    )*
+                })*
+            }
+        }
+    };
+}
+
+schema! {
+    RatePhaseChanged = "rate_phase_changed" { from, to, rate_bps },
+    RateHalved = "rate_halved" { rate_bps },
+    UrgentStopped = "urgent_stopped" { until as "until_us" },
+    RttSample = "rtt_sample" { sample_us, srtt_us, probe },
+    ProbeSent = "probe_sent" { seq, multicast },
+    KeepaliveSent = "keepalive_sent" { backoff_us },
+    ReleaseAttempt = "release_attempt" { seq, complete, released },
+    DataSent = "data_sent" { seq, bytes, retransmission },
+    PeerJoined = "peer_joined" { peer as "member" },
+    MemberEjected = "member_ejected" { peer as "member" },
+    ChecksumFailed = "checksum_failed" {},
+    RegionChanged = "region_changed" { from, to },
+    NakSent = "nak_sent" { first, count, trigger },
+    NakSuppressed = "nak_suppressed" { pending },
+    UpdateSent = "update_sent" { nonce },
+    Recovered = "recovered" { first, count, elapsed_us },
+    Delivered = "delivered" { first, count },
+    Joined = "joined" { rtt_us },
+    SessionFailed = "session_failed" {},
+    HealthAlert = "health_alert" { rule, severity, raised, value_m, limit_m },
+}
+
+impl Event {
     /// The unwrapped sequence range `[first, first + count)` this event
     /// refers to, if it names sequence numbers at all — the stable join
     /// key trace analyzers use to stitch per-sequence lifecycles
@@ -329,124 +439,9 @@ pub(crate) use emit;
 /// no escaping is needed. `extra` is injected verbatim after the
 /// timestamp — either empty or well-formed fields like `"host":3,`.
 pub fn event_json_with(now: Micros, ev: &Event, extra: &str) -> String {
-    use std::fmt::Write as _;
     let mut s = String::with_capacity(96);
     let _ = write!(s, "{{\"t_us\":{now},{extra}\"event\":\"{}\"", ev.name());
-    match *ev {
-        Event::RatePhaseChanged { from, to, rate_bps } => {
-            let _ = write!(
-                s,
-                ",\"from\":\"{}\",\"to\":\"{}\",\"rate_bps\":{rate_bps}",
-                phase_name(from),
-                phase_name(to)
-            );
-        }
-        Event::RateHalved { rate_bps } => {
-            let _ = write!(s, ",\"rate_bps\":{rate_bps}");
-        }
-        Event::UrgentStopped { until } => {
-            let _ = write!(s, ",\"until_us\":{until}");
-        }
-        Event::RttSample {
-            sample_us,
-            srtt_us,
-            probe,
-        } => {
-            let _ = write!(
-                s,
-                ",\"sample_us\":{sample_us},\"srtt_us\":{srtt_us},\"probe\":{probe}"
-            );
-        }
-        Event::ProbeSent { seq, multicast } => {
-            let _ = write!(s, ",\"seq\":{seq},\"multicast\":{multicast}");
-        }
-        Event::KeepaliveSent { backoff_us } => {
-            let _ = write!(s, ",\"backoff_us\":{backoff_us}");
-        }
-        Event::ReleaseAttempt {
-            seq,
-            complete,
-            released,
-        } => {
-            let _ = write!(
-                s,
-                ",\"seq\":{seq},\"complete\":{complete},\"released\":{released}"
-            );
-        }
-        Event::DataSent {
-            seq,
-            bytes,
-            retransmission,
-        } => {
-            let _ = write!(
-                s,
-                ",\"seq\":{seq},\"bytes\":{bytes},\"retransmission\":{retransmission}"
-            );
-        }
-        Event::PeerJoined { peer } => {
-            let _ = write!(s, ",\"member\":{}", peer.0);
-        }
-        Event::MemberEjected { peer } => {
-            let _ = write!(s, ",\"member\":{}", peer.0);
-        }
-        Event::ChecksumFailed | Event::SessionFailed => {}
-        Event::RegionChanged { from, to } => {
-            let _ = write!(
-                s,
-                ",\"from\":\"{}\",\"to\":\"{}\"",
-                region_name(from),
-                region_name(to)
-            );
-        }
-        Event::NakSent {
-            first,
-            count,
-            trigger,
-        } => {
-            let _ = write!(
-                s,
-                ",\"first\":{first},\"count\":{count},\"trigger\":\"{}\"",
-                trigger.name()
-            );
-        }
-        Event::NakSuppressed { pending } => {
-            let _ = write!(s, ",\"pending\":{pending}");
-        }
-        Event::UpdateSent { nonce } => {
-            let _ = write!(s, ",\"nonce\":{nonce}");
-        }
-        Event::Recovered {
-            first,
-            count,
-            elapsed_us,
-        } => {
-            let _ = write!(
-                s,
-                ",\"first\":{first},\"count\":{count},\"elapsed_us\":{elapsed_us}"
-            );
-        }
-        Event::Delivered { first, count } => {
-            let _ = write!(s, ",\"first\":{first},\"count\":{count}");
-        }
-        Event::Joined { rtt_us } => {
-            let _ = write!(s, ",\"rtt_us\":{rtt_us}");
-        }
-        Event::HealthAlert {
-            rule,
-            severity,
-            raised,
-            value_m,
-            limit_m,
-        } => {
-            let _ = write!(
-                s,
-                ",\"rule\":\"{}\",\"severity\":\"{}\",\"raised\":{raised},\
-                 \"value_m\":{value_m},\"limit_m\":{limit_m}",
-                rule.name(),
-                severity.name()
-            );
-        }
-    }
+    write_fields(ev, &mut s);
     s.push('}');
     s
 }
@@ -732,17 +727,10 @@ impl FlightRecorder {
     /// like the streaming paths so `hrmc analyze` reads a dump and a
     /// live trace identically.
     pub fn dump(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(32 + self.buf.len() * 96);
-        let _ = write!(
-            out,
-            "{{\"schema\":{SCHEMA_VERSION},\"role\":\"flight_recorder\""
-        );
-        if let Some(l) = &self.label {
-            let _ = write!(out, ",\"label\":\"{l}\"");
-        }
-        let _ = write!(out, ",\"dropped_events\":{}}}", self.dropped);
-        out.push('\n');
+        let mut out = header_json("flight_recorder", self.label.as_deref());
+        out.reserve(self.buf.len() * 96);
+        out.pop(); // reopen the header object for the drop count
+        let _ = writeln!(out, ",\"dropped_events\":{}}}", self.dropped);
         let label_extra = self
             .label
             .as_ref()
@@ -1074,6 +1062,35 @@ mod tests {
         assert_eq!(reg.lock().unwrap().counter("updates_sent"), 1);
     }
 
+    /// The schema both ways: every variant, at the edge values
+    /// `all_events` carries, decodes back from its line under either
+    /// envelope tag.
+    #[test]
+    fn every_event_round_trips_through_its_line() {
+        for ev in hrmc_core_event_list::all_events() {
+            for tag in ["\"host\":3,", "\"src\":\"recv0\","] {
+                let line = event_json_with(u64::MAX, &ev, tag);
+                let parsed = serde_json::from_str(&line).unwrap();
+                assert_eq!(Event::from_json(&parsed), Some(ev), "{line}");
+            }
+        }
+    }
+
+    #[test]
+    fn mistyped_fields_and_unknown_events_decode_to_none() {
+        let decode = |line: &str| Event::from_json(&serde_json::from_str(line).unwrap());
+        assert!(decode("{\"event\":\"rate_halved\",\"rate_bps\":9}").is_some());
+        for bad in [
+            "{\"event\":\"rate_halved\",\"rate_bps\":true}",
+            "{\"event\":\"warp_drive_engaged\"}",
+            "{\"event\":\"update_sent\",\"nonce\":4294967296}",
+            "{\"event\":\"nak_sent\",\"first\":0,\"count\":1,\"trigger\":\"hunch\"}",
+            "{\"event\":\"delivered\",\"first\":0}",
+        ] {
+            assert_eq!(decode(bad), None, "{bad}");
+        }
+    }
+
     #[test]
     fn every_event_renders_valid_shape() {
         use hrmc_core_event_list::*;
@@ -1114,7 +1131,7 @@ mod tests {
                     released: true,
                 },
                 Event::DataSent {
-                    seq: 1,
+                    seq: u32::MAX,
                     bytes: 1,
                     retransmission: false,
                 },
@@ -1126,8 +1143,8 @@ mod tests {
                     to: Region::Critical,
                 },
                 Event::NakSent {
-                    first: 1,
-                    count: 1,
+                    first: u64::MAX,
+                    count: u32::MAX,
                     trigger: NakTrigger::Gap,
                 },
                 Event::NakSuppressed { pending: 1 },
@@ -1144,7 +1161,7 @@ mod tests {
                     rule: AlertRule::NakStorm,
                     severity: Severity::Warning,
                     raised: true,
-                    value_m: 1,
+                    value_m: u64::MAX,
                     limit_m: 1,
                 },
             ]

@@ -20,6 +20,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
+use serde::Value;
+
 use crate::metrics::MetricsRegistry;
 
 /// Condensed view of one histogram at sampling time: the cumulative
@@ -127,6 +129,40 @@ impl TelemetrySample {
         }
         out.push_str("}}");
         out
+    }
+
+    /// Decode one parsed sample line: the inverse of
+    /// [`TelemetrySample::to_json_line`]. `None` when the `"telemetry"`
+    /// discriminator or any section is missing or malformed.
+    pub fn from_json(line: &Value) -> Option<TelemetrySample> {
+        let u64_at = |obj: &Value, key: &str| obj.get(key)?.as_u64();
+        let map = |key: &str| -> Option<BTreeMap<String, u64>> {
+            let obj = line.get(key)?.as_object()?;
+            obj.iter()
+                .map(|(k, v)| Some((k.clone(), v.as_u64()?)))
+                .collect()
+        };
+        u64_at(line, "telemetry")?;
+        let hists = line.get("hists")?.as_object()?.iter().map(|(k, h)| {
+            let hist = HistSample {
+                count: u64_at(h, "count")?,
+                delta: u64_at(h, "delta")?,
+                p50: u64_at(h, "p50")?,
+                p90: u64_at(h, "p90")?,
+                p99: u64_at(h, "p99")?,
+                max: u64_at(h, "max")?,
+            };
+            Some((k.clone(), hist))
+        });
+        Some(TelemetrySample {
+            seq: u64_at(line, "seq")?,
+            t_us: u64_at(line, "t_us")?,
+            interval_us: u64_at(line, "interval_us")?,
+            counters: map("counters")?,
+            totals: map("totals")?,
+            gauges: map("gauges")?,
+            hists: hists.collect::<Option<_>>()?,
+        })
     }
 }
 

@@ -7,6 +7,8 @@
 //! LAN with the paper's host-processing constants; EXPERIMENTS.md states
 //! each figure's claims and how they compare.
 
+use std::collections::BTreeMap;
+
 use hrmc_app::Scenario;
 use hrmc_sim::topology::test_case;
 use hrmc_sim::{CharacteristicGroup, GroupSpec, SimReport};
@@ -127,7 +129,8 @@ fn plot(
     point: fn(&[SimReport]) -> Point,
     views: &[View],
 ) -> Output {
-    let mut panels = Map::new();
+    // Panels in key order, whatever order the cells fill them in.
+    let mut panels: BTreeMap<String, Map> = BTreeMap::new();
     for Done { cell, runs, .. } in done {
         let buffer = cell.scenario.protocol.sndbuf;
         let mut points = Vec::new();
@@ -144,14 +147,16 @@ fn plot(
             points.push((cell.panel.into(), Value::Object(whole)));
         }
         for (panel, p) in points {
-            let Value::Object(series) = panels.entry(panel).or_insert_with(|| json!({})) else {
-                unreachable!("panels are objects")
-            };
-            let series = series.entry(cell.column).or_insert_with(|| json!([]));
+            let series = panels.entry(panel).or_default().entry(cell.column);
+            let series = series.or_insert_with(|| json!([]));
             series.as_array_mut().expect("series are arrays").push(p);
         }
     }
-    let json = Value::Object(panels);
+    let mut json = Map::new();
+    for (panel, series) in panels {
+        json.insert(panel, Value::Object(series));
+    }
+    let json = Value::Object(json);
     let mut out = Output::default();
     for v in views {
         out.table(&v.table(&json[v.panel.as_str()]));

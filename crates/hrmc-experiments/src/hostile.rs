@@ -154,7 +154,7 @@ pub fn check_invariants(label: &str, runs: &[SimReport], baseline: &[SimReport])
         }
         // The online monitor's false-ejection verdict must agree with
         // the ground-truth audit above.
-        if r.alerts_raised("false_ejection") != 0 {
+        if r.alerts_raised(AlertRule::FalseEjection) != 0 {
             fail(
                 "the online monitor flagged a false ejection the ground truth does not corroborate",
             );
@@ -176,11 +176,11 @@ pub fn check_invariants(label: &str, runs: &[SimReport], baseline: &[SimReport])
                 if r.router_overflow_drops == 0 {
                     fail("collapsed queue never overflowed");
                 }
-                let rules = ["nak_storm", "backlog_growth"];
-                if rules.iter().all(|rule| r.alerts_raised(rule) == 0) {
+                let rules = [AlertRule::NakStorm, AlertRule::BacklogGrowth];
+                if rules.iter().all(|&rule| r.alerts_raised(rule) == 0) {
                     fail("the monitor slept through the collapse (no nak_storm/backlog_growth alert)");
                 }
-                if rules.iter().all(|rule| r.alerts_cleared(rule) == 0) {
+                if rules.iter().all(|&rule| r.alerts_cleared(rule) == 0) {
                     fail(&format!(
                         "no alert cleared after the heal (alerts: {alerts:?})"
                     ));
@@ -261,11 +261,11 @@ pub fn project(_: &ExpOptions, done: &[Done]) -> Output {
         // archives what "healthy monitoring" looks like.
         let mut by_rule = Map::new();
         for rule in AlertRule::ALL {
-            let name = rule.name();
-            let raised: u64 = runs.iter().map(|r| r.alerts_raised(name)).sum();
-            let cleared: u64 = runs.iter().map(|r| r.alerts_cleared(name)).sum();
+            let raised: u64 = runs.iter().map(|r| r.alerts_raised(rule)).sum();
+            let cleared: u64 = runs.iter().map(|r| r.alerts_cleared(rule)).sum();
             if raised + cleared > 0 {
-                by_rule.insert(name.into(), json!({"raised": raised, "cleared": cleared}));
+                let name = rule.name().into();
+                by_rule.insert(name, json!({"raised": raised, "cleared": cleared}));
             }
         }
         let alerts = json!({"transitions": transitions, "by_rule": Value::Object(by_rule)});
@@ -281,7 +281,7 @@ pub fn project(_: &ExpOptions, done: &[Done]) -> Output {
 mod tests {
     use super::*;
     use crate::runner::{execute, find};
-    use hrmc_sim::AlertRecord;
+    use hrmc_core::{Alert, Severity};
 
     #[test]
     fn hostile_matrix_holds_every_invariant() {
@@ -329,10 +329,10 @@ mod tests {
     #[test]
     fn a_baseline_alert_is_exactly_one_violation() {
         let mut r = Scenario::lan(2, MBPS_10, 256 * 1024, 100_000).run();
-        r.alerts.push(AlertRecord {
+        r.alerts.push(Alert {
             t_us: 50_000,
-            rule: "nak_storm",
-            severity: "warning",
+            rule: AlertRule::NakStorm,
+            severity: Severity::Warning,
             raised: true,
             value_m: 3_000,
             limit_m: 1_000,
@@ -341,7 +341,7 @@ mod tests {
         let violations = check_invariants("baseline", &[r], &baseline);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(
-            violations[0].starts_with("baseline: a healthy run raised alerts: [AlertRecord"),
+            violations[0].starts_with("baseline: a healthy run raised alerts: [Alert {"),
             "{violations:?}"
         );
     }

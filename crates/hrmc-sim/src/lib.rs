@@ -47,7 +47,7 @@ pub use dynamics::{LinkAction, LinkEvent, LinkSchedule};
 pub use faults::{ChurnAction, ChurnEvent, FaultModel, FaultPlan, Partition};
 pub use loss::{LossModel, LossProcess};
 pub use obs::{HostObserver, SharedObs};
-pub use report::{AlertRecord, LatencyReport, ReceiverReport, SimReport};
+pub use report::{LatencyReport, ReceiverReport, SimReport};
 pub use sim::{SimParams, Simulation};
 pub use topology::{CharacteristicGroup, GroupSpec, Topology, TopologyBuilder};
 

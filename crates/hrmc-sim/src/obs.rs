@@ -18,9 +18,9 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use hrmc_core::obs::{event_json, event_json_with, header_json};
+use hrmc_core::obs::{event_json_with, header_json};
 use hrmc_core::{
-    Event, HealthConfig, HealthMonitor, Histogram, Micros, ProtocolObserver, SharedRecorder,
+    Alert, Event, HealthConfig, HealthMonitor, Histogram, Micros, ProtocolObserver, SharedRecorder,
 };
 
 /// Collector shared by every host's [`HostObserver`].
@@ -38,9 +38,11 @@ pub struct SharedObs {
     recorder: Option<SharedRecorder>,
     /// Optional online health monitor fed the tagged event stream.
     /// Alert transitions it emits are mirrored to the sink and recorder
-    /// as host-less `health_alert` lines and retained in its history for
-    /// [`crate::report::SimReport::alerts`].
+    /// as host-less `health_alert` lines.
     monitor: Option<HealthMonitor>,
+    /// Every alert transition the monitor emitted, in time order: the
+    /// run's complete [`crate::report::SimReport::alerts`].
+    pub(crate) alerts: Vec<Alert>,
 }
 
 impl SharedObs {
@@ -53,6 +55,7 @@ impl SharedObs {
             log: None,
             recorder: None,
             monitor: None,
+            alerts: Vec::new(),
         }
     }
 
@@ -78,10 +81,18 @@ impl SharedObs {
         self.monitor = Some(HealthMonitor::new(cfg));
     }
 
-    /// The armed monitor, if any (its history carries every alert
-    /// transition of the run).
-    pub fn monitor(&self) -> Option<&HealthMonitor> {
-        self.monitor.as_ref()
+    /// Mirror one event to the sink and the recorder, tagged with the
+    /// host that emitted it (alerts come from the monitor, host-less).
+    fn mirror(&mut self, now: Micros, ev: &Event, host: Option<u32>) {
+        if let Some(rec) = self.recorder.as_ref() {
+            rec.record_tagged(now, ev, host);
+        }
+        if let Some(w) = self.log.as_mut() {
+            let extra = host.map(|h| format!("\"host\":{h},")).unwrap_or_default();
+            let mut line = event_json_with(now, ev, &extra);
+            line.push('\n');
+            let _ = w.write_all(line.as_bytes());
+        }
     }
 
     /// Flush the JSONL sink, if any.
@@ -137,31 +148,17 @@ impl ProtocolObserver for HostObserver {
             _ => {}
         }
         let s: &mut SharedObs = &mut s;
-        if let Some(rec) = s.recorder.as_ref() {
-            rec.record_tagged(now, ev, Some(self.host as u32));
-        }
-        if let Some(w) = s.log.as_mut() {
-            let extra = format!("\"host\":{},", self.host);
-            let line = event_json_with(now, ev, &extra);
-            let _ = w.write_all(line.as_bytes());
-            let _ = w.write_all(b"\n");
-        }
+        let host = self.host as u32;
+        s.mirror(now, ev, Some(host));
         if let Some(mon) = s.monitor.as_mut() {
             // Receiver host h is member h−1 under the sim convention;
             // sender events carry peer ids in their payloads where they
             // matter (member ejection).
-            let member = (self.host > 0).then(|| self.host as u32 - 1);
+            let member = (host > 0).then(|| host - 1);
             mon.on_event_tagged(now, ev, member);
             for a in mon.take_alerts() {
-                let alert_ev = a.to_event();
-                if let Some(rec) = s.recorder.as_ref() {
-                    rec.record_tagged(a.t_us, &alert_ev, None);
-                }
-                if let Some(w) = s.log.as_mut() {
-                    let line = event_json(a.t_us, &alert_ev);
-                    let _ = w.write_all(line.as_bytes());
-                    let _ = w.write_all(b"\n");
-                }
+                s.mirror(a.t_us, &a.to_event(), None);
+                s.alerts.push(a);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Simulation output: everything the paper's figures are plotted from.
 
-use hrmc_core::{HistogramSummary, ReceiverStats, SenderStats, TelemetrySample};
+use hrmc_core::{Alert, AlertRule, HistogramSummary, ReceiverStats, SenderStats, TelemetrySample};
 use serde::Serialize;
 
 /// Per-receiver results.
@@ -32,28 +32,6 @@ pub struct LatencyReport {
     /// Gap first noted → gap filled, i.e. NAK-to-repair recovery (µs),
     /// all receivers pooled.
     pub recovery: HistogramSummary,
-}
-
-/// One alert transition the online [`hrmc_core::HealthMonitor`] emitted
-/// during the run (present when
-/// [`SimParams::health`](crate::sim::SimParams::health) armed it).
-/// Rule and severity are carried as their wire names (`nak_storm`,
-/// `warning`, …) so the report serializes without pulling enum types
-/// through serde.
-#[derive(Debug, Clone, Serialize)]
-pub struct AlertRecord {
-    /// Simulation time of the transition (µs).
-    pub t_us: u64,
-    /// Rule name (see [`hrmc_core::AlertRule::name`]).
-    pub rule: &'static str,
-    /// Severity name (see [`hrmc_core::Severity::name`]).
-    pub severity: &'static str,
-    /// `true` for a raise, `false` for a clear.
-    pub raised: bool,
-    /// Observed value in milli-units at the transition.
-    pub value_m: u64,
-    /// The threshold it crossed, milli-units.
-    pub limit_m: u64,
 }
 
 /// Complete result of one simulation run.
@@ -143,10 +121,12 @@ pub struct SimReport {
     /// here.
     #[serde(skip)]
     pub timeseries: Option<Vec<TelemetrySample>>,
-    /// Online health-monitor transitions, in time order (empty unless
-    /// [`SimParams::health`](crate::sim::SimParams::health) armed the
-    /// monitor).
-    pub alerts: Vec<AlertRecord>,
+    /// Every online health-monitor transition, in time order (empty
+    /// unless [`SimParams::health`](crate::sim::SimParams::health) armed
+    /// the monitor). Skipped here because the event log carries each as
+    /// its `health_alert` line.
+    #[serde(skip)]
+    pub alerts: Vec<Alert>,
 }
 
 impl SimReport {
@@ -173,17 +153,16 @@ impl SimReport {
         self.receivers.iter().filter(|r| r.failed).count()
     }
 
-    /// Raise transitions of `rule` (by wire name) the online monitor
-    /// emitted during the run.
-    pub fn alerts_raised(&self, rule: &str) -> u64 {
+    /// Raise transitions of `rule` the online monitor emitted.
+    pub fn alerts_raised(&self, rule: AlertRule) -> u64 {
         self.alerts
             .iter()
             .filter(|a| a.raised && a.rule == rule)
             .count() as u64
     }
 
-    /// Clear transitions of `rule` (by wire name).
-    pub fn alerts_cleared(&self, rule: &str) -> u64 {
+    /// Clear transitions of `rule`.
+    pub fn alerts_cleared(&self, rule: AlertRule) -> u64 {
         self.alerts
             .iter()
             .filter(|a| !a.raised && a.rule == rule)

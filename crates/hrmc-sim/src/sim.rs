@@ -40,7 +40,7 @@ use crate::host::{Engine, Host, SINK_READ_MAX};
 use crate::nic::{Nic, TxOutcome};
 use crate::obs::{HostObserver, SharedObs};
 use crate::queue::EventQueue;
-use crate::report::{AlertRecord, LatencyReport, ReceiverReport, SimReport};
+use crate::report::{LatencyReport, ReceiverReport, SimReport};
 use crate::router::{EnqueueOutcome, Route, Router, Transit};
 use crate::topology::Topology;
 
@@ -1231,28 +1231,11 @@ impl Simulation {
                 !legit_host && !partitioned
             })
             .count() as u64;
-        let alerts: Vec<AlertRecord> = self
-            .obs
-            .as_ref()
-            .and_then(|shared| {
-                let s = shared.lock().unwrap();
-                s.monitor().map(|m| {
-                    m.history()
-                        .map(|a| AlertRecord {
-                            t_us: a.t_us,
-                            rule: a.rule.name(),
-                            severity: a.severity.name(),
-                            raised: a.raised,
-                            value_m: a.value_m,
-                            limit_m: a.limit_m,
-                        })
-                        .collect()
-                })
-            })
-            .unwrap_or_default();
+        let mut alerts = Vec::new();
         let latency = self.obs.as_ref().map(|shared| {
             let mut s = shared.lock().unwrap();
             s.flush();
+            alerts = std::mem::take(&mut s.alerts);
             LatencyReport {
                 delivery: s.delivery.summary(),
                 recovery: s.recovery.summary(),
@@ -1640,6 +1623,34 @@ mod tests {
         assert_eq!(armed.alerts.len(), alert_lines);
         assert_eq!(base.elapsed_us, armed.elapsed_us);
         assert_eq!(base.sender.retransmissions, armed.sender.retransmissions);
+    }
+
+    /// `SimReport::alerts` is every transition of the run, not the
+    /// monitor's bounded history: a rule that flaps on every evaluation
+    /// tick outruns the 256-entry ring, and the report still matches the
+    /// recorded event log one for one.
+    #[test]
+    fn report_keeps_every_alert_past_the_history_ring() {
+        let mut params = lan_params(4, 10_000_000, 0.05, 10_000_000, 128 * 1024);
+        params.health = Some(hrmc_core::HealthConfig {
+            eval_interval_us: 1_000,
+            backlog_growth: hrmc_core::RuleConfig {
+                enabled: true,
+                raise_m: 1_000,
+                ..hrmc_core::RuleConfig::off()
+            },
+            ..hrmc_core::HealthConfig::disabled()
+        });
+        let mut sim = Simulation::new(params);
+        let rec = sim.set_flight_recorder(1 << 16);
+        let report = sim.run();
+        let logged = rec.with_recorder(|r| {
+            assert_eq!(r.dropped_events(), 0, "the recorder holds the whole log");
+            let alerts = r.events().map(|e| e.event.name());
+            alerts.filter(|&name| name == "health_alert").count()
+        });
+        assert!(logged > 256, "only {logged} alert lines");
+        assert_eq!(report.alerts.len(), logged);
     }
 
     #[test]

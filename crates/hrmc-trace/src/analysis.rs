@@ -10,7 +10,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hrmc_core::obs::phase_name;
 use hrmc_core::rxwindow::Region;
 use hrmc_core::{Event, Histogram};
 
@@ -137,8 +136,8 @@ impl Analysis {
                 Event::RatePhaseChanged { from, to, rate_bps } => {
                     transitions.push((
                         now,
-                        phase_name(*from).to_string(),
-                        phase_name(*to).to_string(),
+                        from.name().to_string(),
+                        to.name().to_string(),
                         *rate_bps,
                     ));
                     final_rate = *rate_bps;

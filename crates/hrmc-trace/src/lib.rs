@@ -35,8 +35,8 @@ pub mod report;
 
 pub use analysis::{analyze_file, analyze_str};
 pub use parse::{
-    parse_file, parse_str, parse_telemetry_file, parse_telemetry_sample, parse_telemetry_str,
-    ParseStats, Source, TraceError, TraceEvent,
+    parse_file, parse_str, parse_telemetry_file, parse_telemetry_str, ParseStats, Source,
+    TraceError, TraceEvent,
 };
 pub use report::{
     Analysis, FlowReport, LifecycleReport, MemberReport, PhaseSpan, RegionOccupancy, ReleaseReport,

@@ -9,13 +9,7 @@
 //! analyzer that dies on the one line it doesn't understand is useless
 //! in a post-mortem.
 
-use std::collections::BTreeMap;
-
-use hrmc_core::health::{AlertRule, Severity};
-use hrmc_core::obs::NakTrigger;
-use hrmc_core::rate::RatePhase;
-use hrmc_core::rxwindow::Region;
-use hrmc_core::{Event, HistSample, PeerId, TelemetrySample, SCHEMA_VERSION};
+use hrmc_core::{Event, TelemetrySample, SCHEMA_VERSION};
 use serde_json::Value;
 
 /// Who emitted a trace line.
@@ -115,138 +109,39 @@ impl From<std::io::Error> for TraceError {
     }
 }
 
-fn get_u64(obj: &Value, key: &str) -> Option<u64> {
-    obj.get(key)?.as_u64()
-}
-
-fn get_u32(obj: &Value, key: &str) -> Option<u32> {
-    get_u64(obj, key).and_then(|v| u32::try_from(v).ok())
-}
-
-fn get_bool(obj: &Value, key: &str) -> Option<bool> {
-    match obj.get(key)? {
-        Value::Bool(b) => Some(*b),
-        _ => None,
+/// The one line walker every reader shares. Each line is counted; a
+/// blank or malformed line is counted skipped; a header line records its
+/// schema, and one newer than [`SCHEMA_VERSION`] aborts the walk. Every
+/// other JSON line goes to `each`, which decides what it is.
+fn walk(
+    input: &str,
+    mut each: impl FnMut(&Value, &mut ParseStats),
+) -> Result<ParseStats, TraceError> {
+    let mut stats = ParseStats::default();
+    for line in input.lines() {
+        stats.lines += 1;
+        let Ok(obj) = serde_json::from_str(line.trim()) else {
+            stats.skipped += 1;
+            continue;
+        };
+        match obj.get("schema").and_then(Value::as_u64) {
+            Some(schema) if schema > u64::from(SCHEMA_VERSION) => {
+                return Err(TraceError::UnsupportedSchema(schema));
+            }
+            Some(schema) => {
+                stats.headers += 1;
+                stats.schema = Some(schema);
+            }
+            None => each(&obj, &mut stats),
+        }
     }
+    Ok(stats)
 }
 
-fn get_str<'a>(obj: &'a Value, key: &str) -> Option<&'a str> {
-    obj.get(key)?.as_str()
-}
-
-fn parse_phase(name: &str) -> Option<RatePhase> {
-    match name {
-        "slow_start" => Some(RatePhase::SlowStart),
-        "congestion_avoidance" => Some(RatePhase::CongestionAvoidance),
-        // The JSONL rendering does not carry the resume deadline; it is
-        // irrelevant to every analysis, which keys on the phase name.
-        "stopped" => Some(RatePhase::Stopped { until: 0 }),
-        _ => None,
-    }
-}
-
-fn parse_region(name: &str) -> Option<Region> {
-    match name {
-        "safe" => Some(Region::Safe),
-        "warning" => Some(Region::Warning),
-        "critical" => Some(Region::Critical),
-        _ => None,
-    }
-}
-
-fn parse_trigger(name: &str) -> Option<NakTrigger> {
-    match name {
-        "gap" => Some(NakTrigger::Gap),
-        "timer" => Some(NakTrigger::Timer),
-        "probe" => Some(NakTrigger::Probe),
-        "keepalive" => Some(NakTrigger::Keepalive),
-        _ => None,
-    }
-}
-
-/// Reconstruct an [`Event`] from a parsed JSON object — the inverse of
-/// [`hrmc_core::obs::event_json_with`]. Returns `None` for unknown
-/// event names or missing fields (the caller counts the line skipped).
-pub fn parse_event(obj: &Value) -> Option<Event> {
-    let name = get_str(obj, "event")?;
-    Some(match name {
-        "rate_phase_changed" => Event::RatePhaseChanged {
-            from: parse_phase(get_str(obj, "from")?)?,
-            to: parse_phase(get_str(obj, "to")?)?,
-            rate_bps: get_u64(obj, "rate_bps")?,
-        },
-        "rate_halved" => Event::RateHalved {
-            rate_bps: get_u64(obj, "rate_bps")?,
-        },
-        "urgent_stopped" => Event::UrgentStopped {
-            until: get_u64(obj, "until_us")?,
-        },
-        "rtt_sample" => Event::RttSample {
-            sample_us: get_u64(obj, "sample_us")?,
-            srtt_us: get_u64(obj, "srtt_us")?,
-            probe: get_bool(obj, "probe")?,
-        },
-        "probe_sent" => Event::ProbeSent {
-            seq: get_u32(obj, "seq")?,
-            multicast: get_bool(obj, "multicast")?,
-        },
-        "keepalive_sent" => Event::KeepaliveSent {
-            backoff_us: get_u64(obj, "backoff_us")?,
-        },
-        "release_attempt" => Event::ReleaseAttempt {
-            seq: get_u32(obj, "seq")?,
-            complete: get_bool(obj, "complete")?,
-            released: get_bool(obj, "released")?,
-        },
-        "data_sent" => Event::DataSent {
-            seq: get_u32(obj, "seq")?,
-            bytes: get_u32(obj, "bytes")?,
-            retransmission: get_bool(obj, "retransmission")?,
-        },
-        "peer_joined" => Event::PeerJoined {
-            peer: PeerId(get_u32(obj, "member")?),
-        },
-        "member_ejected" => Event::MemberEjected {
-            peer: PeerId(get_u32(obj, "member")?),
-        },
-        "checksum_failed" => Event::ChecksumFailed,
-        "region_changed" => Event::RegionChanged {
-            from: parse_region(get_str(obj, "from")?)?,
-            to: parse_region(get_str(obj, "to")?)?,
-        },
-        "nak_sent" => Event::NakSent {
-            first: get_u64(obj, "first")?,
-            count: get_u32(obj, "count")?,
-            trigger: parse_trigger(get_str(obj, "trigger")?)?,
-        },
-        "nak_suppressed" => Event::NakSuppressed {
-            pending: get_u32(obj, "pending")?,
-        },
-        "update_sent" => Event::UpdateSent {
-            nonce: get_u32(obj, "nonce")?,
-        },
-        "recovered" => Event::Recovered {
-            first: get_u64(obj, "first")?,
-            count: get_u32(obj, "count")?,
-            elapsed_us: get_u64(obj, "elapsed_us")?,
-        },
-        "delivered" => Event::Delivered {
-            first: get_u64(obj, "first")?,
-            count: get_u32(obj, "count")?,
-        },
-        "joined" => Event::Joined {
-            rtt_us: get_u64(obj, "rtt_us")?,
-        },
-        "session_failed" => Event::SessionFailed,
-        "health_alert" => Event::HealthAlert {
-            rule: AlertRule::from_name(get_str(obj, "rule")?)?,
-            severity: Severity::from_name(get_str(obj, "severity")?)?,
-            raised: get_bool(obj, "raised")?,
-            value_m: get_u64(obj, "value_m")?,
-            limit_m: get_u64(obj, "limit_m")?,
-        },
-        _ => return None,
-    })
+/// `true` for a telemetry sample line (the `"telemetry":1`
+/// discriminator).
+fn is_telemetry(obj: &Value) -> bool {
+    obj.get("telemetry").and_then(Value::as_u64).is_some()
 }
 
 /// Parse a whole JSONL trace. Header lines update [`ParseStats`];
@@ -256,43 +151,23 @@ pub fn parse_event(obj: &Value) -> Option<Event> {
 /// [`SCHEMA_VERSION`].
 pub fn parse_str(input: &str) -> Result<(Vec<TraceEvent>, ParseStats), TraceError> {
     let mut events = Vec::new();
-    let mut stats = ParseStats::default();
-    for line in input.lines() {
-        stats.lines += 1;
-        let line = line.trim();
-        if line.is_empty() {
-            stats.skipped += 1;
-            continue;
-        }
-        let obj = match serde_json::from_str(line) {
-            Ok(v) => v,
-            Err(_) => {
-                stats.skipped += 1;
-                continue;
-            }
-        };
-        if let Some(schema) = get_u64(&obj, "schema") {
-            if schema > u64::from(SCHEMA_VERSION) {
-                return Err(TraceError::UnsupportedSchema(schema));
-            }
-            stats.headers += 1;
-            stats.schema = Some(schema);
-            continue;
-        }
-        if get_u64(&obj, "telemetry").is_some() {
+    let stats = walk(input, |obj, stats| {
+        if is_telemetry(obj) {
             stats.telemetry += 1;
-            continue;
+            return;
         }
-        let (Some(t_us), Some(event)) = (get_u64(&obj, "t_us"), parse_event(&obj)) else {
+        let t_us = obj.get("t_us").and_then(Value::as_u64);
+        let (Some(t_us), Some(event)) = (t_us, Event::from_json(obj)) else {
             stats.skipped += 1;
-            continue;
+            return;
         };
         if matches!(event, Event::HealthAlert { .. }) {
             stats.alerts += 1;
         }
-        let source = if let Some(h) = get_u32(&obj, "host") {
+        let host = obj.get("host").and_then(Value::as_u64);
+        let source = if let Some(h) = host.and_then(|h| u32::try_from(h).ok()) {
             Source::Host(h)
-        } else if let Some(l) = get_str(&obj, "src") {
+        } else if let Some(l) = obj.get("src").and_then(Value::as_str) {
             Source::Label(l.to_string())
         } else {
             Source::Anonymous
@@ -302,7 +177,7 @@ pub fn parse_str(input: &str) -> Result<(Vec<TraceEvent>, ParseStats), TraceErro
             source,
             event,
         });
-    }
+    })?;
     // Concatenated dumps and multi-endpoint files interleave; analysis
     // assumes global time order.
     events.sort_by_key(|e| e.t_us);
@@ -315,52 +190,6 @@ pub fn parse_file(path: &std::path::Path) -> Result<(Vec<TraceEvent>, ParseStats
     parse_str(&body)
 }
 
-/// A JSON object whose values are all unsigned integers, as a map.
-fn get_u64_map(obj: &Value, key: &str) -> Option<BTreeMap<String, u64>> {
-    let Value::Object(m) = obj.get(key)? else {
-        return None;
-    };
-    let mut out = BTreeMap::new();
-    for (k, v) in m.iter() {
-        out.insert(k.clone(), v.as_u64()?);
-    }
-    Some(out)
-}
-
-/// Reconstruct a [`TelemetrySample`] from a parsed JSON object — the
-/// inverse of [`TelemetrySample::to_json_line`]. Returns `None` when
-/// the `"telemetry"` discriminator or any section is missing or
-/// malformed.
-pub fn parse_telemetry_sample(obj: &Value) -> Option<TelemetrySample> {
-    get_u64(obj, "telemetry")?;
-    let Value::Object(hist_obj) = obj.get("hists")? else {
-        return None;
-    };
-    let mut hists = BTreeMap::new();
-    for (k, v) in hist_obj.iter() {
-        hists.insert(
-            k.clone(),
-            HistSample {
-                count: get_u64(v, "count")?,
-                delta: get_u64(v, "delta")?,
-                p50: get_u64(v, "p50")?,
-                p90: get_u64(v, "p90")?,
-                p99: get_u64(v, "p99")?,
-                max: get_u64(v, "max")?,
-            },
-        );
-    }
-    Some(TelemetrySample {
-        seq: get_u64(obj, "seq")?,
-        t_us: get_u64(obj, "t_us")?,
-        interval_us: get_u64(obj, "interval_us")?,
-        counters: get_u64_map(obj, "counters")?,
-        totals: get_u64_map(obj, "totals")?,
-        gauges: get_u64_map(obj, "gauges")?,
-        hists,
-    })
-}
-
 /// Extract the telemetry time series from a JSONL stream — the
 /// counterpart of [`parse_str`] for the sampler's `"telemetry":1`
 /// lines. Designed for mixed streams: protocol events and headers are
@@ -370,40 +199,18 @@ pub fn parse_telemetry_sample(obj: &Value) -> Option<TelemetrySample> {
 /// order.
 pub fn parse_telemetry_str(input: &str) -> Result<(Vec<TelemetrySample>, ParseStats), TraceError> {
     let mut samples = Vec::new();
-    let mut stats = ParseStats::default();
-    for line in input.lines() {
-        stats.lines += 1;
-        let line = line.trim();
-        if line.is_empty() {
-            stats.skipped += 1;
-            continue;
+    let stats = walk(input, |obj, stats| {
+        if !is_telemetry(obj) {
+            return;
         }
-        let obj = match serde_json::from_str(line) {
-            Ok(v) => v,
-            Err(_) => {
-                stats.skipped += 1;
-                continue;
-            }
-        };
-        if let Some(schema) = get_u64(&obj, "schema") {
-            if schema > u64::from(SCHEMA_VERSION) {
-                return Err(TraceError::UnsupportedSchema(schema));
-            }
-            stats.headers += 1;
-            stats.schema = Some(schema);
-            continue;
-        }
-        if get_u64(&obj, "telemetry").is_none() {
-            continue;
-        }
-        match parse_telemetry_sample(&obj) {
+        match TelemetrySample::from_json(obj) {
             Some(s) => {
                 stats.telemetry += 1;
                 samples.push(s);
             }
             None => stats.skipped += 1,
         }
-    }
+    })?;
     samples.sort_by_key(|s| s.seq);
     Ok((samples, stats))
 }
@@ -419,6 +226,7 @@ pub fn parse_telemetry_file(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hrmc_core::{AlertRule, Severity};
 
     #[test]
     fn header_is_consumed_not_treated_as_event() {

@@ -16,7 +16,7 @@
 
 use std::fmt::Write as _;
 
-use hrmc_core::TelemetrySample;
+use hrmc_core::{Event, TelemetrySample};
 use serde_json::Value;
 
 /// ANSI: clear the screen and home the cursor (prefix of every live
@@ -45,40 +45,43 @@ fn downsample(vals: &[u64], width: usize) -> Vec<u64> {
     out
 }
 
-/// The alerts pane: the `/alerts`-shaped transition history (also
-/// embedded in `/json` under `"alerts"`) as a summary line plus the
-/// most recent transitions, newest last. Raised entries are flagged
+/// The alerts pane: the `/alerts` array of `health_alert` event lines
+/// (also embedded in `/json` under `"alerts"`) as a summary line plus
+/// the most recent transitions, newest last. Raised entries are flagged
 /// `!!`; a rule is *active* when its latest transition is a raise.
 fn render_alerts(out: &mut String, alerts: &[Value]) {
     let mut last_state: std::collections::BTreeMap<&str, bool> = Default::default();
+    let mut lines = Vec::new();
     for a in alerts {
-        if let (Some(rule), Some(raised)) = (
-            a.get("rule").and_then(Value::as_str),
-            a.get("raised").and_then(Value::as_bool),
-        ) {
-            last_state.insert(rule, raised);
-        }
+        let Some(Event::HealthAlert {
+            rule,
+            severity,
+            raised,
+            value_m,
+            limit_m,
+        }) = Event::from_json(a)
+        else {
+            continue;
+        };
+        let t_us = a.get("t_us").and_then(Value::as_u64).unwrap_or(0);
+        last_state.insert(rule.name(), raised);
+        lines.push(format!(
+            "  {} {:<8} {:<17} {:<7} t +{:.1}s  value {value_m}m  limit {limit_m}m\n",
+            if raised { "!!" } else { "  " },
+            severity.name(),
+            rule.name(),
+            if raised { "RAISED" } else { "cleared" },
+            t_us as f64 / 1e6,
+        ));
     }
     let active = last_state.values().filter(|&&raised| raised).count();
     let _ = writeln!(
         out,
         "alerts  {active} active, {} transition(s)",
-        alerts.len()
+        lines.len()
     );
-    let skip = alerts.len().saturating_sub(8);
-    for a in &alerts[skip..] {
-        let raised = a.get("raised").and_then(Value::as_bool).unwrap_or(false);
-        let _ = writeln!(
-            out,
-            "  {} {:<8} {:<17} {:<7} t +{:.1}s  value {}m  limit {}m",
-            if raised { "!!" } else { "  " },
-            a.get("severity").and_then(Value::as_str).unwrap_or("?"),
-            a.get("rule").and_then(Value::as_str).unwrap_or("?"),
-            if raised { "RAISED" } else { "cleared" },
-            a.get("t_us").and_then(Value::as_u64).unwrap_or(0) as f64 / 1e6,
-            a.get("value_m").and_then(Value::as_u64).unwrap_or(0),
-            a.get("limit_m").and_then(Value::as_u64).unwrap_or(0),
-        );
+    for line in &lines[lines.len().saturating_sub(8)..] {
+        out.push_str(line);
     }
 }
 
@@ -189,10 +192,7 @@ pub fn render_endpoint_frame(endpoint: &str, body: &Value) -> String {
         }
     }
     out.push('\n');
-    match body
-        .get("sample")
-        .and_then(hrmc_trace::parse_telemetry_sample)
-    {
+    match body.get("sample").and_then(TelemetrySample::from_json) {
         Some(s) => render_sample(&mut out, &s),
         None => {
             let _ = writeln!(out, "(no sample yet)");
@@ -326,11 +326,11 @@ mod tests {
     fn endpoint_frame_renders_alerts_pane() {
         let body: Value = serde_json::from_str(
             "{\"sample\":null,\"sessions\":[],\"alerts\":[\
-             {\"t_us\":600000,\"rule\":\"nak_storm\",\"severity\":\"warning\",\
+             {\"t_us\":600000,\"event\":\"health_alert\",\"rule\":\"nak_storm\",\"severity\":\"warning\",\
               \"raised\":true,\"value_m\":22000,\"limit_m\":1000},\
-             {\"t_us\":2100000,\"rule\":\"window_stall\",\"severity\":\"critical\",\
+             {\"t_us\":2100000,\"event\":\"health_alert\",\"rule\":\"window_stall\",\"severity\":\"critical\",\
               \"raised\":true,\"value_m\":2500,\"limit_m\":2000},\
-             {\"t_us\":3200000,\"rule\":\"nak_storm\",\"severity\":\"warning\",\
+             {\"t_us\":3200000,\"event\":\"health_alert\",\"rule\":\"nak_storm\",\"severity\":\"warning\",\
               \"raised\":false,\"value_m\":200,\"limit_m\":1000}]}",
         )
         .unwrap();
