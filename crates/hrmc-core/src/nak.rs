@@ -137,8 +137,11 @@ impl NakManager {
 
     /// Remove every entry below `rcv_nxt` (delivered in order). Returns
     /// the removed `(seq, first_noted)` pairs in order; empty — and
-    /// allocation-free — in the common nothing-was-pending case.
+    /// allocation-free — when nothing below `rcv_nxt` is pending.
     pub fn satisfy_below(&mut self, rcv_nxt: u64) -> Vec<(u64, Micros)> {
+        if self.pending.range(..rcv_nxt).next().is_none() {
+            return Vec::new();
+        }
         // split_off keeps >= rcv_nxt; everything before is satisfied.
         let kept = self.pending.split_off(&rcv_nxt);
         let removed = std::mem::replace(&mut self.pending, kept);

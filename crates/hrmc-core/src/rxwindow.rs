@@ -17,10 +17,17 @@
 //! * gap reporting for the NAK manager.
 //!
 //! Internally sequence numbers are *unwrapped* to `u64` stream offsets so
-//! that 32-bit wraparound never corrupts the `BTreeMap` ordering; the
-//! 32-bit wire value is recovered with a truncation.
+//! that 32-bit wraparound never corrupts the ordering; the 32-bit wire
+//! value is recovered with a truncation.
+//!
+//! The out-of-order queue is a ring indexed by distance from `rcv_nxt`:
+//! slot `i` holds `rcv_nxt + i`, and slot 0 (`rcv_nxt` itself) is always
+//! empty. Insertion and duplicate detection are one index, an in-order
+//! arrival pops the front and drains the contiguous run behind it, and a
+//! gap scan walks slots instead of searching a tree. The R4 rejection
+//! bounds the ring at `span = rcvbuf / segment_size` slots.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use hrmc_wire::Seq;
@@ -77,8 +84,12 @@ pub struct ReceiveWindow {
     ready: VecDeque<Bytes>,
     /// Read offset into `ready.front()` for partial reads.
     front_offset: usize,
-    /// Out-of-order segments keyed by unwrapped sequence number.
-    ooo: BTreeMap<u64, Bytes>,
+    /// Bytes in `ready` past `front_offset`.
+    readable: usize,
+    /// Out-of-order ring: slot `i` holds `next + i`; slot 0 is empty.
+    ooo: VecDeque<Option<Bytes>>,
+    /// Occupied slots in `ooo`.
+    ooo_count: usize,
     /// Next expected unwrapped sequence number (`rcv_nxt`); `None` until
     /// the first data packet attaches the window to the stream.
     next: Option<u64>,
@@ -108,7 +119,9 @@ impl ReceiveWindow {
         ReceiveWindow {
             ready: VecDeque::new(),
             front_offset: 0,
-            ooo: BTreeMap::new(),
+            readable: 0,
+            ooo: VecDeque::new(),
+            ooo_count: 0,
             next: None,
             fin_seq: None,
             buffered: 0,
@@ -182,7 +195,7 @@ impl ReceiveWindow {
 
     /// Bytes ready for the application.
     pub fn readable_bytes(&self) -> usize {
-        self.ready.iter().map(Bytes::len).sum::<usize>() - self.front_offset
+        self.readable
     }
 
     /// Offer a data packet. On the very first packet the window attaches
@@ -214,32 +227,38 @@ impl ReceiveWindow {
         if fin {
             self.fin_seq = Some(useq);
         }
-        if useq == next {
+        // `useq - next < span`, so the index fits the bounded ring.
+        let idx = (useq - next) as usize;
+        if idx == 0 {
             self.buffered += payload.len();
             self.accept_in_order(payload);
-            // Drain any contiguous run from the out-of-order queue.
-            while let Some(entry) = self.ooo.first_entry() {
-                if *entry.key() == self.next.unwrap() {
-                    let p = entry.remove();
-                    self.accept_in_order(p);
-                } else {
-                    break;
-                }
+            // Slot 0 was ours; drain the contiguous run behind it.
+            self.ooo.pop_front();
+            while let Some(p) = self.ooo.front_mut().and_then(Option::take) {
+                self.ooo.pop_front();
+                self.ooo_count -= 1;
+                self.accept_in_order(p);
             }
             Offer::InOrder
         } else {
-            if self.ooo.contains_key(&useq) {
+            if idx >= self.ooo.len() {
+                self.ooo.resize(idx + 1, None);
+            }
+            let slot = &mut self.ooo[idx];
+            if slot.is_some() {
                 self.duplicates += 1;
                 return Offer::Duplicate;
             }
             self.buffered += payload.len();
-            self.ooo.insert(useq, payload);
+            *slot = Some(payload);
+            self.ooo_count += 1;
             Offer::OutOfOrder
         }
     }
 
     fn accept_in_order(&mut self, payload: Bytes) {
         self.total_bytes_assembled += payload.len() as u64;
+        self.readable += payload.len();
         // Zero-length segments (the FIN marker, NAK_ERR hole fillers)
         // consume a sequence number but carry nothing for the
         // application; queueing them would wedge `fully_consumed`.
@@ -264,6 +283,7 @@ impl ReceiveWindow {
             copied += take;
             self.front_offset += take;
             self.buffered -= take;
+            self.readable -= take;
             if self.front_offset == front.len() {
                 self.ready.pop_front();
                 self.front_offset = 0;
@@ -285,6 +305,7 @@ impl ReceiveWindow {
             left -= take;
             self.front_offset += take;
             self.buffered -= take;
+            self.readable -= take;
             if self.front_offset == front.len() {
                 self.ready.pop_front();
                 self.front_offset = 0;
@@ -304,16 +325,24 @@ impl ReceiveWindow {
         if limit <= next {
             return Vec::new();
         }
+        // Walk the ring up to `limit`; whatever lies past the ring is one
+        // trailing gap, however far away `limit` is.
+        let walk = (limit - next).min(self.ooo.len() as u64) as usize;
         let mut gaps = Vec::new();
-        let mut cursor = next;
-        for (&have, _) in self.ooo.range(next..limit) {
-            if have > cursor {
-                gaps.push((cursor, (have - cursor) as u32));
+        let mut gap_start = None;
+        for (useq, slot) in (next..).zip(self.ooo.range(..walk)) {
+            match (slot, gap_start) {
+                (None, None) => gap_start = Some(useq),
+                (Some(_), Some(first)) => {
+                    gaps.push((first, (useq - first) as u32));
+                    gap_start = None;
+                }
+                _ => {}
             }
-            cursor = have + 1;
         }
-        if limit > cursor {
-            gaps.push((cursor, (limit - cursor) as u32));
+        let first = gap_start.unwrap_or(next + walk as u64);
+        if limit > first {
+            gaps.push((first, (limit - first) as u32));
         }
         gaps
     }
@@ -345,7 +374,7 @@ impl ReceiveWindow {
 
     /// Number of out-of-order segments held.
     pub fn ooo_len(&self) -> usize {
-        self.ooo.len()
+        self.ooo_count
     }
 }
 

@@ -283,11 +283,14 @@ impl SenderEngine {
         let mut offset = 0;
         while offset < data.len() {
             let take = (data.len() - offset).min(self.config.segment_size);
-            let segment = Bytes::copy_from_slice(&data[offset..offset + take]);
-            if !self.window.push(segment, false) {
+            // Asked before the copy, so a full window costs no allocation.
+            if !self.window.admits(take) {
                 self.submit_blocked = true;
                 break;
             }
+            let segment = Bytes::copy_from_slice(&data[offset..offset + take]);
+            let pushed = self.window.push(segment, false);
+            debug_assert!(pushed, "an admitted segment must be pushed");
             offset += take;
         }
         offset
@@ -1227,7 +1230,17 @@ mod tests {
         let n = s.submit(&big, 0);
         assert!(n < big.len());
         assert!(n >= 64 * 1024 - 1400);
-        assert_eq!(s.submit(&big, 0), 0); // still blocked
+        assert!(s.submit_blocked);
+        // Still blocked: nothing is queued and the flag is raised again.
+        s.submit_blocked = false;
+        let buffered = s.buffered_bytes();
+        assert_eq!(s.submit(&big, 0), 0);
+        assert!(s.submit_blocked);
+        assert_eq!(s.buffered_bytes(), buffered);
+        // A segment that still fits the tail is taken whole.
+        let free = 64 * 1024 - buffered;
+        assert!(free > 0);
+        assert_eq!(s.submit(&vec![2u8; free], 0), free);
     }
 
     #[test]

@@ -118,14 +118,21 @@ impl SendWindow {
         self.next_send_idx < self.slots.len()
     }
 
+    /// `true` when [`push`](SendWindow::push) would admit a `len`-byte
+    /// segment. An oversized single segment on an empty window is
+    /// admitted so a segment larger than sndbuf cannot deadlock the
+    /// stream.
+    #[inline]
+    pub(crate) fn admits(&self, len: usize) -> bool {
+        self.buffered + len <= self.capacity || self.slots.is_empty()
+    }
+
     /// Enqueue one segment if it fits; returns `false` (without queueing)
     /// when the window lacks space — the application interface blocks.
     pub fn push(&mut self, payload: Bytes, fin: bool) -> bool {
-        if self.buffered + payload.len() > self.capacity && !self.slots.is_empty() {
+        if !self.admits(payload.len()) {
             return false;
         }
-        // An oversized single segment on an empty window is admitted so a
-        // segment larger than sndbuf cannot deadlock the stream.
         self.buffered += payload.len();
         self.slots.push_back(SendSlot {
             seq: self.next_seq,

@@ -1,12 +1,14 @@
 //! Property-based tests on the core protocol invariants.
 
+use std::collections::{BTreeMap, VecDeque};
+
 use bytes::Bytes;
 use hrmc_core::membership::Membership;
 use hrmc_core::nak::NakManager;
 use hrmc_core::rate::RateController;
-use hrmc_core::rxwindow::{Offer, ReceiveWindow};
-use hrmc_core::{PeerId, ProtocolConfig, SenderEngine, JIFFY_US};
-use hrmc_wire::{Packet, PacketType, HEADER_LEN};
+use hrmc_core::rxwindow::{unwrap_seq, Offer, ReceiveWindow};
+use hrmc_core::{PeerId, ProtocolConfig, SenderEngine, JIFFY_US, MAX_CONTROL_SPAN};
+use hrmc_wire::{Packet, PacketType, Seq, HEADER_LEN};
 use proptest::prelude::*;
 
 const P1: PeerId = PeerId(1);
@@ -30,6 +32,132 @@ fn drain_data(s: &mut SenderEngine) -> (usize, usize) {
         }
     }
     (packets, bytes)
+}
+
+/// The receive window as it was built on a `BTreeMap` out-of-order queue,
+/// kept as the reference the sequence-indexed ring must agree with.
+struct MapWindow {
+    ready: VecDeque<Bytes>,
+    front_offset: usize,
+    ooo: BTreeMap<u64, Bytes>,
+    next: Option<u64>,
+    fin_seq: Option<u64>,
+    buffered: usize,
+    capacity: usize,
+    span: u64,
+}
+
+impl MapWindow {
+    fn new(capacity: usize, segment_size: usize) -> MapWindow {
+        MapWindow {
+            ready: VecDeque::new(),
+            front_offset: 0,
+            ooo: BTreeMap::new(),
+            next: None,
+            fin_seq: None,
+            buffered: 0,
+            capacity,
+            span: ((capacity / segment_size.max(1)).max(2)) as u64,
+        }
+    }
+
+    fn attach_at(&mut self, seq: Seq) {
+        self.next.get_or_insert(seq as u64);
+    }
+
+    fn readable_bytes(&self) -> usize {
+        self.ready.iter().map(Bytes::len).sum::<usize>() - self.front_offset
+    }
+
+    fn offer(&mut self, seq: Seq, payload: Bytes, fin: bool) -> Offer {
+        let next = *self.next.get_or_insert(seq as u64);
+        let useq = unwrap_seq(seq, next);
+        if useq < next {
+            return Offer::Duplicate;
+        }
+        if useq >= next + self.span {
+            return Offer::BeyondWindow;
+        }
+        if self.buffered + payload.len() > self.capacity {
+            return Offer::Overflow;
+        }
+        if fin {
+            self.fin_seq = Some(useq);
+        }
+        if useq == next {
+            self.buffered += payload.len();
+            self.accept_in_order(payload);
+            while let Some(entry) = self.ooo.first_entry() {
+                if *entry.key() != self.next.unwrap() {
+                    break;
+                }
+                let p = entry.remove();
+                self.accept_in_order(p);
+            }
+            Offer::InOrder
+        } else {
+            if self.ooo.contains_key(&useq) {
+                return Offer::Duplicate;
+            }
+            self.buffered += payload.len();
+            self.ooo.insert(useq, payload);
+            Offer::OutOfOrder
+        }
+    }
+
+    fn accept_in_order(&mut self, payload: Bytes) {
+        if !payload.is_empty() {
+            self.ready.push_back(payload);
+        }
+        self.next = Some(self.next.unwrap() + 1);
+    }
+
+    /// `read` when `out` is given, `consume` otherwise.
+    fn take(&mut self, n: usize, mut out: Option<&mut Vec<u8>>) -> usize {
+        let mut left = n;
+        while left > 0 {
+            let Some(front) = self.ready.front() else {
+                break;
+            };
+            let take = (front.len() - self.front_offset).min(left);
+            if let Some(out) = out.as_deref_mut() {
+                out.extend_from_slice(&front[self.front_offset..self.front_offset + take]);
+            }
+            left -= take;
+            self.front_offset += take;
+            self.buffered -= take;
+            if self.front_offset == front.len() {
+                self.ready.pop_front();
+                self.front_offset = 0;
+            }
+        }
+        n - left
+    }
+
+    fn missing_below(&self, limit: u64) -> Vec<(u64, u32)> {
+        let Some(next) = self.next else {
+            return Vec::new();
+        };
+        if limit <= next {
+            return Vec::new();
+        }
+        let mut gaps = Vec::new();
+        let mut cursor = next;
+        for &have in self.ooo.range(next..limit).map(|(k, _)| k) {
+            if have > cursor {
+                gaps.push((cursor, (have - cursor) as u32));
+            }
+            cursor = have + 1;
+        }
+        if limit > cursor {
+            gaps.push((cursor, (limit - cursor) as u32));
+        }
+        gaps
+    }
+
+    fn fully_consumed(&self) -> bool {
+        matches!((self.fin_seq, self.next), (Some(f), Some(n)) if n > f) && self.ready.is_empty()
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -109,6 +237,77 @@ proptest! {
                 .any(|&(f, c)| s >= f && s < f + c as u64);
             let is_present = s < next || present.contains(&(s as u32));
             prop_assert_eq!(in_missing, !is_present, "seq {}", s);
+        }
+    }
+
+    // The sequence-indexed ring agrees with the BTreeMap window it
+    // replaced on one random script of offers (in order, out of order,
+    // duplicate, zero-length, FIN, beyond the window, overflowing),
+    // reads, consumes and attaches, started 40 packets before the 32-bit
+    // sequence wrap so the wrap lands mid-script.
+    #[test]
+    fn rxwindow_ring_agrees_with_the_map_window(
+        capacity in 100usize..1_200,
+        segment in 10usize..60,
+        steps in proptest::collection::vec(
+            (0u8..10, 0u32..1_000, 0usize..70, 0u8..12, 0u32..=MAX_CONTROL_SPAN),
+            1..400,
+        ),
+    ) {
+        const BASE: Seq = u32::MAX - 40;
+        let mut ring = ReceiveWindow::new(capacity, segment);
+        let mut map = MapWindow::new(capacity, segment);
+        for (i, (op, rel, len, roll, reach)) in steps.into_iter().enumerate() {
+            let anchor = map.next.map_or(BASE, |n| n as Seq);
+            match op {
+                0..=5 => {
+                    let seq = match rel {
+                        // A quarter land exactly on rcv_nxt, so the stream
+                        // advances through the wrap.
+                        r if r % 4 == 0 => anchor,
+                        // Far off: unwraps behind (duplicate) or beyond.
+                        r if r >= 990 => anchor.wrapping_add(r.wrapping_mul(4_999_999)),
+                        r => anchor.wrapping_add(r % (map.span as u32 + 8)).wrapping_sub(4),
+                    };
+                    let len = if len < 10 { 0 } else { len };
+                    let payload = Bytes::from(vec![seq as u8; len]);
+                    let fin = roll == 0;
+                    prop_assert_eq!(
+                        ring.offer(seq, payload.clone(), fin),
+                        map.offer(seq, payload, fin),
+                        "step {} offer seq {}", i, seq
+                    );
+                }
+                6 | 7 => {
+                    let mut buf = vec![0u8; len];
+                    let n = ring.read(&mut buf);
+                    let mut want = Vec::new();
+                    prop_assert_eq!(n, map.take(len, Some(&mut want)), "step {} read", i);
+                    prop_assert_eq!(&buf[..n], &want[..], "step {} bytes", i);
+                }
+                8 => prop_assert_eq!(ring.consume(len * 3), map.take(len * 3, None)),
+                _ => {
+                    ring.attach_at(BASE);
+                    map.attach_at(BASE);
+                }
+            }
+            prop_assert_eq!(ring.rcv_nxt(), map.next.map(|n| n as Seq), "step {}", i);
+            prop_assert_eq!(ring.buffered_bytes(), map.buffered, "step {}", i);
+            prop_assert_eq!(ring.readable_bytes(), map.readable_bytes(), "step {}", i);
+            prop_assert_eq!(ring.ooo_len(), map.ooo.len(), "step {}", i);
+            prop_assert_eq!(ring.fully_consumed(), map.fully_consumed(), "step {}", i);
+            if let Some(next) = map.next {
+                let limit = if reach % 2 == 1 {
+                    next + u64::from(reach)
+                } else {
+                    (next + u64::from(reach) % (map.span + 4)).saturating_sub(2)
+                };
+                prop_assert_eq!(
+                    ring.missing_below(limit),
+                    map.missing_below(limit),
+                    "step {} limit {}", i, limit
+                );
+            }
         }
     }
 

@@ -8,7 +8,8 @@
 //! 1. **Wire decode** ([`fuzz_wire`]): arbitrary bytes, checked-in
 //!    corpus seeds, and structure-aware mutations of valid packets fed
 //!    to [`Packet::decode`] and [`Header::decode`]. Anything that
-//!    decodes must re-encode and decode back to the same packet.
+//!    decodes must re-encode and decode back to the same packet, and
+//!    the checksum verdict must match a scalar RFC 1071 oracle.
 //! 2. **Receiver engine** ([`fuzz_receiver`]): a live receiver (every
 //!    protocol mode) fed hostile but wire-reachable packets interleaved
 //!    with ticks and reads. Must never panic; suspicious input lands in
@@ -24,7 +25,8 @@ use std::path::PathBuf;
 
 use bytes::Bytes;
 use hrmc_core::{PeerId, ProtocolConfig, ReceiverEngine, SenderEngine};
-use hrmc_wire::{Flags, Header, Packet, PacketType, HEADER_LEN};
+use hrmc_wire::header::CHECKSUM_OFFSET;
+use hrmc_wire::{checksum, Flags, Header, Packet, PacketType, HEADER_LEN};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -251,7 +253,25 @@ fn guarded<F: FnOnce() -> R, R>(target: &str, seed: u64, episode: u64, f: F) -> 
     }
 }
 
-/// Fuzz `Packet::decode` / `Header::decode` for `iters` inputs.
+/// The oracle for `checksum::verify_with_field`: RFC 1071 as written,
+/// on a copy with the field zeroed, one big-endian 16-bit word at a time.
+fn scalar_verify(input: &[u8], at: usize) -> bool {
+    let stored = u16::from_be_bytes([input[at], input[at + 1]]);
+    let mut buf = input.to_vec();
+    buf[at..at + 2].fill(0);
+    let mut sum: u64 = buf
+        .chunks(2)
+        .map(|w| u64::from(u16::from_be_bytes([w[0], w.get(1).copied().unwrap_or(0)])))
+        .sum();
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    !(sum as u16) == stored
+}
+
+/// Fuzz `Packet::decode` / `Header::decode` for `iters` inputs; every
+/// input long enough to hold the checksum field is also a differential
+/// between the wire crate's word-wide checksum and `scalar_verify`.
 pub fn fuzz_wire(seed: u64, iters: u64) -> FuzzReport {
     let mut corpus = load_corpus();
     if corpus.is_empty() {
@@ -287,6 +307,13 @@ pub fn fuzz_wire(seed: u64, iters: u64) -> FuzzReport {
             }
         });
         guarded("wire", seed, i, || {
+            if input.len() >= CHECKSUM_OFFSET + 2 {
+                assert_eq!(
+                    checksum::verify_with_field(&input, CHECKSUM_OFFSET),
+                    scalar_verify(&input, CHECKSUM_OFFSET),
+                    "word-wide checksum disagrees with the scalar RFC 1071 sum"
+                );
+            }
             // Header::decode must be total over any byte string.
             let _ = Header::decode(&input);
             match Packet::decode(&input) {

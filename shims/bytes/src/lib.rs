@@ -2,7 +2,8 @@
 //!
 //! The build environment has no crates.io access, so this shim provides
 //! the small slice of the real crate's API the workspace uses: an
-//! immutable, cheaply cloneable byte buffer backed by `Arc<[u8]>`.
+//! immutable, cheaply cloneable byte buffer backed by `Arc<[u8]>`. As in
+//! the real crate, an empty buffer allocates nothing.
 
 use std::fmt;
 use std::ops::Deref;
@@ -11,45 +12,42 @@ use std::sync::Arc;
 /// A cheaply cloneable, immutable contiguous byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    /// `None` is the empty buffer.
+    data: Option<Arc<[u8]>>,
 }
 
 impl Bytes {
     /// An empty buffer.
     pub fn new() -> Bytes {
-        Bytes {
-            data: Arc::from(&[][..]),
-        }
+        Bytes { data: None }
     }
 
     /// A buffer referencing static data (copied here; the real crate
     /// borrows, but the semantics callers observe are identical).
     pub fn from_static(data: &'static [u8]) -> Bytes {
-        Bytes {
-            data: Arc::from(data),
-        }
+        Bytes::copy_from_slice(data)
     }
 
     /// Copy a slice into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
         Bytes {
-            data: Arc::from(data),
+            data: (!data.is_empty()).then(|| Arc::from(data)),
         }
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.as_ref().len()
     }
 
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.data.is_none()
     }
 
     /// Copy out to a `Vec`.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.data.to_vec()
+        self.as_ref().to_vec()
     }
 }
 
@@ -57,19 +55,21 @@ impl Deref for Bytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.data
+        self.data.as_deref().unwrap_or_default()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes { data: Arc::from(v) }
+        Bytes {
+            data: (!v.is_empty()).then(|| Arc::from(v)),
+        }
     }
 }
 
@@ -81,7 +81,7 @@ impl From<&[u8]> for Bytes {
 
 impl PartialEq for Bytes {
     fn eq(&self, other: &Bytes) -> bool {
-        self.data[..] == other.data[..]
+        self[..] == other[..]
     }
 }
 
@@ -89,26 +89,26 @@ impl Eq for Bytes {}
 
 impl PartialEq<[u8]> for Bytes {
     fn eq(&self, other: &[u8]) -> bool {
-        self.data[..] == *other
+        self[..] == *other
     }
 }
 
 impl PartialEq<Vec<u8>> for Bytes {
     fn eq(&self, other: &Vec<u8>) -> bool {
-        self.data[..] == other[..]
+        self[..] == other[..]
     }
 }
 
 impl std::hash::Hash for Bytes {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.data.hash(state)
+        self[..].hash(state)
     }
 }
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
-        for &b in self.data.iter() {
+        for &b in self.iter() {
             if (0x20..0x7f).contains(&b) && b != b'"' && b != b'\\' {
                 write!(f, "{}", b as char)?;
             } else {
@@ -139,5 +139,22 @@ mod tests {
         let a = Bytes::from(vec![9u8; 1024]);
         let b = a.clone();
         assert_eq!(a.as_ref().as_ptr(), b.as_ref().as_ptr());
+    }
+
+    #[test]
+    fn every_empty_buffer_is_the_same_buffer() {
+        let empties = [
+            Bytes::new(),
+            Bytes::default(),
+            Bytes::from(Vec::new()),
+            Bytes::copy_from_slice(&[]),
+            Bytes::from_static(b""),
+        ];
+        for e in &empties {
+            assert_eq!(e, &Bytes::new());
+            assert_eq!(e.len(), 0);
+            assert_eq!(&e[..], &[] as &[u8]);
+            assert_eq!(format!("{e:?}"), "b\"\"");
+        }
     }
 }
