@@ -157,8 +157,8 @@ pub struct ProtocolConfig {
     /// original fixed-interval retry; raise it to spread retries out on
     /// lossy paths.
     pub join_retry_max: Micros,
-    /// Maximum JOIN attempts before the receiver gives up and reports
-    /// [`SessionFailed`](crate::events::ReceiverEvent::SessionFailed).
+    /// Maximum JOIN attempts before the receiver gives up and fails the
+    /// session ([`ReceiverEngine::has_failed`](crate::ReceiverEngine::has_failed)).
     /// `0` retries forever (the original behaviour).
     pub join_retry_limit: u32,
     /// Deterministic jitter fraction applied to each JOIN retry backoff

@@ -20,9 +20,12 @@
 //!
 //! Neither engine performs I/O or reads a clock: every entry point takes
 //! `now` in microseconds and every outgoing packet is queued on an output
-//! queue the host driver drains. `hrmc-sim` drives the engines under a
-//! discrete-event clock; `hrmc-net` drives the identical engines from real
-//! UDP multicast sockets and real time.
+//! queue the host driver drains. The engines keep no log of what happened
+//! for the host: a host that blocks re-reads engine state (bytes readable,
+//! stream complete, transfer finished, session failed) after each turn,
+//! the way a kernel sleeper re-checks its condition. `hrmc-sim` drives
+//! the engines under a discrete-event clock; `hrmc-net` drives the
+//! identical engines from real UDP multicast sockets and real time.
 //!
 //! ## Protocol summary
 //!
@@ -56,7 +59,6 @@
 //! primitives (counters, gauges, log2 histograms with p50/p90/p99).
 
 pub mod config;
-pub mod events;
 pub mod fec;
 pub mod health;
 pub mod keepalive;
@@ -76,7 +78,6 @@ pub mod txwindow;
 pub mod update;
 
 pub use config::{ProbePolicy, ProbeTransport, ProtocolConfig, ReliabilityMode, UpdateMode};
-pub use events::{ReceiverEvent, SenderEvent};
 pub use fec::FecConfig;
 pub use health::{
     Alert, AlertRule, HealthConfig, HealthMonitor, RuleConfig, Severity, SharedMonitor,

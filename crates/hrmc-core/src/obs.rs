@@ -747,11 +747,6 @@ impl FlightRecorder {
         out
     }
 
-    /// Write [`FlightRecorder::dump`] to a sink.
-    pub fn dump_to<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(self.dump().as_bytes())
-    }
-
     /// Publish the recorder's backpressure gauges into a metrics
     /// registry: `flight_recorder_dropped_events`,
     /// `flight_recorder_peak_events`, `flight_recorder_capacity`.

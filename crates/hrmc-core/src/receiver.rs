@@ -19,7 +19,6 @@ use hrmc_wire::{Packet, PacketType, Seq};
 use std::collections::BTreeMap;
 
 use crate::config::{ProtocolConfig, UpdateMode};
-use crate::events::ReceiverEvent;
 use crate::fec::FecDecoder;
 use crate::keepalive::KEEPALIVE_MAX_US;
 use crate::nak::{suppress_interval, NakManager};
@@ -29,7 +28,7 @@ use crate::rate::URGENT_STOP_RTTS;
 use crate::rtt::MIN_RTT_US;
 use crate::rxwindow::{unwrap_seq, Offer, ReceiveWindow, Region};
 use crate::stats::ReceiverStats;
-use crate::time::{scale, Micros, JIFFY_US, MS};
+use crate::time::{scale, Micros, MS};
 use crate::update::UpdateGenerator;
 use crate::{Dest, Outgoing};
 
@@ -106,10 +105,7 @@ pub struct ReceiverEngine {
     /// backlog queue (paper Figure 9).
     locked: bool,
     backlog: Vec<Packet>,
-    had_readable: bool,
-    stream_complete_emitted: bool,
     out: std::collections::VecDeque<Outgoing>,
-    events: std::collections::VecDeque<ReceiverEvent>,
     /// Public counters; the experiment harnesses read these.
     pub stats: ReceiverStats,
     /// Optional observability hook (None by default: zero-cost).
@@ -156,10 +152,7 @@ impl ReceiverEngine {
             last_urgent: None,
             locked: false,
             backlog: Vec::new(),
-            had_readable: false,
-            stream_complete_emitted: false,
             out: std::collections::VecDeque::new(),
-            events: std::collections::VecDeque::new(),
             stats: ReceiverStats::default(),
             observer: None,
             last_region: Region::Safe,
@@ -208,11 +201,6 @@ impl ReceiverEngine {
     /// `true` when complete *and* fully read by the application.
     pub fn fully_consumed(&self) -> bool {
         self.window.fully_consumed()
-    }
-
-    /// The recommended driver tick interval (one jiffy).
-    pub fn tick_interval(&self) -> Micros {
-        JIFFY_US
     }
 
     /// Receiver-side RTT estimate.
@@ -288,12 +276,11 @@ impl ReceiverEngine {
             PacketType::Keepalive => self.on_keepalive(pkt, now),
             PacketType::NakErr => self.on_nak_err(pkt, now),
             PacketType::JoinResponse => self.on_join_response(pkt, now),
-            PacketType::LeaveResponse => {
-                self.events.push_back(ReceiverEvent::Left);
-            }
             // Local recovery: peers' multicast NAKs are repair requests.
             PacketType::Nak if self.repair_cache.is_some() => self.on_peer_nak(pkt, now),
-            // Receiver-originated types looped back are ignored.
+            // LEAVE_RESPONSE ends nothing the engine still tracks (LEAVE
+            // was final); receiver-originated types looped back are
+            // ignored.
             _ => {}
         }
     }
@@ -351,7 +338,6 @@ impl ReceiverEngine {
                         dec.on_data(useq, pkt.payload.clone());
                     }
                 }
-                self.note_readable();
             }
             Offer::OutOfOrder => {
                 self.stats.data_packets_received += 1;
@@ -383,7 +369,6 @@ impl ReceiverEngine {
             Offer::Overflow => self.stats.overflow_drops += 1,
             Offer::BeyondWindow => self.stats.beyond_window_drops += 1,
         }
-        self.check_stream_complete();
         self.flow_control(now);
         // Local recovery: a filled gap we had NAKed means the sender may
         // be holding a retransmission for us — refresh its state promptly
@@ -511,8 +496,6 @@ impl ReceiverEngine {
             self.stats.malformed_packets += 1;
         }
         let count = count.min(crate::MAX_CONTROL_SPAN);
-        self.events
-            .push_back(ReceiverEvent::DataLost { seq: first, count });
         for i in 0..count {
             let seq = first.wrapping_add(i);
             let useq = unwrap_seq(seq, self.window.next_u64());
@@ -520,7 +503,6 @@ impl ReceiverEngine {
             let _ = self.window.offer(seq, bytes::Bytes::new(), false);
         }
         self.naks.satisfy_below(self.window.next_u64());
-        self.check_stream_complete();
         let _ = now;
     }
 
@@ -602,7 +584,6 @@ impl ReceiverEngine {
             self.join = JoinState::Confirmed;
             self.join_attempts = 0;
             self.join_delay = JOIN_RETRY_US;
-            self.events.push_back(ReceiverEvent::Joined);
             emit!(self, now, Event::Joined { rtt_us: self.rtt });
         }
     }
@@ -615,7 +596,6 @@ impl ReceiverEngine {
         }
         self.failed = true;
         self.stats.session_failures += 1;
-        self.events.push_back(ReceiverEvent::SessionFailed);
         emit!(self, now, Event::SessionFailed);
     }
 
@@ -864,9 +844,6 @@ impl ReceiverEngine {
     pub fn read(&mut self, buf: &mut [u8], now: Micros) -> usize {
         let n = self.window.read(buf);
         self.stats.bytes_delivered += n as u64;
-        if self.window.readable_bytes() == 0 {
-            self.had_readable = false;
-        }
         self.note_region(now);
         n
     }
@@ -876,9 +853,6 @@ impl ReceiverEngine {
     pub fn consume(&mut self, n: usize, now: Micros) -> usize {
         let taken = self.window.consume(n);
         self.stats.bytes_delivered += taken as u64;
-        if self.window.readable_bytes() == 0 {
-            self.had_readable = false;
-        }
         self.note_region(now);
         taken
     }
@@ -1010,20 +984,6 @@ impl ReceiverEngine {
         self.push_out(pkt);
     }
 
-    fn note_readable(&mut self) {
-        if !self.had_readable && self.window.readable_bytes() > 0 {
-            self.had_readable = true;
-            self.events.push_back(ReceiverEvent::DataReady);
-        }
-    }
-
-    fn check_stream_complete(&mut self) {
-        if self.window.stream_complete() && !self.stream_complete_emitted {
-            self.stream_complete_emitted = true;
-            self.events.push_back(ReceiverEvent::StreamComplete);
-        }
-    }
-
     fn push_out(&mut self, packet: Packet) {
         self.out.push_back(Outgoing {
             dest: Dest::Sender,
@@ -1034,11 +994,6 @@ impl ReceiverEngine {
     /// Drain one outgoing packet, if any (always destined to the sender).
     pub fn poll_output(&mut self) -> Option<Outgoing> {
         self.out.pop_front()
-    }
-
-    /// Drain one application event, if any.
-    pub fn poll_event(&mut self) -> Option<ReceiverEvent> {
-        self.events.pop_front()
     }
 }
 
@@ -1117,8 +1072,10 @@ mod tests {
         let resp = Packet::control(PacketType::JoinResponse, 7000, 7001, 0);
         r.handle_packet(&resp, 6_000);
         assert_eq!(r.rtt(), 5_000);
-        assert_eq!(r.poll_event(), Some(ReceiverEvent::DataReady));
-        assert_eq!(r.poll_event(), Some(ReceiverEvent::Joined));
+        assert_eq!(r.readable_bytes(), 100);
+        // Confirmed: the JOIN is never retried.
+        r.on_tick(1_000_000);
+        assert!(packets_of(&drain(&mut r), PacketType::Join).is_empty());
     }
 
     #[test]
@@ -1447,7 +1404,7 @@ mod tests {
         fin.header.flags.fin = true;
         r.handle_packet(&fin, 1_000);
         assert!(r.stream_complete());
-        assert!(std::iter::from_fn(|| r.poll_event()).any(|e| e == ReceiverEvent::StreamComplete));
+        assert!(!r.fully_consumed());
         let mut buf = [0u8; 1024];
         assert_eq!(r.read(&mut buf, 2_000), 150);
         assert!(r.fully_consumed());
@@ -1465,8 +1422,9 @@ mod tests {
         r.handle_packet(&err, 2_000);
         // The hole closed: rcv_nxt advanced past the lost packets.
         assert_eq!(r.rcv_nxt(), Some(4));
-        assert!(std::iter::from_fn(|| r.poll_event())
-            .any(|e| e == ReceiverEvent::DataLost { seq: 1, count: 2 }));
+        // Only packets 0 and 3 reach the application.
+        let mut buf = [0u8; 1024];
+        assert_eq!(r.read(&mut buf, 2_000), 200);
         // No NAKs remain pending.
         r.on_tick(1_000_000);
         assert!(packets_of(&drain(&mut r), PacketType::Nak).is_empty());
@@ -1474,7 +1432,7 @@ mod tests {
     }
 
     #[test]
-    fn close_sends_leave_and_response_completes() {
+    fn close_sends_leave_once() {
         let mut r = engine();
         r.handle_packet(&data(0, 100), 0);
         drain(&mut r);
@@ -1485,7 +1443,7 @@ mod tests {
         assert!(drain(&mut r).is_empty());
         let resp = Packet::control(PacketType::LeaveResponse, 7000, 7001, 0);
         r.handle_packet(&resp, 2_000);
-        assert!(std::iter::from_fn(|| r.poll_event()).any(|e| e == ReceiverEvent::Left));
+        assert!(drain(&mut r).is_empty());
     }
 
     #[test]
@@ -1523,7 +1481,6 @@ mod tests {
         r.on_tick(600_000); // budget exhausted
         assert!(r.has_failed());
         assert_eq!(r.stats.session_failures, 1);
-        assert!(std::iter::from_fn(|| r.poll_event()).any(|e| e == ReceiverEvent::SessionFailed));
         // Terminal: every timer disarmed, no further output, and the
         // failure is reported exactly once.
         assert_eq!(r.next_wakeup(600_000), None);
@@ -1548,7 +1505,6 @@ mod tests {
         assert!(!r.has_failed());
         r.on_tick(4_005_000);
         assert!(r.has_failed());
-        assert!(std::iter::from_fn(|| r.poll_event()).any(|e| e == ReceiverEvent::SessionFailed));
         assert_eq!(r.next_wakeup(4_005_000), None);
         // Packets after the terminal failure are ignored.
         r.handle_packet(&data(1, 100), 4_100_000);

@@ -18,8 +18,11 @@
 //! [`SenderEngine::next_transmit`] names, and `on_tick` once a jiffy.
 //!
 //! Outgoing packets accumulate on an output queue drained with
-//! [`SenderEngine::poll_output`]; application-visible events with
-//! [`SenderEngine::poll_event`].
+//! [`SenderEngine::poll_output`]. Everything else a host needs is state
+//! it reads when it wants to: [`SenderEngine::buffered_bytes`] for a
+//! blocked `submit`, [`SenderEngine::is_finished`] for the end of the
+//! transfer, `stats.nak_errs_sent` for RMC's retransmission errors and
+//! [`SenderEngine::ejected_members`] for forced departures.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -27,7 +30,6 @@ use bytes::Bytes;
 use hrmc_wire::{seq_le, Packet, PacketType, Seq};
 
 use crate::config::{ProbePolicy, ProbeTransport, ProtocolConfig, ReliabilityMode};
-use crate::events::SenderEvent;
 use crate::fec::FecEncoder;
 use crate::keepalive::KeepaliveController;
 use crate::membership::Membership;
@@ -121,10 +123,9 @@ pub struct SenderEngine {
     /// Last sequence number actually transmitted (for KEEPALIVE).
     last_transmitted: Option<Seq>,
     closed: bool,
-    transfer_complete_emitted: bool,
-    submit_blocked: bool,
+    /// Every member the failure-domain pass ejected, in ejection order.
+    ejected: Vec<PeerId>,
     out: VecDeque<Outgoing>,
-    events: VecDeque<SenderEvent>,
     /// Optional observability hook (None by default: zero-cost).
     observer: Option<Box<dyn ProtocolObserver>>,
     /// Rate-controller state last reported to the observer, diffed after
@@ -171,10 +172,8 @@ impl SenderEngine {
             release_attempt_counted_through: None,
             last_transmitted: None,
             closed: false,
-            transfer_complete_emitted: false,
-            submit_blocked: false,
+            ejected: Vec::new(),
             out: VecDeque::new(),
-            events: VecDeque::new(),
             observer: None,
             last_phase,
             last_halvings: 0,
@@ -241,11 +240,6 @@ impl SenderEngine {
         self.closed && self.window.is_empty() && !self.window.has_unsent()
     }
 
-    /// The recommended driver tick interval (one jiffy).
-    pub fn tick_interval(&self) -> Micros {
-        JIFFY_US
-    }
-
     /// Absolute time of the next timer this engine needs a tick for, or
     /// `None` when fully idle (a deadline-driven driver may then sleep
     /// until the next `submit`/`handle_packet` call re-arms it).
@@ -275,7 +269,7 @@ impl SenderEngine {
     /// is fragmented into segments of `segment_size` and queued in the
     /// send window. Returns the number of bytes accepted, which is less
     /// than `data.len()` when the send buffer fills — the application
-    /// blocks and retries after [`SenderEvent::SendSpaceAvailable`].
+    /// blocks and retries once [`SenderEngine::buffered_bytes`] falls.
     pub fn submit(&mut self, data: &[u8], _now: Micros) -> usize {
         if self.closed {
             return 0;
@@ -285,7 +279,6 @@ impl SenderEngine {
             let take = (data.len() - offset).min(self.config.segment_size);
             // Asked before the copy, so a full window costs no allocation.
             if !self.window.admits(take) {
-                self.submit_blocked = true;
                 break;
             }
             let segment = Bytes::copy_from_slice(&data[offset..offset + take]);
@@ -331,7 +324,6 @@ impl SenderEngine {
         self.membership.add(from, echoed, now);
         self.stats.joins += 1;
         if is_new {
-            self.events.push_back(SenderEvent::MemberJoined(from));
             emit!(self, now, Event::PeerJoined { peer: from });
         }
         // RTT sample: the JOIN echoes the data packet that triggered it.
@@ -345,7 +337,6 @@ impl SenderEngine {
     fn on_leave(&mut self, pkt: &Packet, from: PeerId, now: Micros) {
         if self.membership.remove(from) {
             self.stats.leaves += 1;
-            self.events.push_back(SenderEvent::MemberLeft(from));
             // Restart the keepalive backoff: a departure often precedes a
             // re-JOIN, and a line idling at the 2 s cap would leave the
             // newcomer's loss detection blind for up to that long.
@@ -413,8 +404,6 @@ impl SenderEngine {
                 err.header.length = count;
                 self.push_out(Dest::Unicast(from), err);
                 self.stats.nak_errs_sent += 1;
-                self.events
-                    .push_back(SenderEvent::RetransmissionError { peer: from, seq });
             }
         }
         // A NAK signals loss: halve the rate (one congestion event per RTT).
@@ -689,7 +678,6 @@ impl SenderEngine {
         self.try_release(now);
         self.maybe_early_probe(now);
         self.maybe_keepalive(now);
-        self.maybe_finish();
         self.prune_nonces(now);
 
         // Refresh the membership-pressure gauges (all serde-skipped, so
@@ -698,9 +686,6 @@ impl SenderEngine {
         let costs = self.membership.costs();
         self.stats.gate_checks = costs.gate_checks;
         self.stats.gate_members_scanned = costs.members_scanned;
-        self.stats.membership_heap_pops = costs.heap_lazy_pops;
-        self.stats.membership_size = self.membership.len() as u64;
-        self.stats.membership_shards = self.membership.shard_count() as u64;
     }
 
     /// Failure-domain pass: eject members that stopped answering PROBEs
@@ -725,7 +710,7 @@ impl SenderEngine {
         for peer in victims {
             if self.membership.eject(peer) {
                 self.stats.members_ejected += 1;
-                self.events.push_back(SenderEvent::MemberEjected(peer));
+                self.ejected.push(peer);
                 emit!(self, now, Event::MemberEjected { peer });
                 // Restart the keepalive backoff (same rationale as LEAVE:
                 // a restarted receiver's re-JOIN should not meet a line
@@ -751,7 +736,6 @@ impl SenderEngine {
         if self.membership.is_empty() {
             minbuf = minbuf.max(self.config.anonymous_release_hold);
         }
-        let mut released_any = false;
         #[allow(clippy::while_let_loop)] // two let-else exits; loop reads clearer
         loop {
             let Some(front) = self.window.front() else {
@@ -783,7 +767,6 @@ impl SenderEngine {
                     }
                     self.window.release_front();
                     self.stats.segments_released += 1;
-                    released_any = true;
                     emit!(
                         self,
                         now,
@@ -798,7 +781,6 @@ impl SenderEngine {
                     if complete {
                         self.window.release_front();
                         self.stats.segments_released += 1;
-                        released_any = true;
                         emit!(
                             self,
                             now,
@@ -824,10 +806,6 @@ impl SenderEngine {
                     }
                 }
             }
-        }
-        if released_any && self.submit_blocked {
-            self.submit_blocked = false;
-            self.events.push_back(SenderEvent::SendSpaceAvailable);
         }
     }
 
@@ -951,13 +929,6 @@ impl SenderEngine {
         }
     }
 
-    fn maybe_finish(&mut self) {
-        if self.is_finished() && !self.transfer_complete_emitted {
-            self.transfer_complete_emitted = true;
-            self.events.push_back(SenderEvent::TransferComplete);
-        }
-    }
-
     fn prune_nonces(&mut self, now: Micros) {
         if self.probe_nonces.len() < 1024 {
             return;
@@ -999,9 +970,12 @@ impl SenderEngine {
         self.out.pop_front()
     }
 
-    /// Drain one application event, if any.
-    pub fn poll_event(&mut self) -> Option<SenderEvent> {
-        self.events.pop_front()
+    /// Every member ejected so far (unanswered PROBEs or silence past
+    /// `member_silence_us`), in ejection order; a member ejected again
+    /// after re-joining appears again. Data such a member lacked is no
+    /// longer guaranteed to it.
+    pub fn ejected_members(&self) -> &[PeerId] {
+        &self.ejected
     }
 
     /// Read-only view of the membership table (for instrumentation).
@@ -1230,12 +1204,9 @@ mod tests {
         let n = s.submit(&big, 0);
         assert!(n < big.len());
         assert!(n >= 64 * 1024 - 1400);
-        assert!(s.submit_blocked);
-        // Still blocked: nothing is queued and the flag is raised again.
-        s.submit_blocked = false;
+        // Still blocked: nothing more is queued.
         let buffered = s.buffered_bytes();
         assert_eq!(s.submit(&big, 0), 0);
-        assert!(s.submit_blocked);
         assert_eq!(s.buffered_bytes(), buffered);
         // A segment that still fits the tail is taken whole.
         let free = 64 * 1024 - buffered;
@@ -1263,7 +1234,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].packet.header.ptype, PacketType::JoinResponse);
         assert_eq!(out[0].dest, Dest::Unicast(P1));
-        assert_eq!(s.poll_event(), Some(SenderEvent::MemberJoined(P1)));
+        assert_eq!(s.stats.joins, 1);
     }
 
     #[test]
@@ -1271,13 +1242,12 @@ mod tests {
         let mut s = engine(ReliabilityMode::Hybrid);
         join(&mut s, P1, 0, 1000);
         drain(&mut s);
-        let _ = s.poll_event();
         let pkt = Packet::control(PacketType::Leave, 9, 7000, 5);
         s.handle_packet(&pkt, P1, 2000);
         assert_eq!(s.member_count(), 0);
         let out = drain(&mut s);
         assert_eq!(out[0].packet.header.ptype, PacketType::LeaveResponse);
-        assert_eq!(s.poll_event(), Some(SenderEvent::MemberLeft(P1)));
+        assert_eq!(s.stats.leaves, 1);
     }
 
     #[test]
@@ -1405,12 +1375,10 @@ mod tests {
         let out = drain(&mut s);
         assert!(out
             .iter()
-            .any(|o| o.packet.header.ptype == PacketType::NakErr));
-        assert!(matches!(
-            std::iter::from_fn(|| s.poll_event())
-                .find(|e| matches!(e, SenderEvent::RetransmissionError { .. })),
-            Some(SenderEvent::RetransmissionError { peer: P1, seq: 0 })
-        ));
+            .any(|o| o.packet.header.ptype == PacketType::NakErr
+                && o.packet.header.seq == 0
+                && o.dest == Dest::Unicast(P1)));
+        assert_eq!(s.stats.nak_errs_sent, 1);
     }
 
     #[test]
@@ -1484,7 +1452,6 @@ mod tests {
         update(&mut s, P1, 2, 200_000); // receiver confirms both segments
         run_until(&mut s, 200_000, 400_000);
         assert!(s.is_finished());
-        assert!(std::iter::from_fn(|| s.poll_event()).any(|e| e == SenderEvent::TransferComplete));
     }
 
     #[test]
@@ -1615,14 +1582,17 @@ mod tests {
     }
 
     #[test]
-    fn send_space_event_after_blocked_submit() {
+    fn release_makes_room_for_a_blocked_submit() {
         let mut s = engine(ReliabilityMode::RmcNakOnly);
         let n = s.submit(&vec![0u8; 128 * 1024], 0);
         assert!(n < 128 * 1024);
+        let full = s.buffered_bytes();
+        assert_eq!(s.submit(&[0u8; 1400], 0), 0);
         // No members: the anonymous-release hold (2 s) applies first.
         run_until(&mut s, 0, 6_000_000);
         assert!(s.stats.segments_released > 0);
-        assert!(std::iter::from_fn(|| s.poll_event()).any(|e| e == SenderEvent::SendSpaceAvailable));
+        assert!(s.buffered_bytes() < full);
+        assert_eq!(s.submit(&[0u8; 1400], 6_000_000), 1400);
     }
 
     #[test]
@@ -1655,8 +1625,7 @@ mod tests {
         run_until(&mut s, 0, 1_000_000);
         assert_eq!(s.stats.members_ejected, 1);
         assert_eq!(s.member_count(), 1);
-        assert!(std::iter::from_fn(|| s.poll_event())
-            .any(|e| e == SenderEvent::MemberEjected(PeerId(2))));
+        assert_eq!(s.ejected_members(), [PeerId(2)]);
         assert_eq!(
             s.stats.segments_released, 1,
             "ejection must unblock the release gate"

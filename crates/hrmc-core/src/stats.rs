@@ -59,13 +59,6 @@ pub struct SenderStats {
     /// Incoming datagrams discarded for checksum failure.
     #[serde(skip)]
     pub checksum_failures: u64,
-    /// Current membership size (gauge, refreshed each tick).
-    #[serde(skip)]
-    pub membership_size: u64,
-    /// Live sequence shards in the membership index (gauge; tracks the
-    /// group's window span, not its population).
-    #[serde(skip)]
-    pub membership_shards: u64,
     /// Release-gate (`all_have`) evaluations — each is a heap-peek.
     #[serde(skip)]
     pub gate_checks: u64,
@@ -74,9 +67,6 @@ pub struct SenderStats {
     /// count is the point of the sharded index.
     #[serde(skip)]
     pub gate_members_scanned: u64,
-    /// Stale membership-heap entries discarded by lazy deletion.
-    #[serde(skip)]
-    pub membership_heap_pops: u64,
     /// PROBEs emitted during the most recent tick (gauge).
     #[serde(skip)]
     pub probes_last_tick: u64,

@@ -393,17 +393,9 @@ fn rmc_reliability_hole_is_survivable() {
         "RMC run wedged instead of completing or reporting loss"
     );
     let nak_errs = h.sender.stats.nak_errs_sent;
-    let lost_events: usize = h
-        .receivers
-        .iter_mut()
-        .map(|r| {
-            std::iter::from_fn(|| r.poll_event())
-                .filter(|e| matches!(e, hrmc_core::ReceiverEvent::DataLost { .. }))
-                .count()
-        })
-        .sum();
+    let told: u64 = h.receivers.iter().map(|r| r.stats.nak_errs_received).sum();
     if nak_errs > 0 {
-        assert!(lost_events > 0, "NAK_ERRs sent but no receiver was told");
+        assert!(told > 0, "NAK_ERRs sent but no receiver was told");
         // The streams differ exactly where the holes are; everything
         // that *was* delivered stays in order (a subsequence of data).
         for got in &h.received {

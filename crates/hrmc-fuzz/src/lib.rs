@@ -343,6 +343,25 @@ fn fuzz_configs() -> Vec<ProtocolConfig> {
     ]
 }
 
+/// Ask every question a host asks a receiver instead of draining an
+/// event queue; each must answer on any state, consistently.
+fn check_receiver_queries(r: &ReceiverEngine) {
+    let _ = (r.readable_bytes(), r.has_failed());
+    assert!(
+        !r.fully_consumed() || r.stream_complete(),
+        "fully consumed before the stream completed"
+    );
+}
+
+/// The sender's counterpart of [`check_receiver_queries`].
+fn check_sender_queries(s: &SenderEngine) {
+    let _ = s.ejected_members();
+    assert!(
+        !s.is_finished() || s.is_closed(),
+        "finished a stream that was never closed"
+    );
+}
+
 /// Fuzz the receiver engine: `iters` episodes, each a fresh engine fed
 /// a mix of honest traffic and hostile wire-reachable packets.
 pub fn fuzz_receiver(seed: u64, iters: u64) -> FuzzReport {
@@ -373,7 +392,7 @@ pub fn fuzz_receiver(seed: u64, iters: u64) -> FuzzReport {
                     }
                     2 => {
                         while r.poll_output().is_some() {}
-                        while r.poll_event().is_some() {}
+                        check_receiver_queries(&r);
                     }
                     3 => r.note_checksum_failure(now),
                     _ => {
@@ -386,7 +405,7 @@ pub fn fuzz_receiver(seed: u64, iters: u64) -> FuzzReport {
             // Drain everything once more; poll paths must also be total.
             r.on_tick(now + 1_000_000);
             while r.poll_output().is_some() {}
-            while r.poll_event().is_some() {}
+            check_receiver_queries(&r);
             report.malformed_flagged += r.stats.malformed_packets;
         });
         report.episodes += 1;
@@ -423,7 +442,7 @@ pub fn fuzz_sender(seed: u64, iters: u64) -> FuzzReport {
                     }
                     2 => {
                         while s.poll_output().is_some() {}
-                        while s.poll_event().is_some() {}
+                        check_sender_queries(&s);
                     }
                     3 => s.note_checksum_failure(now),
                     _ => {
@@ -441,7 +460,7 @@ pub fn fuzz_sender(seed: u64, iters: u64) -> FuzzReport {
             }
             s.on_tick(now + 1_000_000);
             while s.poll_output().is_some() {}
-            while s.poll_event().is_some() {}
+            check_sender_queries(&s);
             report.malformed_flagged += s.stats.malformed_packets;
         });
         report.episodes += 1;

@@ -3,19 +3,18 @@
 //! one place where that code meets real sockets. A [`Driver`] is the
 //! reactor-facing half: it drains a readable socket into the engine,
 //! serves the engine's deadline, stages what the engine wants sent and
-//! turns engine events into wakeups. A [`Handle`] is the application
-//! half: the blocking calls of both roles are one wait on the engine's
-//! own mutex. `sender.rs` and `receiver.rs` supply only an [`Endpoint`]:
-//! the engine plus the addressing it needs.
+//! wakes blocked calls when the state they wait on moved. A [`Handle`]
+//! is the application half: the blocking calls of both roles are one
+//! wait on the engine's own mutex. `sender.rs` and `receiver.rs` supply
+//! only an [`Endpoint`]: the engine plus the addressing it needs.
 
 use std::io;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use hrmc_core::{MetricsRegistry, SharedRecorder};
 use hrmc_wire::{Packet, WireError};
-use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::clock::DriverClock;
 use crate::reactor::{
@@ -23,16 +22,16 @@ use crate::reactor::{
     SessionHealth,
 };
 use crate::socket::{McastSocket, RX_SLOTS};
-use crate::NetError;
+use crate::{lock, NetError};
 
 /// `recvmmsg` batches drained per readiness event before yielding the
 /// reactor thread to other sessions.
 const RX_ROUNDS: usize = 4;
 
 /// Longest a blocked application call sleeps before it re-checks its
-/// predicate. Every change to what the callers wait for is notified
-/// under the mutex they wait on, so this only bounds the damage of a
-/// notification this file forgot.
+/// predicate. Every engine turn that changes what the callers wait for
+/// notifies under the mutex they wait on, so this only bounds the damage
+/// of a change the role's [`Endpoint::WakeKey`] leaves out.
 const WAIT_SLICE: Duration = Duration::from_millis(10);
 
 /// What a role contributes to the driver: a sans-io engine and the
@@ -41,6 +40,10 @@ const WAIT_SLICE: Duration = Duration::from_millis(10);
 pub(crate) trait Endpoint: Send + 'static {
     /// `"sender"` or `"receiver"`, for telemetry.
     const ROLE: &'static str;
+    /// Exactly the engine state this role's blocked calls read. The
+    /// driver compares it across every engine turn and wakes them only
+    /// when it moved.
+    type WakeKey: PartialEq + Send;
     /// Feed one decoded datagram that arrived from `from`.
     fn ingest(&mut self, pkt: &Packet, from: SocketAddr, now: u64);
     /// Audit a datagram that failed its checksum.
@@ -51,9 +54,8 @@ pub(crate) trait Endpoint: Send + 'static {
     fn next_deadline(&mut self, now: u64) -> Option<u64>;
     /// The next packet to send and the address it goes to.
     fn poll_output(&mut self) -> Option<(Packet, SocketAddr)>;
-    /// Consume pending engine events; `true` when one of them changes
-    /// what a blocked application call waits for.
-    fn drain_events(&mut self) -> bool;
+    /// The current [`Endpoint::WakeKey`].
+    fn wake_key(&self) -> Self::WakeKey;
     /// Add the engine's degradation counters to `h`.
     fn fill_health(&self, h: &mut SessionHealth);
     /// Publish engine-level gauges.
@@ -61,13 +63,15 @@ pub(crate) trait Endpoint: Send + 'static {
 }
 
 /// Everything behind the session's mutex.
-pub(crate) struct State<E> {
+pub(crate) struct State<E: Endpoint> {
     pub(crate) ep: E,
     /// Why the reactor stopped driving this session, once it has.
     fatal: Option<Fatal>,
+    /// `ep.wake_key()` as the last engine turn or blocked call saw it.
+    seen: E::WakeKey,
 }
 
-impl<E> State<E> {
+impl<E: Endpoint> State<E> {
     /// The error a blocked call surfaces once the reactor has stopped
     /// driving the session.
     pub(crate) fn failure(&self) -> Option<NetError> {
@@ -78,7 +82,7 @@ impl<E> State<E> {
     }
 }
 
-pub(crate) struct Driver<E> {
+pub(crate) struct Driver<E: Endpoint> {
     state: Mutex<State<E>>,
     /// In role order. Output leaves through the last one: the sender's
     /// only socket, the receiver's private unicast socket.
@@ -92,12 +96,15 @@ pub(crate) struct Driver<E> {
 
 impl<E: Endpoint> Driver<E> {
     /// Hand every pending packet to `emit` (which returns its encoded
-    /// length), then surface engine events.
+    /// length), then wake blocked calls if what they read moved. Only
+    /// then: `notify_all` makes a futex call even with no one waiting.
     fn drain(&self, st: &mut State<E>, mut emit: impl FnMut(&Packet, SocketAddr) -> usize) {
         while let Some((packet, dest)) = st.ep.poll_output() {
             self.counters.note_tx(emit(&packet, dest) as u64);
         }
-        if st.ep.drain_events() {
+        let key = st.ep.wake_key();
+        if key != st.seen {
+            st.seen = key;
             self.wakeup.notify_all();
         }
     }
@@ -135,7 +142,7 @@ impl<E: Endpoint> ReactorSession for Driver<E> {
                 },
             };
             let now = self.clock.now();
-            let mut st = self.state.lock();
+            let mut st = lock(&self.state);
             let mut rx_bytes = 0u64;
             for i in 0..n {
                 let (bytes, from) = io.rx.datagram(i);
@@ -158,32 +165,32 @@ impl<E: Endpoint> ReactorSession for Driver<E> {
     }
 
     fn on_tick(&self, io: &mut IoBatch) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.ep.on_tick(self.clock.now());
         self.flush(&mut st, io);
     }
 
     fn next_deadline(&self) -> Option<Instant> {
-        let due = self.state.lock().ep.next_deadline(self.clock.now());
+        let due = lock(&self.state).ep.next_deadline(self.clock.now());
         due.map(|us| self.clock.at(us))
     }
 
     fn on_fatal(&self, reason: Fatal) {
         // Under the mutex, like every other notifier, so a waiter that
         // has just found the session alive is already in its wait.
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         st.fatal.get_or_insert(reason);
         self.wakeup.notify_all();
     }
 
     fn health(&self) -> SessionHealth {
         let mut h = self.counters.health(E::ROLE);
-        self.state.lock().ep.fill_health(&mut h);
+        lock(&self.state).ep.fill_health(&mut h);
         h
     }
 
     fn publish_metrics(&self, reg: &mut MetricsRegistry) {
-        self.state.lock().ep.publish_metrics(reg);
+        lock(&self.state).ep.publish_metrics(reg);
     }
 }
 
@@ -222,6 +229,7 @@ impl<E: Endpoint> Handle<E> {
         let group = sockets[0].group();
         let driver = Arc::new(Driver {
             state: Mutex::new(State {
+                seen: endpoint.wake_key(),
                 ep: endpoint,
                 fatal: None,
             }),
@@ -242,7 +250,7 @@ impl<E: Endpoint> Handle<E> {
     }
 
     pub(crate) fn lock(&self) -> MutexGuard<'_, State<E>> {
-        self.driver.state.lock()
+        lock(&self.driver.state)
     }
 
     pub(crate) fn now(&self) -> u64 {
@@ -257,8 +265,10 @@ impl<E: Endpoint> Handle<E> {
     /// The one rendezvous: run `poll` under the session's mutex each
     /// time engine state may have changed, until it yields, the reactor
     /// stops driving the session, or `deadline` passes. Everything
-    /// `poll` reads changes only under the guard the wait releases, so
-    /// no wakeup can fall between a refusal and the sleep.
+    /// `poll` reads changes only under the guard the wait releases, and
+    /// the wake key is re-read under it after each `poll`, so the next
+    /// engine turn that moves what `poll` refused on notifies: no wakeup
+    /// can fall between a refusal and the sleep.
     pub(crate) fn wait_until<T>(
         &self,
         deadline: Option<Instant>,
@@ -266,7 +276,9 @@ impl<E: Endpoint> Handle<E> {
     ) -> Result<T, NetError> {
         let mut st = self.lock();
         loop {
-            if let Some(done) = poll(&mut st, self.now()) {
+            let done = poll(&mut st, self.now());
+            st.seen = st.ep.wake_key();
+            if let Some(done) = done {
                 return done;
             }
             if let Some(e) = st.failure() {
@@ -276,7 +288,12 @@ impl<E: Endpoint> Handle<E> {
             if left.is_zero() {
                 return Err(NetError::Timeout);
             }
-            self.driver.wakeup.wait_for(&mut st, left.min(WAIT_SLICE));
+            st = self
+                .driver
+                .wakeup
+                .wait_timeout(st, left.min(WAIT_SLICE))
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 

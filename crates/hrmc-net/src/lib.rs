@@ -51,6 +51,16 @@ pub use socket::McastSocket;
 #[cfg(feature = "telemetry")]
 pub use telemetry::Telemetry;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m` whether or not a panicking thread poisoned it: every lock in
+/// this crate guards state that stays consistent between statements, and
+/// a panic on one session must not cascade into the reactor or the
+/// application.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Errors surfaced by the socket drivers.
 ///
 /// Marked `#[non_exhaustive]`: future driver layers may add variants,

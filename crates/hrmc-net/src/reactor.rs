@@ -42,16 +42,15 @@ use std::collections::{BinaryHeap, HashMap};
 use std::io;
 use std::net::{SocketAddr, SocketAddrV4};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use hrmc_core::{Histogram, MetricsRegistry};
-use parking_lot::Mutex;
 
 use crate::datapath::{Datapath, EpollDatapath};
 use crate::socket::{is_transient, McastSocket, RxBatch, TX_SLOTS};
-use crate::NetError;
+use crate::{lock, NetError};
 
 /// Sockets per session the token scheme supports (receiver = 2).
 const MAX_ROLES: u64 = 2;
@@ -225,7 +224,7 @@ impl IoBatch {
         let n = self.dp.recv_batch(sock, &mut self.rx)?;
         let s = &self.stats;
         s.packets_rx.fetch_add(n as u64, Ordering::Relaxed);
-        s.rx_batches.lock().record(n as u64);
+        lock(&s.rx_batches).record(n as u64);
         Ok(n)
     }
 
@@ -275,7 +274,7 @@ impl IoBatch {
                 Ok(n) => {
                     let s = &self.stats;
                     s.packets_tx.fetch_add(n as u64, Ordering::Relaxed);
-                    s.tx_batches.lock().record(n as u64);
+                    lock(&s.tx_batches).record(n as u64);
                     off += n.max(1);
                     attempt = 0;
                     backoff = Duration::from_micros(200);
@@ -465,18 +464,16 @@ pub(crate) struct Core {
 
 impl Core {
     fn session(&self, id: u64) -> Option<Arc<dyn ReactorSession>> {
-        self.sessions.lock().get(&id).cloned()
+        lock(&self.sessions).get(&id).cloned()
     }
 
     /// Remove a session: the reactor drops its reference here and now,
     /// its sockets leave the datapath's watch set on the loop's next
     /// pass, and its timer state is dropped lazily.
     pub(crate) fn deregister(&self, id: u64, session: &dyn ReactorSession) {
-        if self.sessions.lock().remove(&id).is_some() {
+        if lock(&self.sessions).remove(&id).is_some() {
             let fds = session.sockets().into_iter().map(McastSocket::raw_fd);
-            self.dp_cmds
-                .lock()
-                .extend(fds.map(|fd| DpCmd::Deregister { fd }));
+            lock(&self.dp_cmds).extend(fds.map(|fd| DpCmd::Deregister { fd }));
             self.wake();
         }
     }
@@ -491,7 +488,7 @@ impl Core {
     /// each.
     pub(crate) fn kick(&self, id: u64) {
         let first = {
-            let mut dirty = self.dirty.lock();
+            let mut dirty = lock(&self.dirty);
             let first = dirty.is_empty();
             if !dirty.contains(&id) {
                 dirty.push(id);
@@ -649,7 +646,7 @@ impl Reactor {
     pub fn session_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.core.sessions.lock().len())
+            .map(|s| lock(&s.core.sessions).len())
             .sum()
     }
 
@@ -682,7 +679,7 @@ impl Reactor {
         let mut out = Vec::new();
         for (shard, s) in self.shards.iter().enumerate() {
             let from = out.len();
-            out.extend(s.core.sessions.lock().iter().map(|(&id, session)| {
+            out.extend(lock(&s.core.sessions).iter().map(|(&id, session)| {
                 let mut h = session.health();
                 h.id = id | (shard as u64) << SHARD_ID_SHIFT;
                 h
@@ -708,7 +705,7 @@ impl Reactor {
         // reactor thread's.
         let mut sessions = Vec::new();
         for s in self.shards.iter() {
-            sessions.extend(s.core.sessions.lock().values().cloned());
+            sessions.extend(lock(&s.core.sessions).values().cloned());
         }
         publish_session_gauges(reg, &sessions);
     }
@@ -743,12 +740,12 @@ impl Reactor {
             }
         }
         {
-            let mut map = core.sessions.lock();
+            let mut map = lock(&core.sessions);
             map.insert(id, session);
             let n = map.len() as u64;
             core.stats.sessions_hwm.fetch_max(n, Ordering::Relaxed);
         }
-        core.dp_cmds.lock().push(DpCmd::Register { id });
+        lock(&core.dp_cmds).push(DpCmd::Register { id });
         core.kick(id);
         Ok((id, Arc::clone(core)))
     }
@@ -771,7 +768,7 @@ fn snapshot(shards: &[Shard]) -> (ReactorStats, [Histogram; 4]) {
         let core = &shard.core;
         let s = &core.stats;
         st.idle_cap_ms = core.config.idle_deadline_cap.as_millis() as u64;
-        st.sessions += core.sessions.lock().len();
+        st.sessions += lock(&core.sessions).len();
         st.sessions_hwm += s.sessions_hwm.load(Ordering::Relaxed);
         st.epoll_wakeups += s.epoll_wakeups.load(Ordering::Relaxed);
         st.timer_fires += s.timer_fires.load(Ordering::Relaxed);
@@ -791,7 +788,7 @@ fn snapshot(shards: &[Shard]) -> (ReactorStats, [Histogram; 4]) {
             &s.timer_slippage_us,
         ];
         for (sum, cell) in merged.iter_mut().zip(recorded) {
-            sum.merge(&cell.lock());
+            sum.merge(&lock(cell));
         }
     }
     let [rx, tx, loop_us, slip] = &merged;
@@ -890,7 +887,7 @@ fn fold_deadline(
 /// refuses fails the session asynchronously, mirroring what a fatal
 /// socket error during dispatch does.
 fn drain_dp_cmds(core: &Arc<Core>, io: &mut IoBatch, deadlines: &mut HashMap<u64, Instant>) {
-    let cmds = std::mem::take(&mut *core.dp_cmds.lock());
+    let cmds = std::mem::take(&mut *lock(&core.dp_cmds));
     for cmd in cmds {
         match cmd {
             DpCmd::Register { id } => {
@@ -912,7 +909,7 @@ fn drain_dp_cmds(core: &Arc<Core>, io: &mut IoBatch, deadlines: &mut HashMap<u64
                     }
                 }
                 if let Some(e) = err {
-                    core.sessions.lock().remove(&id);
+                    lock(&core.sessions).remove(&id);
                     deadlines.remove(&id);
                     session.on_fatal(Fatal::Io(e));
                 }
@@ -951,9 +948,7 @@ fn run(core: &Arc<Core>, dp: Box<dyn Datapath>) {
             core.stats.timer_fires.fetch_add(1, Ordering::Relaxed);
             // Slippage: how far past its deadline this timer fired —
             // the loop's scheduling health under load.
-            core.stats
-                .timer_slippage_us
-                .lock()
+            lock(&core.stats.timer_slippage_us)
                 .record(now.saturating_duration_since(t).as_micros() as u64);
             session.on_tick(&mut io);
             // A fresh deadline is taken only after servicing a tick.
@@ -1000,7 +995,7 @@ fn run(core: &Arc<Core>, dp: Box<dyn Datapath>) {
                         8,
                     );
                 }
-                let ids = std::mem::take(&mut *core.dirty.lock());
+                let ids = std::mem::take(&mut *lock(&core.dirty));
                 core.stats
                     .kicks
                     .fetch_add(ids.len() as u64, Ordering::Relaxed);
@@ -1026,7 +1021,7 @@ fn run(core: &Arc<Core>, dp: Box<dyn Datapath>) {
                     // epoll would otherwise re-report it forever — the
                     // busy-spin the old per-endpoint RX threads had) and
                     // surface the failure to the application.
-                    core.sessions.lock().remove(&id);
+                    lock(&core.sessions).remove(&id);
                     for sock in session.sockets() {
                         io.dp.deregister(sock.raw_fd());
                     }
@@ -1039,11 +1034,11 @@ fn run(core: &Arc<Core>, dp: Box<dyn Datapath>) {
         // Loop latency = busy time this iteration (deadline service +
         // dispatch), excluding the epoll sleep itself.
         let busy = busy_before_wait + dispatch_start.elapsed();
-        core.stats.loop_us.lock().record(busy.as_micros() as u64);
+        lock(&core.stats.loop_us).record(busy.as_micros() as u64);
     }
 
     // Shutdown: every still-registered session learns its driver died.
-    let sessions = std::mem::take(&mut *core.sessions.lock());
+    let sessions = std::mem::take(&mut *lock(&core.sessions));
     for (_, session) in sessions {
         session.on_fatal(Fatal::ReactorClosed);
     }
@@ -1230,7 +1225,7 @@ mod tests {
             _dsts: &[SocketAddr],
         ) -> io::Result<usize> {
             self.calls.fetch_add(1, Ordering::Relaxed);
-            match self.verdicts.lock().pop_front() {
+            match lock(&self.verdicts).pop_front() {
                 Some(Ok(n)) => Ok(n.min(bufs.len())),
                 Some(Err(kind)) => Err(io::Error::from(kind)),
                 None => Ok(bufs.len()),

@@ -9,7 +9,7 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use hrmc_core::metrics::MetricsRegistry;
-use hrmc_core::{Dest, ReceiverEngine, ReceiverEvent, ReceiverStats, SharedRecorder};
+use hrmc_core::{Dest, ReceiverEngine, ReceiverStats, SharedRecorder};
 use hrmc_wire::{Packet, PacketType};
 
 use crate::clock::DriverClock;
@@ -25,6 +25,7 @@ pub(crate) struct ReceiverEndpoint {
     /// feedback goes there.
     sender_addr: Option<SocketAddr>,
     group: SocketAddr,
+    /// The engine acted on a NAK_ERR: stream bytes are gone for good.
     lost: bool,
     /// `close` already sent LEAVE.
     closed: bool,
@@ -32,6 +33,8 @@ pub(crate) struct ReceiverEndpoint {
 
 impl Endpoint for ReceiverEndpoint {
     const ROLE: &'static str = "receiver";
+    /// Everything `recv` decides on.
+    type WakeKey = (usize, bool, bool, bool);
 
     /// Peer NAKs pass through for local recovery; other
     /// receiver-originated feedback is ignored. The sender's address is
@@ -48,7 +51,12 @@ impl Endpoint for ReceiverEndpoint {
         } else if ptype != PacketType::Nak {
             return;
         }
+        // A NAK_ERR counts as loss only once the window is attached: one
+        // that arrives before names nothing this receiver was owed.
+        let attached = self.engine.rcv_nxt().is_some();
+        let errs = self.engine.stats.nak_errs_received;
         self.engine.handle_packet(pkt, now);
+        self.lost |= attached && self.engine.stats.nak_errs_received != errs;
     }
 
     fn checksum_failure(&mut self, now: u64) {
@@ -77,21 +85,14 @@ impl Endpoint for ReceiverEndpoint {
         }
     }
 
-    fn drain_events(&mut self) -> bool {
-        let mut wake = false;
-        while let Some(ev) = self.engine.poll_event() {
-            match ev {
-                ReceiverEvent::DataLost { .. } => {
-                    self.lost = true;
-                    wake = true;
-                }
-                ReceiverEvent::DataReady
-                | ReceiverEvent::StreamComplete
-                | ReceiverEvent::SessionFailed => wake = true,
-                ReceiverEvent::Joined | ReceiverEvent::Left => {}
-            }
-        }
-        wake
+    fn wake_key(&self) -> Self::WakeKey {
+        let e = &self.engine;
+        (
+            e.readable_bytes(),
+            e.stream_complete(),
+            e.has_failed(),
+            self.lost,
+        )
     }
 
     fn fill_health(&self, h: &mut SessionHealth) {
@@ -211,5 +212,42 @@ impl Drop for ReceiverHandle {
     fn drop(&mut self) {
         // LEAVE must hit the wire before the handle deregisters.
         self.close();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use bytes::Bytes;
+    use hrmc_core::ProtocolConfig;
+
+    use super::*;
+
+    /// `recv` fails with `DataLost` only for a NAK_ERR the attached
+    /// window acted on. One that arrives before any data names nothing
+    /// this receiver was owed, although the engine still counts it.
+    #[test]
+    fn only_an_attached_window_takes_a_nak_err_as_loss() {
+        let mut ep = ReceiverEndpoint {
+            engine: ReceiverEngine::new(
+                ProtocolConfig::rmc().with_buffer(64 * 1024),
+                8000,
+                7001,
+                0,
+            ),
+            sender_addr: None,
+            group: "239.255.0.1:7001".parse().unwrap(),
+            lost: false,
+            closed: false,
+        };
+        let from: SocketAddr = "127.0.0.1:7000".parse().unwrap();
+        let mut err = Packet::control(PacketType::NakErr, 7000, 7001, 0);
+        ep.ingest(&err, from, 1_000);
+        assert_eq!(ep.engine.stats.nak_errs_received, 1);
+        assert!(!ep.lost);
+        let data = Packet::data(7000, 7001, 0, Bytes::from_static(&[1; 100]));
+        ep.ingest(&data, from, 2_000);
+        err.header.seq = 1;
+        ep.ingest(&err, from, 3_000);
+        assert!(ep.lost);
     }
 }

@@ -10,7 +10,7 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use hrmc_core::metrics::MetricsRegistry;
-use hrmc_core::{Dest, PeerId, SenderEngine, SenderEvent, SenderStats, SharedRecorder};
+use hrmc_core::{Dest, PeerId, SenderEngine, SenderStats, SharedRecorder};
 use hrmc_wire::Packet;
 
 use crate::clock::DriverClock;
@@ -56,12 +56,13 @@ pub(crate) struct SenderEndpoint {
     /// until pinned. The engine's "one jiffy from now" wish recedes on
     /// every re-read, so it is pinned here once and held until served.
     housekeeping_at: u64,
-    finished: bool,
-    lost: bool,
 }
 
 impl Endpoint for SenderEndpoint {
     const ROLE: &'static str = "sender";
+    /// `send` waits on buffer space, `close_and_wait` on the end of the
+    /// transfer and whether any NAK_ERR went out before it.
+    type WakeKey = (usize, bool, u64);
 
     fn ingest(&mut self, pkt: &Packet, from: SocketAddr, now: u64) {
         let peer = self.peers.get_or_insert(from);
@@ -106,21 +107,9 @@ impl Endpoint for SenderEndpoint {
         }
     }
 
-    fn drain_events(&mut self) -> bool {
-        let mut wake = false;
-        while let Some(ev) = self.engine.poll_event() {
-            match ev {
-                // Ejection can unblock buffer release.
-                SenderEvent::SendSpaceAvailable | SenderEvent::MemberEjected(_) => wake = true,
-                SenderEvent::TransferComplete => {
-                    self.finished = true;
-                    wake = true;
-                }
-                SenderEvent::RetransmissionError { .. } => self.lost = true,
-                SenderEvent::MemberJoined(_) | SenderEvent::MemberLeft(_) => {}
-            }
-        }
-        wake
+    fn wake_key(&self) -> Self::WakeKey {
+        let e = &self.engine;
+        (e.buffered_bytes(), e.is_finished(), e.stats.nak_errs_sent)
     }
 
     fn fill_health(&self, h: &mut SessionHealth) {
@@ -151,8 +140,6 @@ pub(crate) fn bind(r: Resolved) -> Result<SenderHandle, NetError> {
         peers: PeerTable::default(),
         group: SocketAddr::V4(r.group),
         housekeeping_at: NO_JIFFY,
-        finished: false,
-        lost: false,
     };
     Handle::start(endpoint, vec![socket], clock, r.reactor, r.flight).map(SenderHandle)
 }
@@ -195,14 +182,19 @@ impl SenderHandle {
     }
 
     /// Close the stream and wait until every byte is confirmed released
-    /// (Hybrid: every receiver confirmed it). Returns the final stats.
+    /// (Hybrid: every receiver confirmed it). Returns the final stats, or
+    /// [`NetError::DataLost`] when some receiver was answered NAK_ERR
+    /// (RMC: data it asked for was already released).
     pub fn close_and_wait(&self, timeout: Duration) -> Result<SenderStats, NetError> {
         self.close();
         self.0.wait_until(Some(Instant::now() + timeout), |st, _| {
-            st.ep.finished.then(|| match st.ep.lost {
-                true => Err(NetError::DataLost),
-                false => Ok(st.ep.engine.stats.clone()),
-            })
+            let engine = &st.ep.engine;
+            engine
+                .is_finished()
+                .then(|| match engine.stats.nak_errs_sent {
+                    0 => Ok(engine.stats.clone()),
+                    _ => Err(NetError::DataLost),
+                })
         })
     }
 

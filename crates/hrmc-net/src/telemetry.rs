@@ -25,7 +25,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -33,8 +33,8 @@ use hrmc_core::{
     HealthConfig, MetricsObserver, MetricsRegistry, MultiObserver, ProtocolObserver, Sampler,
     SharedMonitor, TelemetrySample,
 };
-use parking_lot::Mutex;
 
+use crate::lock;
 use crate::reactor::Reactor;
 
 /// Configures and starts a [`Telemetry`] pipeline.
@@ -196,7 +196,7 @@ impl Shared {
         if let Some(mon) = &self.monitor {
             reg.set_gauge("alerts_active", mon.active());
         }
-        let dropped = self.sampler.lock().overwritten();
+        let dropped = lock(&self.sampler).overwritten();
         reg.set_gauge("telemetry_samples_dropped", dropped);
         reg
     }
@@ -206,9 +206,9 @@ impl Shared {
     fn collect(&self) {
         let reg = self.gather();
         let now_us = self.epoch.elapsed().as_micros() as u64;
-        self.sampler.lock().sample(now_us, &reg);
+        lock(&self.sampler).sample(now_us, &reg);
         if let Some(mon) = &self.monitor {
-            if let Some(sample) = self.sampler.lock().latest().cloned() {
+            if let Some(sample) = lock(&self.sampler).latest().cloned() {
                 mon.observe_sample(&sample);
             }
             // Alert transitions flow through a registry observer so the
@@ -239,9 +239,7 @@ impl Shared {
     /// numbers are numbers.
     fn json_body(&self) -> String {
         use std::fmt::Write as _;
-        let sample = self
-            .sampler
-            .lock()
+        let sample = lock(&self.sampler)
             .latest()
             .map(|s| s.to_json_line())
             .unwrap_or_else(|| "null".to_string());
@@ -331,12 +329,12 @@ impl Telemetry {
 
     /// The newest sample, if any.
     pub fn latest(&self) -> Option<TelemetrySample> {
-        self.shared.sampler.lock().latest().cloned()
+        lock(&self.shared.sampler).latest().cloned()
     }
 
     /// The retained time series, oldest first.
     pub fn samples(&self) -> Vec<TelemetrySample> {
-        self.shared.sampler.lock().samples().cloned().collect()
+        lock(&self.shared.sampler).samples().cloned().collect()
     }
 
     /// The Prometheus text exposition a `/metrics` scrape would return.
@@ -351,7 +349,7 @@ impl Telemetry {
 
     /// Flush the JSONL sink, if any.
     pub fn flush(&self) {
-        self.shared.sampler.lock().flush();
+        lock(&self.shared.sampler).flush();
     }
 }
 
@@ -361,7 +359,7 @@ impl Drop for Telemetry {
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        self.shared.sampler.lock().flush();
+        lock(&self.shared.sampler).flush();
     }
 }
 
@@ -369,7 +367,7 @@ impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
             .field("local_addr", &self.local_addr)
-            .field("samples", &self.shared.sampler.lock().len())
+            .field("samples", &lock(&self.shared.sampler).len())
             .finish()
     }
 }

@@ -392,6 +392,57 @@ fn small_sends_are_delivered_within_two_milliseconds() {
         .expect("close");
 }
 
+/// A `send` blocked on a full window returns at the release that makes
+/// room, not a wait slice (10 ms) later. An observer stamps each
+/// release as the engine makes it, under the session lock; each round
+/// starts at a different phase of the jiffy, so a waiter that slept out
+/// its slice would be late by a spread of lags, not by a constant.
+/// Needs no receiver: with no members, segments are released once
+/// their residency expires.
+#[test]
+fn blocked_send_returns_at_the_release_that_makes_room() {
+    use std::sync::{Arc, Mutex};
+
+    use hrmc_core::{Event, ProtocolObserver};
+
+    struct Stamp(Arc<Mutex<Option<Instant>>>);
+    impl ProtocolObserver for Stamp {
+        fn on_event(&mut self, _now: u64, ev: &Event) {
+            if let Event::ReleaseAttempt { released: true, .. } = ev {
+                *self.0.lock().unwrap() = Some(Instant::now());
+            }
+        }
+    }
+
+    const ROUNDS: u32 = 24;
+    let mut cfg = config().with_buffer(8 * 1024);
+    cfg.anonymous_release_hold = 0;
+    let released = Arc::new(Mutex::new(None));
+    let tx = Session::sender(SocketAddrV4::new(Ipv4Addr::new(239, 255, 88, 23), 46201))
+        .interface(LO)
+        .config(cfg)
+        .observer(Box::new(Stamp(Arc::clone(&released))))
+        .bind()
+        .expect("bind sender");
+    let window = pattern(8 * 1024);
+    tx.send(&window).expect("fill the window");
+    let mut lags = Vec::new();
+    for round in 0..ROUNDS {
+        std::thread::sleep(Duration::from_micros(u64::from(round) * 3_700 % 10_000));
+        tx.send(&window).expect("send");
+        let back = Instant::now();
+        let last = released.lock().unwrap().expect("the window was released");
+        lags.push(back - last);
+    }
+    lags.sort_unstable();
+    let median = lags[lags.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "blocked send returned a median {median:?} after the release (max {:?})",
+        lags[lags.len() - 1]
+    );
+}
+
 /// `send` after `close` is refused with `Closed`. The closed engine
 /// accepts no bytes, and a `send` that reads that as a full window
 /// waits for space that never comes, hence the watchdog. Needs no

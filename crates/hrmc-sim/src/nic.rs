@@ -151,11 +151,6 @@ impl Nic {
             true
         }
     }
-
-    /// Transmit queue depth.
-    pub fn tx_depth(&self) -> usize {
-        self.tx.len()
-    }
 }
 
 #[cfg(test)]

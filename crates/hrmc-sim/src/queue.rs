@@ -102,11 +102,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Fire time of the next event, if any.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|&Reverse((time, _, _))| time)
-    }
 }
 
 #[cfg(test)]

@@ -135,14 +135,6 @@ impl SimReport {
         self.receivers.iter().map(|r| r.stats.naks_sent).sum()
     }
 
-    /// Total rate requests sent by all receivers.
-    pub fn total_rate_requests(&self) -> u64 {
-        self.receivers
-            .iter()
-            .map(|r| r.stats.rate_requests_sent)
-            .sum()
-    }
-
     /// `true` when every receiver's stream verified intact.
     pub fn all_intact(&self) -> bool {
         self.receivers.iter().all(|r| r.intact)

@@ -208,9 +208,6 @@ pub struct Simulation {
     /// Current feedback drop probability (schedule-set; 0.0 means the
     /// up-path draws nothing from the RNG, preserving fixture replays).
     up_extra_loss: f64,
-    /// Receiver indices the sender ejected (ground truth for the
-    /// false-ejection audit; drained from the sender's event queue).
-    ejected_receivers: Vec<usize>,
     /// Unbounded sim-time telemetry recorder; `None` unless
     /// [`SimParams::sample_interval_us`] is set. Its latest sample fixes
     /// the next grid instant.
@@ -320,7 +317,6 @@ impl Simulation {
             up_loss_drops: 0,
             up_extra_delay_us: 0,
             up_extra_loss: 0.0,
-            ejected_receivers: Vec::new(),
             sampler,
             sink_scratch: vec![0; SINK_READ_MAX],
             pending_rx: Vec::new(),
@@ -755,20 +751,6 @@ impl Simulation {
     /// Move every packet the host's engine queued onto the wire: charge
     /// the host CPU, then hand to the NIC transmit queue.
     fn drain_engine(&mut self, host: usize, now: u64) {
-        // Drain the engine's application events (nothing else in the sim
-        // consumes them): the sender's ejections feed the report's
-        // false-ejection audit; a receiver's (`DataReady` about once per
-        // data packet) would otherwise pile up for the whole run.
-        match &mut self.hosts[host].engine {
-            Engine::Sender(e) => {
-                while let Some(ev) = e.poll_event() {
-                    if let hrmc_core::SenderEvent::MemberEjected(p) = ev {
-                        self.ejected_receivers.push(p.0 as usize);
-                    }
-                }
-            }
-            Engine::Receiver(e) => while e.poll_event().is_some() {},
-        }
         loop {
             let out = match &mut self.hosts[host].engine {
                 Engine::Sender(e) => e.poll_output(),
@@ -1211,10 +1193,11 @@ impl Simulation {
         // a scheduled partition. Anything else (jitter, bufferbloat,
         // migration) must not cost a member its membership.
         let mut audited = std::collections::BTreeSet::new();
-        let false_ejections = self
-            .ejected_receivers
+        let false_ejections = sender
+            .ejected_members()
             .iter()
-            .filter(|&&r| {
+            .map(|p| p.0 as usize)
+            .filter(|&r| {
                 if !audited.insert(r) {
                     return false; // one verdict per member
                 }
@@ -1349,29 +1332,6 @@ mod tests {
             }
             assert!(sim.done, "{hosts}-host run did not complete");
         }
-    }
-
-    /// Receiver engines queue application events (`DataReady` about once
-    /// per data packet) that nothing in the simulator reads: every step
-    /// must leave each receiver's queue drained, or it grows with
-    /// packets × receivers.
-    #[test]
-    fn receiver_engine_events_are_drained_every_step() {
-        let mut sim = Simulation::new(lan_params(8, 10_000_000, 0.01, 300_000, 128 * 1024));
-        while sim.step() {
-            for (host, h) in sim.hosts.iter_mut().enumerate().skip(1) {
-                let Engine::Receiver(e) = &mut h.engine else {
-                    unreachable!()
-                };
-                assert_eq!(
-                    e.poll_event(),
-                    None,
-                    "receiver host {host} kept an event at t={}",
-                    sim.queue.now()
-                );
-            }
-        }
-        assert!(sim.done, "lossy run did not complete");
     }
 
     /// From receiver index 57 536 on, `8000 + i` no longer fits in `u16`

@@ -7,8 +7,10 @@
 //! window, sender death is declared at every receiver, corruption is
 //! audited, and everything stays deterministic under a seed.
 
+use std::collections::BTreeSet;
+
 use hrmc_core::keepalive::KEEPALIVE_MAX_US;
-use hrmc_core::ProtocolConfig;
+use hrmc_core::{Event, ProtocolConfig};
 use hrmc_sim::faults::{ChurnAction, ChurnEvent, FaultModel, Partition};
 use hrmc_sim::topology::TopologyBuilder;
 use hrmc_sim::{SimParams, SimReport, Simulation};
@@ -50,6 +52,7 @@ fn receiver_crash_is_ejected_and_survivors_complete() {
         report.sender.leaves, 0,
         "ejection must not count as a leave"
     );
+    assert_eq!(report.false_ejections, 0, "a crash is a justified ejection");
     assert!(
         report.churn_drops > 0,
         "crashed host never dropped a packet"
@@ -59,6 +62,42 @@ fn receiver_crash_is_ejected_and_survivors_complete() {
     assert!(report.receivers[2].intact && report.receivers[2].completed_at.is_some());
     // The victim did not finish.
     assert!(report.receivers[1].completed_at.is_none());
+}
+
+/// The audit's positive path: failure domains armed far too tightly
+/// (one unanswered PROBE, 20 ms of silence) under delay spikes eject
+/// live receivers, and the audit charges exactly those that neither
+/// crashed nor sat behind a partition. Ground truth is the observer's
+/// `member_ejected` stream, independent of the report.
+#[test]
+fn hair_trigger_ejection_of_live_receivers_is_audited_as_false() {
+    let mut params = lan_params(4, 0.0, 500_000);
+    params.protocol.probe_failure_limit = 1;
+    params.protocol.member_silence_us = 20_000;
+    params
+        .links
+        .jitter_spikes(0, 100_000, 100_000, 5, 50, 30_000);
+    // Receiver 1 (host 2) really dies; its ejection is justified.
+    params.faults.churn.push(ChurnEvent {
+        at_us: 200_000,
+        action: ChurnAction::Crash { host: 2 },
+    });
+    let mut sim = Simulation::new(params);
+    let rec = sim.set_flight_recorder(1 << 16);
+    let report = sim.run();
+    let ejected: BTreeSet<u32> = rec.with_recorder(|r| {
+        assert_eq!(r.dropped_events(), 0, "the recorder holds the whole log");
+        r.events()
+            .filter_map(|e| match e.event {
+                Event::MemberEjected { peer } => Some(peer.0),
+                _ => None,
+            })
+            .collect()
+    });
+    assert!(ejected.contains(&1), "the crashed receiver was not ejected");
+    let live_ejected = ejected.iter().filter(|&&p| p != 1).count() as u64;
+    assert!(report.false_ejections >= 1, "no live receiver was ejected");
+    assert_eq!(report.false_ejections, live_ejected);
 }
 
 #[test]
