@@ -198,8 +198,9 @@ impl<E: Endpoint> ReactorSession for Driver<E> {
 /// the session from its reactor.
 pub(crate) struct Handle<E: Endpoint> {
     driver: Arc<Driver<E>>,
-    /// The shard that drives the session, without a claim on its thread.
-    shard: Arc<Core>,
+    /// The reactor that drives the session, without a claim on its
+    /// thread.
+    core: Arc<Core>,
     id: u64,
     flight: Option<SharedRecorder>,
     /// The private reactor of a session built without `.reactor(..)`.
@@ -209,7 +210,7 @@ pub(crate) struct Handle<E: Endpoint> {
 
 impl<E: Endpoint> Handle<E> {
     /// Register `endpoint` over `sockets` (role order) with `reactor`,
-    /// or with a one-shard reactor of its own when none is given. The
+    /// or with a reactor of its own when none is given. The
     /// endpoint arrives fully built, observers installed, so no packet
     /// or tick can reach it unobserved.
     pub(crate) fn start(
@@ -226,7 +227,6 @@ impl<E: Endpoint> Handle<E> {
                 (r.clone(), Some(r))
             }
         };
-        let group = sockets[0].group();
         let driver = Arc::new(Driver {
             state: Mutex::new(State {
                 seen: endpoint.wake_key(),
@@ -238,11 +238,10 @@ impl<E: Endpoint> Handle<E> {
             wakeup: Condvar::new(),
             counters: SessionCounters::default(),
         });
-        let (id, shard) =
-            reactor.register(group, Arc::clone(&driver) as Arc<dyn ReactorSession>)?;
+        let (id, core) = reactor.register(Arc::clone(&driver) as Arc<dyn ReactorSession>)?;
         Ok(Handle {
             driver,
-            shard,
+            core,
             id,
             flight,
             _own_reactor: own,
@@ -259,7 +258,7 @@ impl<E: Endpoint> Handle<E> {
 
     /// Ask the reactor to re-read this session's deadline.
     pub(crate) fn kick(&self) {
-        self.shard.kick(self.id);
+        self.core.kick(self.id);
     }
 
     /// The one rendezvous: run `poll` under the session's mutex each
@@ -326,7 +325,7 @@ impl<E: Endpoint> Handle<E> {
 
 impl<E: Endpoint> Drop for Handle<E> {
     fn drop(&mut self) {
-        self.shard.deregister(self.id, &*self.driver);
+        self.core.deregister(self.id, &*self.driver);
         self.driver.wakeup.notify_all();
     }
 }

@@ -23,11 +23,11 @@
 //! flushes engine output in `sendmmsg` batches, and services every
 //! engine's `next_wakeup` deadline from a single timer heap — the
 //! user-space equivalent of the kernel servicing all H-RMC sockets from
-//! one softirq path and one timer wheel. Thread count is O(1) per
-//! reactor shard, not O(sessions): a process with many sessions builds
-//! one [`Reactor`] and hands each session builder a clone
-//! (`.reactor(r.clone())`); a session built without one owns a private
-//! one-shard reactor for its handle's lifetime. Both roles share one
+//! one softirq path and one timer wheel. A reactor is one thread, not
+//! one per session: a process with many sessions builds one [`Reactor`]
+//! and hands each session builder a clone (`.reactor(r.clone())`); a
+//! session built without one owns a private reactor for its handle's
+//! lifetime. Both roles share one
 //! crate-private session driver (`driver.rs`); `sender.rs` and
 //! `receiver.rs` add only the engine and its addressing.
 
@@ -39,16 +39,14 @@ pub mod receiver;
 pub mod sender;
 pub mod session;
 pub mod socket;
-#[cfg(feature = "telemetry")]
 pub mod telemetry;
 
 pub use clock::DriverClock;
-pub use reactor::{Reactor, ReactorConfig, ReactorStats, SessionHealth};
+pub use reactor::{Reactor, ReactorStats, SessionHealth};
 pub use receiver::ReceiverHandle;
 pub use sender::SenderHandle;
 pub use session::{ReceiverBuilder, SenderBuilder, Session};
 pub use socket::McastSocket;
-#[cfg(feature = "telemetry")]
 pub use telemetry::Telemetry;
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

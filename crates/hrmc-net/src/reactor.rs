@@ -6,14 +6,11 @@
 //! where all H-RMC sockets share one softirq delivery path and one
 //! timer wheel instead of spawning threads per endpoint.
 //!
-//! A [`Reactor`] is 1..N such loops ("shards"), each a thread with its
-//! own datapath, timer heap and counters. A session is assigned by a
-//! hash of its multicast group, so all endpoints of one group in one
-//! process share a shard (their loopback traffic stays on one thread)
-//! while distinct groups spread across cores. Thread count is O(shards),
-//! not O(sessions). Sessions register at bind time and deregister when
-//! their handle drops; `SenderHandle` / `ReceiverHandle` are thin fronts
-//! over reactor-owned state.
+//! A [`Reactor`] is exactly one such loop: one thread, one datapath,
+//! one timer heap and one set of counters for every session registered
+//! with it, so thread count is O(1), not O(sessions). Sessions register
+//! at bind time and deregister when their handle drops; `SenderHandle` /
+//! `ReceiverHandle` are thin fronts over reactor-owned state.
 //!
 //! ## Event loop
 //!
@@ -40,7 +37,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::io;
-use std::net::{SocketAddr, SocketAddrV4};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -59,29 +56,6 @@ pub(crate) const KICK_TOKEN: u64 = u64::MAX;
 /// Attempts beyond the first before a transient `sendmmsg` error drops
 /// the remaining batch (mirrors the single-send retry budget).
 const TX_RETRIES: u32 = 4;
-
-/// Tunables for a reactor instance.
-#[derive(Debug, Clone)]
-pub struct ReactorConfig {
-    /// Longest uninterrupted readiness wait when no deadline is armed
-    /// (and the cap applied to armed deadlines, so a session registered
-    /// while the loop sleeps is noticed within this bound even if its
-    /// kick is somehow lost). Smaller values trade idle CPU for
-    /// responsiveness.
-    pub idle_deadline_cap: Duration,
-    /// Event-loop threads the reactor runs (at least one); sessions are
-    /// hash-assigned to a shard by multicast group.
-    pub shards: usize,
-}
-
-impl Default for ReactorConfig {
-    fn default() -> ReactorConfig {
-        ReactorConfig {
-            idle_deadline_cap: Duration::from_millis(100),
-            shards: 1,
-        }
-    }
-}
 
 /// Why the reactor stopped driving a session.
 pub(crate) enum Fatal {
@@ -363,10 +337,9 @@ pub(crate) struct StatsCells {
     pub(crate) timer_slippage_us: Mutex<Histogram>,
 }
 
-/// Point-in-time snapshot of a reactor's gauges (one shard's, or all
-/// shards' summed): how many sessions it carries, how hard the event
-/// loop is working, and — the batching payoff — how many packets each
-/// `recvmmsg`/`sendmmsg` syscall moved.
+/// Point-in-time snapshot of a reactor's gauges: how many sessions it
+/// carries, how hard the event loop is working, and — the batching
+/// payoff — how many packets each `recvmmsg`/`sendmmsg` syscall moved.
 #[derive(Debug, Clone, Default)]
 pub struct ReactorStats {
     /// Sessions currently registered.
@@ -408,8 +381,6 @@ pub struct ReactorStats {
     pub loop_p99_us: u64,
     /// 99th-percentile timer slippage (µs): fired-at minus deadline.
     pub timer_slippage_p99_us: u64,
-    /// The configured idle-deadline cap, milliseconds.
-    pub idle_cap_ms: u64,
 }
 
 impl ReactorStats {
@@ -444,14 +415,13 @@ enum DpCmd {
     Deregister { fd: i32 },
 }
 
-/// One shard's shared state. A session handle holds this (so kicks and
-/// deregistration work) but NOT the shard's thread: dropping the last
-/// user-held [`Reactor`] shuts the loops down even while sessions are
+/// The reactor's shared state. A session handle holds this (so kicks and
+/// deregistration work) but NOT the loop's thread: dropping the last
+/// user-held [`Reactor`] shuts the loop down even while sessions are
 /// live, and those sessions fail over to
 /// [`crate::NetError::ReactorClosed`].
 pub(crate) struct Core {
     wakefd: i32,
-    config: ReactorConfig,
     sessions: Mutex<HashMap<u64, Arc<dyn ReactorSession>>>,
     dirty: Mutex<Vec<u64>>,
     dp_cmds: Mutex<Vec<DpCmd>>,
@@ -517,53 +487,16 @@ impl Drop for Core {
     }
 }
 
-/// One event loop. Dropped (flagged, woken, joined) when the last
+/// The event-loop thread. Dropped (flagged, woken, joined) when the last
 /// user-held [`Reactor`] clone drops. Sessions hold only the [`Core`],
 /// so the thread's lifetime is tied to those clones, not to straggling
 /// sessions.
-struct Shard {
+struct EventLoop {
     core: Arc<Core>,
     thread: Option<JoinHandle<()>>,
 }
 
-impl Shard {
-    fn spawn(config: ReactorConfig, make: &MakeDatapath) -> io::Result<Shard> {
-        let wakefd = unsafe { libc::eventfd(0, libc::EFD_CLOEXEC | libc::EFD_NONBLOCK) };
-        if wakefd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let stats = Arc::new(StatsCells::default());
-        let dp = match make(wakefd, Arc::clone(&stats)) {
-            Ok(dp) => dp,
-            Err(e) => {
-                unsafe { libc::close(wakefd) };
-                return Err(e);
-            }
-        };
-        let core = Arc::new(Core {
-            wakefd,
-            config,
-            sessions: Mutex::new(HashMap::new()),
-            dirty: Mutex::new(Vec::new()),
-            dp_cmds: Mutex::new(Vec::new()),
-            next_id: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            stats,
-        });
-        let thread = {
-            let core = Arc::clone(&core);
-            std::thread::Builder::new()
-                .name("hrmc-reactor".into())
-                .spawn(move || run(&core, dp))?
-        };
-        Ok(Shard {
-            core,
-            thread: Some(thread),
-        })
-    }
-}
-
-impl Drop for Shard {
+impl Drop for EventLoop {
     fn drop(&mut self) {
         self.core.shutdown.store(true, Ordering::SeqCst);
         self.core.wake();
@@ -573,119 +506,82 @@ impl Drop for Shard {
     }
 }
 
-/// How a shard obtains its datapath from its kick eventfd (surfaced as
-/// [`KICK_TOKEN`]) and counters: an [`EpollDatapath`] outside tests.
-type MakeDatapath = dyn Fn(i32, Arc<StatsCells>) -> io::Result<Box<dyn Datapath>>;
-
-/// Bits reserved for the per-shard session id inside a
-/// [`SessionHealth::id`]: the shard index lives above them, so ids stay
-/// unique across shards in one telemetry dump.
-const SHARD_ID_SHIFT: u32 = 32;
-
-/// Handle to a reactor of one or more shards. Cheap to clone; the
-/// threads run until the last clone drops.
+/// Handle to a reactor: one event-loop thread driving every session
+/// registered with it. Cheap to clone; the thread runs until the last
+/// clone drops.
 #[derive(Clone)]
 pub struct Reactor {
-    shards: Arc<Vec<Shard>>,
+    event_loop: Arc<EventLoop>,
 }
 
 impl Reactor {
-    /// Spawn a one-shard reactor with default tunables: one epoll
-    /// instance, one thread.
+    /// Spawn a reactor: one epoll instance, one thread.
     pub fn new() -> io::Result<Reactor> {
-        Reactor::with_config(ReactorConfig::default())
+        Reactor::with_datapath(|wakefd, stats| Ok(Box::new(EpollDatapath::new(wakefd, stats)?)))
     }
 
-    /// Spawn a reactor of `config.shards` event loops (at least one).
-    pub fn with_config(config: ReactorConfig) -> io::Result<Reactor> {
-        Reactor::with_datapath(config, &|wakefd, stats| {
-            Ok(Box::new(EpollDatapath::new(wakefd, stats)?))
-        })
-    }
-
-    pub(crate) fn with_datapath(config: ReactorConfig, make: &MakeDatapath) -> io::Result<Reactor> {
-        let shards = (0..config.shards.max(1))
-            .map(|_| Shard::spawn(config.clone(), make))
-            .collect::<io::Result<Vec<Shard>>>()?;
+    /// Spawn the loop over the datapath `make` builds from the kick
+    /// eventfd (surfaced as [`KICK_TOKEN`]) and the counters: an
+    /// [`EpollDatapath`] outside tests.
+    pub(crate) fn with_datapath(
+        make: impl FnOnce(i32, Arc<StatsCells>) -> io::Result<Box<dyn Datapath>>,
+    ) -> io::Result<Reactor> {
+        let wakefd = unsafe { libc::eventfd(0, libc::EFD_CLOEXEC | libc::EFD_NONBLOCK) };
+        if wakefd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // Built before the datapath, so a failure below closes the
+        // eventfd through `Core`'s drop.
+        let core = Arc::new(Core {
+            wakefd,
+            sessions: Mutex::new(HashMap::new()),
+            dirty: Mutex::new(Vec::new()),
+            dp_cmds: Mutex::new(Vec::new()),
+            next_id: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            stats: Arc::new(StatsCells::default()),
+        });
+        let dp = make(wakefd, Arc::clone(&core.stats))?;
+        let thread = {
+            let core = Arc::clone(&core);
+            std::thread::Builder::new()
+                .name("hrmc-reactor".into())
+                .spawn(move || run(&core, dp))?
+        };
         Ok(Reactor {
-            shards: Arc::new(shards),
+            event_loop: Arc::new(EventLoop {
+                core,
+                thread: Some(thread),
+            }),
         })
     }
 
-    /// Number of shards (event-loop threads).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
+    fn core(&self) -> &Arc<Core> {
+        &self.event_loop.core
     }
 
-    /// The shard a session for `group` is assigned to: FNV-1a over the
-    /// group address and port, modulo the shard count. Deterministic, so
-    /// every endpoint of one group in one process lands on the same
-    /// shard.
-    pub fn shard_index(&self, group: SocketAddrV4) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in group
-            .ip()
-            .octets()
-            .iter()
-            .chain(group.port().to_be_bytes().iter())
-        {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        // FNV alone leaves correlated inputs (addr and port stepping
-        // together, the typical group-allocation pattern) correlated
-        // mod small shard counts; a murmur-style finalizer avalanches
-        // the low bits.
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        (h % self.shards.len() as u64) as usize
-    }
-
-    /// Sessions currently registered, all shards.
+    /// Sessions currently registered.
     pub fn session_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock(&s.core.sessions).len())
-            .sum()
+        lock(&self.core().sessions).len()
     }
 
-    /// Reactor-wide counters and batch-size distributions: counters
-    /// summed over shards (including `sessions_hwm`, so this is exactly
-    /// the sum of [`Reactor::shard_stats`]), batch and latency figures
-    /// taken from the merged histograms (never averaged).
+    /// The loop's counters and batch-size and latency distributions.
     pub fn stats(&self) -> ReactorStats {
-        snapshot(&self.shards).0
+        snapshot(self.core()).0
     }
 
-    /// One [`ReactorStats`] per shard, in shard order.
-    pub fn shard_stats(&self) -> Vec<ReactorStats> {
-        self.shards
-            .iter()
-            .map(|s| snapshot(std::slice::from_ref(s)).0)
-            .collect()
-    }
-
-    /// The tunables this reactor was built with.
-    pub fn config(&self) -> &ReactorConfig {
-        &self.shards[0].core.config
-    }
-
-    /// Per-session traffic totals across every shard — the basis for
-    /// per-session rate displays (`hrmc top`) and the `/json` telemetry
-    /// dump. Ordered by shard, then session id; each id carries its
-    /// shard (`shard << 32 | id`), so ids are unique reactor-wide.
+    /// Per-session traffic totals — the basis for per-session rate
+    /// displays (`hrmc top`) and the `/json` telemetry dump. Ordered by
+    /// session id, which is the order of registration (0, 1, …).
     pub fn session_health(&self) -> Vec<SessionHealth> {
-        let mut out = Vec::new();
-        for (shard, s) in self.shards.iter().enumerate() {
-            let from = out.len();
-            out.extend(lock(&s.core.sessions).iter().map(|(&id, session)| {
-                let mut h = session.health();
-                h.id = id | (shard as u64) << SHARD_ID_SHIFT;
-                h
-            }));
-            out[from..].sort_by_key(|h| h.id);
-        }
+        let mut out: Vec<SessionHealth> = lock(&self.core().sessions)
+            .iter()
+            .map(|(&id, session)| SessionHealth {
+                id,
+                ..session.health()
+            })
+            .collect();
+        out.sort_by_key(|h| h.id);
         out
     }
 
@@ -694,8 +590,8 @@ impl Reactor {
     /// histograms replaced), so a telemetry sampler can call it on
     /// every sampling interval without double-counting.
     pub fn publish_metrics(&self, reg: &mut MetricsRegistry) {
-        let (st, histograms) = snapshot(&self.shards);
-        publish_reactor_gauges(reg, &st, self.shards.len() as u64);
+        let (st, histograms) = snapshot(self.core());
+        publish_reactor_gauges(reg, &st);
         for (name, h) in HISTOGRAM_NAMES.into_iter().zip(&histograms) {
             reg.set_histogram(name, h);
         }
@@ -703,28 +599,23 @@ impl Reactor {
         // engine lock is taken inside `publish_metrics`, and holding the
         // registry lock across it would order those locks against the
         // reactor thread's.
-        let mut sessions = Vec::new();
-        for s in self.shards.iter() {
-            sessions.extend(lock(&s.core.sessions).values().cloned());
-        }
+        let sessions: Vec<_> = lock(&self.core().sessions).values().cloned().collect();
         publish_session_gauges(reg, &sessions);
     }
 
-    /// Register a session on the shard `group` hashes to: its sockets
-    /// are made nonblocking and queued for that shard's datapath, and
-    /// its first deadline is folded into the timer heap. Returns the
-    /// session id and the shard's [`Core`], which the handle drives kicks
-    /// and deregistration through — deliberately *not* a full
-    /// [`Reactor`], so live sessions do not keep the reactor threads
-    /// alive past the last user-held handle. A socket the datapath
-    /// cannot watch surfaces asynchronously via
-    /// [`ReactorSession::on_fatal`].
+    /// Register a session: its sockets are made nonblocking and queued
+    /// for the loop's datapath, and its first deadline is folded into
+    /// the timer heap. Returns the session id and the reactor's
+    /// [`Core`], which the handle drives kicks and deregistration
+    /// through — deliberately *not* a full [`Reactor`], so live sessions
+    /// do not keep the reactor thread alive past the last user-held
+    /// handle. A socket the datapath cannot watch surfaces
+    /// asynchronously via [`ReactorSession::on_fatal`].
     pub(crate) fn register(
         &self,
-        group: SocketAddrV4,
         session: Arc<dyn ReactorSession>,
     ) -> Result<(u64, Arc<Core>), NetError> {
-        let core = &self.shards[self.shard_index(group)].core;
+        let core = self.core();
         if core.shutdown.load(Ordering::SeqCst) {
             return Err(NetError::ReactorClosed);
         }
@@ -751,7 +642,7 @@ impl Reactor {
     }
 }
 
-/// The distributions a shard records, in [`snapshot`]'s order, under
+/// The distributions the loop records, in [`snapshot`]'s order, under
 /// the names they are published by.
 const HISTOGRAM_NAMES: [&str; 4] = [
     "reactor_rx_batch",
@@ -760,59 +651,52 @@ const HISTOGRAM_NAMES: [&str; 4] = [
     "reactor_timer_slippage_us",
 ];
 
-/// Sum `shards`' counters and merge their histograms.
-fn snapshot(shards: &[Shard]) -> (ReactorStats, [Histogram; 4]) {
-    let mut st = ReactorStats::default();
-    let mut merged: [Histogram; 4] = Default::default();
-    for shard in shards {
-        let core = &shard.core;
-        let s = &core.stats;
-        st.idle_cap_ms = core.config.idle_deadline_cap.as_millis() as u64;
-        st.sessions += lock(&core.sessions).len();
-        st.sessions_hwm += s.sessions_hwm.load(Ordering::Relaxed);
-        st.epoll_wakeups += s.epoll_wakeups.load(Ordering::Relaxed);
-        st.timer_fires += s.timer_fires.load(Ordering::Relaxed);
-        st.kicks += s.kicks.load(Ordering::Relaxed);
-        st.recvmmsg_calls += s.recvmmsg_calls.load(Ordering::Relaxed);
-        st.sendmmsg_calls += s.sendmmsg_calls.load(Ordering::Relaxed);
-        st.packets_rx += s.packets_rx.load(Ordering::Relaxed);
-        st.packets_tx += s.packets_tx.load(Ordering::Relaxed);
-        st.tx_retries += s.tx_retries.load(Ordering::Relaxed);
-        st.tx_drops += s.tx_drops.load(Ordering::Relaxed);
-        st.timer_heap_len += s.timer_heap_len.load(Ordering::Relaxed);
-        st.timers_armed += s.timers_armed.load(Ordering::Relaxed);
-        let recorded = [
-            &s.rx_batches,
-            &s.tx_batches,
-            &s.loop_us,
-            &s.timer_slippage_us,
-        ];
-        for (sum, cell) in merged.iter_mut().zip(recorded) {
-            sum.merge(&lock(cell));
-        }
-    }
-    let [rx, tx, loop_us, slip] = &merged;
-    st.rx_batch_mean = rx.mean();
-    st.rx_batch_max = rx.max().unwrap_or(0);
-    st.tx_batch_mean = tx.mean();
-    st.tx_batch_max = tx.max().unwrap_or(0);
-    st.loop_p99_us = loop_us.p99();
-    st.timer_slippage_p99_us = slip.p99();
-    (st, merged)
+/// Read the loop's counters and copy its histograms.
+fn snapshot(core: &Core) -> (ReactorStats, [Histogram; 4]) {
+    let s = &core.stats;
+    let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+    let histograms = [
+        &s.rx_batches,
+        &s.tx_batches,
+        &s.loop_us,
+        &s.timer_slippage_us,
+    ]
+    .map(|cell| lock(cell).clone());
+    let [rx, tx, loop_us, slip] = &histograms;
+    let st = ReactorStats {
+        sessions: lock(&core.sessions).len(),
+        sessions_hwm: load(&s.sessions_hwm),
+        epoll_wakeups: load(&s.epoll_wakeups),
+        timer_fires: load(&s.timer_fires),
+        kicks: load(&s.kicks),
+        recvmmsg_calls: load(&s.recvmmsg_calls),
+        sendmmsg_calls: load(&s.sendmmsg_calls),
+        packets_rx: load(&s.packets_rx),
+        packets_tx: load(&s.packets_tx),
+        tx_retries: load(&s.tx_retries),
+        tx_drops: load(&s.tx_drops),
+        timer_heap_len: load(&s.timer_heap_len),
+        timers_armed: load(&s.timers_armed),
+        rx_batch_mean: rx.mean(),
+        rx_batch_max: rx.max().unwrap_or(0),
+        tx_batch_mean: tx.mean(),
+        tx_batch_max: tx.max().unwrap_or(0),
+        loop_p99_us: loop_us.p99(),
+        timer_slippage_p99_us: slip.p99(),
+    };
+    (st, histograms)
 }
 
 impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reactor")
-            .field("shards", &self.shards.len())
             .field("sessions", &self.session_count())
             .finish()
     }
 }
 
 /// Set the `reactor_*` gauges from a stats snapshot.
-fn publish_reactor_gauges(reg: &mut MetricsRegistry, st: &ReactorStats, shards: u64) {
-    reg.set_gauge("reactor_shards", shards);
+fn publish_reactor_gauges(reg: &mut MetricsRegistry, st: &ReactorStats) {
     reg.set_gauge("reactor_sessions", st.sessions as u64);
     reg.set_gauge("reactor_sessions_hwm", st.sessions_hwm);
     reg.set_gauge("reactor_epoll_wakeups", st.epoll_wakeups);
@@ -826,7 +710,6 @@ fn publish_reactor_gauges(reg: &mut MetricsRegistry, st: &ReactorStats, shards: 
     reg.set_gauge("reactor_tx_drops", st.tx_drops);
     reg.set_gauge("reactor_timer_heap_len", st.timer_heap_len);
     reg.set_gauge("reactor_timers_armed", st.timers_armed);
-    reg.set_gauge("reactor_idle_cap_ms", st.idle_cap_ms);
 }
 
 /// Sum engine-level degradation counters over `sessions` and let each
@@ -919,13 +802,16 @@ fn drain_dp_cmds(core: &Arc<Core>, io: &mut IoBatch, deadlines: &mut HashMap<u64
     }
 }
 
+/// Longest uninterrupted readiness wait when no deadline is armed, and
+/// the cap on armed ones: a session whose kick were somehow lost is
+/// still noticed within this bound.
+const IDLE_DEADLINE_CAP: Duration = Duration::from_millis(100);
+
 fn run(core: &Arc<Core>, dp: Box<dyn Datapath>) {
     let mut io = IoBatch::new(Arc::clone(&core.stats), dp);
     let mut deadlines: HashMap<u64, Instant> = HashMap::new();
     let mut heap: BinaryHeap<Reverse<(Instant, u64)>> = BinaryHeap::new();
     let mut ready: Vec<u64> = Vec::with_capacity(64);
-
-    let idle_cap = core.config.idle_deadline_cap;
 
     while !core.shutdown.load(Ordering::SeqCst) {
         // 0. Apply queued registrations/deregistrations.
@@ -970,10 +856,10 @@ fn run(core: &Arc<Core>, dp: Box<dyn Datapath>) {
         let timeout_ms = match heap.peek() {
             Some(&Reverse((t, _))) => t
                 .saturating_duration_since(now)
-                .min(idle_cap)
+                .min(IDLE_DEADLINE_CAP)
                 .as_micros()
                 .div_ceil(1000) as i32,
-            None => idle_cap.as_millis() as i32,
+            None => IDLE_DEADLINE_CAP.as_millis() as i32,
         };
         if let Err(e) = io.dp.wait(timeout_ms, &mut ready) {
             if e.kind() == io::ErrorKind::Interrupted {
@@ -1046,7 +932,7 @@ fn run(core: &Arc<Core>, dp: Box<dyn Datapath>) {
 
 #[cfg(test)]
 mod tests {
-    use std::net::Ipv4Addr;
+    use std::net::{Ipv4Addr, SocketAddrV4};
     use std::sync::mpsc;
 
     use hrmc_core::ProtocolConfig;
@@ -1073,64 +959,23 @@ mod tests {
         let _ = r2.stats();
     }
 
-    fn group(a: u8, port: u16) -> SocketAddrV4 {
-        SocketAddrV4::new(std::net::Ipv4Addr::new(239, 255, 80, a), port)
-    }
-
-    fn sharded(n: usize) -> Reactor {
-        Reactor::with_config(ReactorConfig {
-            shards: n,
-            ..ReactorConfig::default()
-        })
-        .expect("reactor")
-    }
-
+    /// Session ids are the registration ids, 0, 1, … in order:
+    /// `session_health` lists them ascending, never reuses one, and puts
+    /// nothing in their high bits.
     #[test]
-    fn shards_spawn_and_assign_deterministically() {
-        let r = sharded(4);
-        assert_eq!(r.shards(), 4);
-        assert_eq!(r.session_count(), 0);
-        let g = group(1, 45001);
-        assert_eq!(r.shard_index(g), r.shard_index(g));
-        // Distinct groups spread: with 64 groups over 4 shards, every
-        // shard gets at least one (FNV mixes the low octets well).
-        let mut hit = [false; 4];
-        for i in 0..64u8 {
-            hit[r.shard_index(group(i, 45000 + u16::from(i)))] = true;
-        }
-        assert!(hit.iter().all(|&h| h), "all shards reachable: {hit:?}");
-    }
-
-    #[test]
-    fn zero_shards_is_clamped_to_one() {
-        assert_eq!(sharded(0).shards(), 1);
-    }
-
-    #[test]
-    fn stats_sum_the_shard_counters() {
-        let r = sharded(2);
-        // Idle shards still wake on their idle cap; the summed wakeups
-        // must equal the sum of the per-shard snapshots (both counters
-        // only grow, so take the per-shard sum *after* the total —
-        // sum >= total proves no double-count, total >= earlier
-        // per-shard readings proves no loss).
-        let per_shard =
-            |r: &Reactor| -> u64 { r.shard_stats().iter().map(|s| s.epoll_wakeups).sum() };
-        let before = per_shard(&r);
-        let total = r.stats().epoll_wakeups;
-        let after = per_shard(&r);
-        assert!(total >= before, "total lost counts: {before} -> {total}");
-        assert!(after >= total, "total double-counted: {total} -> {after}");
-    }
-
-    #[test]
-    fn publishes_shard_count() {
-        let mut reg = MetricsRegistry::new();
-        sharded(3).publish_metrics(&mut reg);
-        assert_eq!(reg.gauge("reactor_shards"), Some(3));
-        assert_eq!(reg.gauge("reactor_sessions"), Some(0));
-        // One datapath: no backend gauge to tell apart.
-        assert_eq!(reg.gauge("datapath_backend"), None);
+    fn session_health_ids_are_registration_ids() {
+        let r = Reactor::new().expect("reactor");
+        let group = SocketAddrV4::new(Ipv4Addr::new(239, 255, 87, 4), 47301);
+        let tx = || sender(group)(r.clone());
+        let ids = || -> Vec<u64> { r.session_health().iter().map(|h| h.id).collect() };
+        let first = tx();
+        let rx = receiver(group)(r.clone());
+        let third = tx();
+        assert_eq!(ids(), [0, 1, 2]);
+        drop(rx);
+        let _fourth = tx();
+        assert_eq!(ids(), [0, 2, 3]);
+        drop((first, third));
     }
 
     #[test]
@@ -1361,32 +1206,11 @@ mod tests {
     }
 
     #[test]
-    fn idle_cap_is_configurable_and_exported() {
-        let r = Reactor::with_config(ReactorConfig {
-            idle_deadline_cap: Duration::from_millis(25),
-            ..ReactorConfig::default()
-        })
-        .expect("reactor");
-        assert_eq!(r.config().idle_deadline_cap, Duration::from_millis(25));
-        assert_eq!(r.stats().idle_cap_ms, 25);
-        let mut reg = MetricsRegistry::new();
-        r.publish_metrics(&mut reg);
-        assert_eq!(reg.gauge("reactor_idle_cap_ms"), Some(25));
-        assert_eq!(reg.gauge("reactor_timer_heap_len"), Some(0));
-        // Default config keeps the historical 100 ms cap.
-        assert_eq!(
-            ReactorConfig::default().idle_deadline_cap,
-            Duration::from_millis(100)
-        );
-        drop(r);
-    }
-
-    #[test]
     fn publish_metrics_is_idempotent() {
         let r = Reactor::new().expect("reactor");
         // Let the loop run a few iterations so loop_us has samples.
         std::thread::sleep(Duration::from_millis(5));
-        r.shards[0].core.wake();
+        r.core().wake();
         std::thread::sleep(Duration::from_millis(5));
         let mut reg = MetricsRegistry::new();
         r.publish_metrics(&mut reg);
@@ -1419,15 +1243,10 @@ mod tests {
     /// A reactor whose sockets swallow every packet (so nothing ever
     /// joins or acknowledges) and die when `rx_dead` is set.
     fn scripted_reactor(rx_dead: &Arc<AtomicBool>) -> Reactor {
-        let rx_dead = Arc::clone(rx_dead);
-        let config = ReactorConfig {
-            idle_deadline_cap: Duration::from_millis(5),
-            ..ReactorConfig::default()
-        };
-        Reactor::with_datapath(config, &move |wakefd, stats| {
+        Reactor::with_datapath(|wakefd, stats| {
             Ok(Box::new(ScriptedDatapath {
                 live: Some(EpollDatapath::new(wakefd, stats)?),
-                rx_dead: Arc::clone(&rx_dead),
+                rx_dead: Arc::clone(rx_dead),
                 ..ScriptedDatapath::default()
             }))
         })
@@ -1536,22 +1355,15 @@ mod tests {
     #[test]
     fn deregistering_with_work_in_flight_releases_the_session() {
         let calls = Arc::new(AtomicU64::new(0));
-        let reactor = {
-            let calls = Arc::clone(&calls);
-            let config = ReactorConfig {
-                idle_deadline_cap: Duration::from_millis(5),
-                ..ReactorConfig::default()
-            };
-            Reactor::with_datapath(config, &move |wakefd, stats| {
-                Ok(Box::new(ScriptedDatapath {
-                    calls: Arc::clone(&calls),
-                    live: Some(EpollDatapath::new(wakefd, stats)?),
-                    always_ready: true,
-                    ..ScriptedDatapath::default()
-                }))
-            })
-            .expect("reactor")
-        };
+        let reactor = Reactor::with_datapath(|wakefd, stats| {
+            Ok(Box::new(ScriptedDatapath {
+                calls: Arc::clone(&calls),
+                live: Some(EpollDatapath::new(wakefd, stats)?),
+                always_ready: true,
+                ..ScriptedDatapath::default()
+            }))
+        })
+        .expect("reactor");
         let wait_for = |what: &str, done: &dyn Fn() -> bool| {
             let deadline = Instant::now() + Duration::from_secs(10);
             while !done() {
@@ -1572,7 +1384,7 @@ mod tests {
         tx.send(&[7u8; 4 * 1024]).expect("send");
         wait_for("the first segment", &|| calls.load(Ordering::SeqCst) > 0);
 
-        let core = &reactor.shards[0].core;
+        let core = reactor.core();
         let session = Arc::downgrade(&core.session(0).expect("registered"));
         drop(tx);
         let turned = reactor.stats().epoll_wakeups;

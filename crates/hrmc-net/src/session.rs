@@ -104,7 +104,7 @@ pub(crate) struct Resolved {
     pub(crate) config: ProtocolConfig,
     pub(crate) observer: Option<Box<dyn ProtocolObserver>>,
     pub(crate) flight: Option<SharedRecorder>,
-    /// `None`: the handle owns a one-shard reactor of its own.
+    /// `None`: the handle owns a reactor of its own.
     pub(crate) reactor: Option<Reactor>,
 }
 
@@ -141,10 +141,10 @@ macro_rules! builder_options {
                 self
             }
 
-            /// Drive the session from `reactor`, on the shard its
-            /// multicast group hashes to, next to every other session
-            /// given a clone of it. A session built without this owns a
-            /// one-shard reactor (one thread) for its handle's lifetime.
+            /// Drive the session from `reactor`'s one loop thread, next
+            /// to every other session given a clone of it. A session
+            /// built without this owns a reactor (one thread) for its
+            /// handle's lifetime.
             /// The session does not keep `reactor` alive: when the last
             /// user-held clone drops, its sessions fail with
             /// [`NetError::ReactorClosed`].
@@ -156,7 +156,6 @@ macro_rules! builder_options {
             /// Feed this session's protocol events into a running
             /// [`crate::Telemetry`] pipeline (shorthand for
             /// `.observer(telemetry.observer())`).
-            #[cfg(feature = "telemetry")]
             pub fn telemetry(mut self, telemetry: &crate::Telemetry) -> Self {
                 self.common.observers.push(telemetry.observer());
                 self

@@ -88,11 +88,6 @@ impl McastSocket {
         Ok(McastSocket { inner: sock, group })
     }
 
-    /// The group this socket addresses.
-    pub fn group(&self) -> SocketAddrV4 {
-        self.group
-    }
-
     /// Local bound address.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
         self.inner.local_addr()

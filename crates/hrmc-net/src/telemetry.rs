@@ -37,12 +37,16 @@ use hrmc_core::{
 use crate::lock;
 use crate::reactor::Reactor;
 
+/// Samples the in-memory ring retains: six minutes at the default
+/// 500 ms interval.
+const RING: usize = 720;
+
 /// Configures and starts a [`Telemetry`] pipeline.
 pub struct TelemetryBuilder {
     sample_interval: Duration,
-    ring: usize,
     listen: Option<SocketAddr>,
-    sink: Option<Box<dyn Write + Send>>,
+    /// Holds the JSONL sink, if one was asked for.
+    sampler: Sampler,
     reactor: Option<Reactor>,
     health: Option<HealthConfig>,
 }
@@ -54,13 +58,6 @@ impl TelemetryBuilder {
         self
     }
 
-    /// How many samples the in-memory ring retains (default 720 — six
-    /// minutes at the default interval).
-    pub fn ring(mut self, capacity: usize) -> Self {
-        self.ring = capacity;
-        self
-    }
-
     /// Serve `/metrics` (Prometheus text) and `/json` on this address.
     /// Bind port 0 to let the kernel pick; read the result from
     /// [`Telemetry::local_addr`].
@@ -69,25 +66,16 @@ impl TelemetryBuilder {
         self
     }
 
-    /// Stream every sample as one JSONL line to `w`.
-    pub fn sink(mut self, w: Box<dyn Write + Send>) -> Self {
-        self.sink = Some(w);
-        self
-    }
-
     /// Stream every sample as JSONL to a file (created/truncated).
     pub fn jsonl_path(mut self, path: &Path) -> std::io::Result<Self> {
         let f = std::fs::File::create(path)?;
-        self.sink = Some(Box::new(std::io::BufWriter::new(f)));
+        self.sampler.set_sink(Box::new(std::io::BufWriter::new(f)));
         Ok(self)
     }
 
     /// Which reactor's health to publish: pass a clone of the one the
-    /// sessions are built on. Counters are summed and histograms merged
-    /// across its shards, per-session health ids carry their shard, and
-    /// the shard count is reported as `hrmc_reactor_shards` / the
-    /// `"shards"` key of `/json`. Without this the pipeline owns an
-    /// idle one-shard reactor and reports that.
+    /// sessions are built on. Without this the pipeline owns an idle
+    /// reactor and reports that.
     pub fn reactor(mut self, reactor: Reactor) -> Self {
         self.reactor = Some(reactor);
         self
@@ -105,17 +93,13 @@ impl TelemetryBuilder {
 
     /// Start the sampling thread (and the listener, if configured).
     pub fn start(self) -> std::io::Result<Telemetry> {
-        let mut sampler = Sampler::new(self.ring);
-        if let Some(sink) = self.sink {
-            sampler.set_sink(sink);
-        }
         let reactor = match self.reactor {
             Some(r) => r,
             None => Reactor::new()?,
         };
         let shared = Arc::new(Shared {
             obs: MetricsObserver::new(),
-            sampler: Mutex::new(sampler),
+            sampler: Mutex::new(self.sampler),
             reactor,
             monitor: self
                 .health
@@ -260,15 +244,12 @@ impl Shared {
         let _ = write!(out, "],\"alerts\":{}", self.alerts_json());
         let _ = write!(
             out,
-            ",\"reactor\":{{\"shards\":{},\"sessions\":{},\
-             \"syscalls_per_packet\":{:.4},\
-             \"loop_p99_us\":{},\"timer_slippage_p99_us\":{},\"idle_cap_ms\":{}}}}}",
-            self.reactor.shards(),
+            ",\"reactor\":{{\"sessions\":{},\"syscalls_per_packet\":{:.4},\
+             \"loop_p99_us\":{},\"timer_slippage_p99_us\":{}}}}}",
             st.sessions,
             st.syscalls_per_packet(),
             st.loop_p99_us,
-            st.timer_slippage_p99_us,
-            st.idle_cap_ms
+            st.timer_slippage_p99_us
         );
         out
     }
@@ -287,9 +268,8 @@ impl Telemetry {
     pub fn builder() -> TelemetryBuilder {
         TelemetryBuilder {
             sample_interval: Duration::from_millis(500),
-            ring: 720,
             listen: None,
-            sink: None,
+            sampler: Sampler::new(RING),
             reactor: None,
             health: None,
         }
@@ -503,10 +483,6 @@ mod tests {
             metrics.contains("hrmc_reactor_timer_slippage_us"),
             "{metrics}"
         );
-        assert!(
-            metrics.contains("hrmc_reactor_idle_cap_ms 100"),
-            "{metrics}"
-        );
         let json = scrape(addr, "/json", timeout).expect("scrape /json");
         assert!(json.contains("\"sample\":{\"telemetry\":1,"), "{json}");
         assert!(json.contains("\"alerts\":[]"), "{json}");
@@ -572,7 +548,6 @@ mod tests {
         let reactor = Reactor::new().expect("reactor");
         let t = Telemetry::builder()
             .sample_interval(Duration::from_millis(20))
-            .ring(8)
             .reactor(reactor)
             .start()
             .expect("telemetry");
@@ -587,7 +562,6 @@ mod tests {
             samples.len()
         );
         assert!(samples.windows(2).all(|w| w[1].t_us > w[0].t_us));
-        assert!(samples.len() <= 8, "ring bound respected");
         drop(t); // must join both threads promptly
     }
 }

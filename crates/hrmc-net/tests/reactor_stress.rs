@@ -5,14 +5,16 @@
 //!   sessions adds zero threads beyond the reactor's own;
 //! * all transfers complete byte-identically under contention;
 //! * the batched syscall path actually batches: under 16-way load the
-//!   reactor must observe `recvmmsg` batches larger than one datagram.
+//!   reactor must observe `recvmmsg` batches larger than one datagram;
+//! * the telemetry endpoint serves the reactor's own counters.
 
-use std::net::{Ipv4Addr, SocketAddrV4};
+use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use hrmc_core::ProtocolConfig;
-use hrmc_net::{Reactor, Session};
+use hrmc_net::telemetry::scrape;
+use hrmc_net::{Reactor, Session, Telemetry};
 
 mod common;
 use common::{multicast_available, seeded_pattern as pattern, LO};
@@ -54,8 +56,14 @@ fn sixteen_sessions_share_one_reactor_thread() {
         eprintln!("skipping: multicast loopback unavailable");
         return;
     }
-    // One reactor for all 32 sessions.
+    // One reactor for all 32 sessions, and the pipeline that reports it
+    // (started first: its threads are not the sessions').
     let reactor = Reactor::new().expect("reactor");
+    let telemetry = Telemetry::builder()
+        .listen(SocketAddr::V4(SocketAddrV4::new(LO, 0)))
+        .reactor(reactor.clone())
+        .start()
+        .expect("telemetry");
     let threads_before = thread_count();
 
     // 16 disjoint groups, each with its own sender and receiver — 32
@@ -171,6 +179,24 @@ fn sixteen_sessions_share_one_reactor_thread() {
     // Handles are all dropped: the reactor empties but keeps running.
     assert_eq!(reactor.session_count(), 0);
     assert!(st.sessions_hwm >= (2 * PAIRS) as u64);
+
+    // Quiesced, so the endpoint serves exactly the counters above.
+    let addr = telemetry.local_addr().expect("bound");
+    let timeout = Duration::from_secs(5);
+    let metrics = scrape(addr, "/metrics", timeout).expect("scrape /metrics");
+    for (name, value) in [
+        ("hrmc_reactor_packets_rx", st.packets_rx),
+        ("hrmc_reactor_packets_tx", st.packets_tx),
+    ] {
+        assert!(
+            metrics.lines().any(|l| l == format!("{name} {value}")),
+            "{name} {value} missing from exposition:\n{metrics}"
+        );
+    }
+    let json = scrape(addr, "/json", timeout).expect("scrape /json");
+    let reactor_json = &json[json.find("\"reactor\":{").expect("reactor section")..];
+    assert!(reactor_json.contains("\"sessions\":0,"), "{json}");
+    assert!(!json.contains("\"shards\""), "{json}");
 }
 
 /// Sessions on a dropped reactor fail fast with `ReactorClosed` rather

@@ -42,7 +42,6 @@ struct Opts {
     health: bool,
     once: bool,
     refresh_ms: u64,
-    reactor_threads: usize,
 }
 
 impl Default for Opts {
@@ -65,7 +64,6 @@ impl Default for Opts {
             health: false,
             once: false,
             refresh_ms: 1000,
-            reactor_threads: 1,
         }
     }
 }
@@ -101,8 +99,7 @@ struct Obs {
     /// sampling thread plus an HTTP endpoint serving `/metrics`
     /// (Prometheus text) and `/json` — watch it live with `hrmc top`.
     telemetry: Option<hrmc::net::Telemetry>,
-    /// The reactor every session in this process rides, sharded by
-    /// `--reactor-threads`.
+    /// The reactor every session in this process rides.
     reactor: hrmc::net::Reactor,
 }
 
@@ -119,11 +116,8 @@ impl Obs {
             None => None,
         };
         let metrics = opts.metrics.then(MetricsObserver::new);
-        let reactor = hrmc::net::Reactor::with_config(hrmc::net::ReactorConfig {
-            shards: opts.reactor_threads,
-            ..hrmc::net::ReactorConfig::default()
-        })
-        .map_err(|e| format!("cannot start the reactor: {e}"))?;
+        let reactor =
+            hrmc::net::Reactor::new().map_err(|e| format!("cannot start the reactor: {e}"))?;
         if opts.health && opts.telemetry.is_none() {
             return Err("--health requires --telemetry (the monitor rides the \
                         telemetry pipeline)"
@@ -263,9 +257,7 @@ fn usage() -> ! {
          --health          arm the online protocol health monitor (needs\n                    \
                            --telemetry): streaming invariant checks raise\n                    \
                            structured alerts on /alerts, in /json, and as\n                    \
-                           hrmc_alerts_* metrics on /metrics\n  \
-         --reactor-threads N  shard sessions across N reactor threads\n                    \
-                           (default 1); telemetry aggregates all shards\n\n\
+                           hrmc_alerts_* metrics on /metrics\n\n\
          `top` renders a refreshing terminal dashboard from a live telemetry\n\
          endpoint (`hrmc top 127.0.0.1:9090`) or summarizes a recorded sample\n\
          file; --once prints a single frame, --refresh sets the period. With\n\
@@ -374,14 +366,6 @@ fn parse(args: &[String]) -> (Opts, Vec<String>) {
             }
             "--health" => {
                 opts.health = true;
-            }
-            "--reactor-threads" => {
-                i += 1;
-                opts.reactor_threads = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
             }
             "--once" => {
                 opts.once = true;

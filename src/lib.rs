@@ -37,10 +37,9 @@
 //! See `examples/live_multicast.rs`: the [`net::Session`] builder runs
 //! the identical engines over UDP multicast (loopback-capable, multiple
 //! receivers per host). Sessions given clones of one [`net::Reactor`]
-//! are all driven by its thread (or its N shard threads) — batched
-//! `recvmmsg`/`sendmmsg` syscalls, one timer heap, O(1) threads
-//! regardless of session count; a session built without `.reactor(..)`
-//! owns a one-shard reactor of its own:
+//! are all driven by its one thread — batched `recvmmsg`/`sendmmsg`
+//! syscalls, one timer heap, O(1) threads regardless of session count;
+//! a session built without `.reactor(..)` owns a reactor of its own:
 //!
 //! ```no_run
 //! use hrmc::net::{Reactor, Session};

@@ -146,12 +146,11 @@ pub fn render_endpoint_frame(endpoint: &str, body: &Value) -> String {
     let mut out = String::with_capacity(1024);
     let _ = writeln!(out, "hrmc top — {endpoint}\n");
     if let Some(r) = body.get("reactor") {
-        // Endpoints predating reactor shards omit the count: they ran
-        // one. Older recordings' "backend" key is ignored.
+        // Older recordings' backend, shard-count and idle-cap keys are
+        // ignored.
         let _ = writeln!(
             out,
-            "reactor ×{}  sessions {}  syscalls/pkt {}  loop p99 {}µs  timer slip p99 {}µs  idle cap {}ms",
-            r.get("shards").and_then(Value::as_u64).unwrap_or(1),
+            "reactor  sessions {}  syscalls/pkt {}  loop p99 {}µs  timer slip p99 {}µs",
             r.get("sessions").and_then(Value::as_u64).unwrap_or(0),
             r.get("syscalls_per_packet")
                 .and_then(Value::as_f64)
@@ -161,7 +160,6 @@ pub fn render_endpoint_frame(endpoint: &str, body: &Value) -> String {
             r.get("timer_slippage_p99_us")
                 .and_then(Value::as_u64)
                 .unwrap_or(0),
-            r.get("idle_cap_ms").and_then(Value::as_u64).unwrap_or(0),
         );
     }
     if let Some(sessions) = body.get("sessions").and_then(Value::as_array) {
@@ -297,8 +295,13 @@ mod tests {
         .unwrap();
         let frame = render_endpoint_frame("127.0.0.1:9000", &body);
         assert!(frame.contains("hrmc top — 127.0.0.1:9000"));
-        // An old recording's "backend" key is ignored.
-        assert!(frame.contains("reactor ×4  sessions 1"), "{frame}");
+        // An old recording's backend, shard-count and idle-cap keys are
+        // ignored.
+        assert!(frame.contains("reactor  sessions 1  "), "{frame}");
+        assert!(
+            !frame.contains('×') && !frame.contains("idle cap"),
+            "{frame}"
+        );
         assert!(frame.contains("syscalls/pkt 0.1441"));
         assert!(frame.contains("loop p99 63µs"));
         assert!(frame.contains("sender"));
@@ -369,11 +372,23 @@ mod tests {
     fn endpoint_frame_defaults_backend_for_old_recordings() {
         let body: Value = serde_json::from_str(
             "{\"sample\":null,\"reactor\":{\"sessions\":2,\"syscalls_per_packet\":0.2,\
-             \"loop_p99_us\":1,\"timer_slippage_p99_us\":2,\"idle_cap_ms\":100}}",
+             \"loop_p99_us\":1,\"timer_slippage_p99_us\":2}}",
         )
         .unwrap();
         let frame = render_endpoint_frame("x", &body);
-        assert!(frame.contains("reactor ×1  sessions 2"), "{frame}");
+        assert!(frame.contains("reactor  sessions 2  "), "{frame}");
+    }
+
+    /// The frame reads what a live endpoint serves today.
+    #[test]
+    fn endpoint_frame_renders_the_live_json_shape() {
+        let telemetry = hrmc_net::Telemetry::builder().start().expect("telemetry");
+        let body: Value = serde_json::from_str(&telemetry.render_json()).unwrap();
+        let frame = render_endpoint_frame("x", &body);
+        assert!(
+            frame.contains("reactor  sessions 0  syscalls/pkt 0.0000  loop p99 "),
+            "{frame}"
+        );
     }
 
     #[test]
