@@ -3,7 +3,7 @@
 //! I/O — and runs it through the simulator. Every figure harness in
 //! `hrmc-experiments` is a sweep over scenarios.
 
-use hrmc_core::{HealthConfig, ProtocolConfig, ReliabilityMode, UpdateMode};
+use hrmc_core::{ProtocolConfig, ReliabilityMode, UpdateMode};
 use hrmc_sim::{
     ChurnAction, ChurnEvent, FaultPlan, GroupSpec, IoProfile, LinkSchedule, LossModel, Partition,
     SimParams, SimReport, Simulation, TopologyBuilder,
@@ -87,10 +87,10 @@ pub struct Scenario {
     /// bufferbloat, jitter spikes, asymmetric up-paths, receiver
     /// migration. Empty by default (a static network).
     pub links: LinkSchedule,
-    /// Arm the online health monitor with this rule set (`None` leaves
-    /// the run bit-identical to an unmonitored one; armed runs add only
+    /// Arm the online health monitor (`false` leaves the run
+    /// bit-identical to an unmonitored one; armed runs add only
     /// `health_alert` lines and `SimReport.alerts`).
-    pub health: Option<HealthConfig>,
+    pub health: bool,
 }
 
 impl Scenario {
@@ -113,7 +113,7 @@ impl Scenario {
             max_rate_factor: 0.95,
             faults: FaultPlan::default(),
             links: LinkSchedule::default(),
-            health: None,
+            health: false,
         }
     }
 
@@ -209,11 +209,11 @@ impl Scenario {
         self
     }
 
-    /// Arm the online health monitor with `cfg` (see
-    /// [`hrmc_core::HealthMonitor`]); disarmed configs are dropped so
-    /// the run keeps the zero-cost no-observer path.
-    pub fn with_health(mut self, cfg: HealthConfig) -> Scenario {
-        self.health = cfg.armed().then_some(cfg);
+    /// Arm the online health monitor (see [`hrmc_core::HealthMonitor`]),
+    /// judging ejections against the scenario's own
+    /// `protocol.probe_failure_limit`.
+    pub fn with_health(mut self) -> Scenario {
+        self.health = true;
         self
     }
 
@@ -292,7 +292,7 @@ impl Scenario {
         params.cpu_scale = self.cpu_scale;
         params.faults = self.faults.clone();
         params.links = self.links.clone();
-        params.health = self.health.clone();
+        params.health = self.health;
         params
     }
 

@@ -8,10 +8,14 @@
 //! before raising, and a minimum hold before clearing) so alerts never
 //! flap.
 //!
+//! The rules are one constant table (`RULES`, DESIGN.md §18); the only
+//! input the stream cannot supply is the protocol's PROBE limit
+//! ([`HealthConfig`]).
+//!
 //! The monitor is a pure observer: it never mutates protocol state, so
-//! an armed monitor cannot perturb trajectories, and a disabled one
-//! ([`HealthConfig::disabled`]) costs one branch per event — the same
-//! zero-cost contract as the rest of the observability layer.
+//! an armed monitor cannot perturb trajectories. A monitor is always
+//! armed; an unmonitored session has none, and so pays nothing — the
+//! same zero-cost contract as the rest of the observability layer.
 //!
 //! Memory is bounded by construction: windowed rates live in a fixed
 //! ring of time buckets, ejection tracking in a capped set, and the
@@ -121,174 +125,110 @@ impl Alert {
     }
 }
 
-/// Per-rule tuning: thresholds and hysteresis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RuleConfig {
-    /// Evaluate this rule at all.
-    pub enabled: bool,
+/// Sliding-window span for the rate rules (µs).
+const WINDOW_US: u64 = 1_000_000;
+/// Width of one window bucket (µs).
+const BUCKET_US: u64 = WINDOW_US / WINDOW_BUCKETS as u64;
+/// Rule-evaluation grid: rules are (re)judged at most this often (µs),
+/// piggybacked on event arrival — no timer of its own.
+const EVAL_INTERVAL_US: u64 = 100_000;
+
+/// One rule's severity, thresholds and hysteresis. Thresholds are in
+/// milli-units of the rule's natural unit (DESIGN.md §18's table).
+struct Rule {
     /// Severity attached to its alerts.
-    pub severity: Severity,
-    /// Raise once the value reaches this (milli-units) …
-    pub raise_m: u64,
-    /// … and has stayed there for this long (µs).
-    pub sustain_us: u64,
-    /// Clear once the value falls to/below this (milli-units) …
-    pub clear_m: u64,
-    /// … but never sooner than this after raising (µs) — the anti-flap
+    severity: Severity,
+    /// Raise once the value reaches this …
+    raise_m: u64,
+    /// … and has stayed there this long (µs).
+    sustain_us: u64,
+    /// Clear once the value falls to or below this …
+    clear_m: u64,
+    /// … but never sooner than this after raising (µs): the anti-flap
     /// hold.
-    pub min_hold_us: u64,
+    min_hold_us: u64,
 }
 
-impl RuleConfig {
-    /// A disabled rule (thresholds irrelevant).
-    pub fn off() -> RuleConfig {
-        RuleConfig {
-            enabled: false,
-            severity: Severity::Warning,
-            raise_m: u64::MAX,
-            sustain_us: 0,
-            clear_m: 0,
-            min_hold_us: 0,
-        }
+/// The rule table, one row per [`AlertRule`] in [`AlertRule::ALL`]
+/// order. The thresholds are conservative: a healthy or merely jittery
+/// run stays silent.
+const RULES: [Rule; AlertRule::ALL.len()] = [
+    // nak_storm: ≥ 1 windowed NAK per delivered segment.
+    Rule {
+        severity: Severity::Warning,
+        raise_m: 1_000,
+        sustain_us: 200_000,
+        clear_m: 250,
+        min_hold_us: 500_000,
+    },
+    // window_stall: 2 s without progress while work is pending; the
+    // value is itself a duration, so no sustain.
+    Rule {
+        severity: Severity::Critical,
+        raise_m: 2_000,
+        sustain_us: 0,
+        clear_m: 500,
+        min_hold_us: 500_000,
+    },
+    // livelock: ≥ 50 windowed events per delivered segment.
+    Rule {
+        severity: Severity::Critical,
+        raise_m: 50_000,
+        sustain_us: 300_000,
+        clear_m: 10_000,
+        min_hold_us: 500_000,
+    },
+    // rtt_divergence: srtt ≥ 8 × its rolling minimum for 2 s. A burst
+    // of delay spikes inflates srtt for about its own duration (latency
+    // is not death); only a standing queue keeps it pinned this long.
+    Rule {
+        severity: Severity::Warning,
+        raise_m: 8_000,
+        sustain_us: 2_000_000,
+        clear_m: 3_000,
+        min_hold_us: 1_000_000,
+    },
+    // backlog_growth: ≥ 150 NAKed-but-unrecovered segments.
+    Rule {
+        severity: Severity::Warning,
+        raise_m: 150_000,
+        sustain_us: 300_000,
+        clear_m: 30_000,
+        min_hold_us: 500_000,
+    },
+    // ejection_imminent: raise threshold derived from the protocol's
+    // probe_failure_limit (see `HealthMonitor::raise_threshold`).
+    Rule {
+        severity: Severity::Warning,
+        raise_m: 0,
+        sustain_us: 0,
+        clear_m: 0,
+        min_hold_us: 0,
+    },
+    // false_ejection: event-driven, raises once and never clears.
+    Rule {
+        severity: Severity::Critical,
+        raise_m: 0,
+        sustain_us: 0,
+        clear_m: 0,
+        min_hold_us: 0,
+    },
+];
+
+impl AlertRule {
+    /// This rule's row of [`RULES`].
+    fn spec(self) -> &'static Rule {
+        &RULES[self as usize]
     }
 }
 
-/// Monitor configuration: the sliding-window geometry plus one
-/// [`RuleConfig`] per rule. [`HealthConfig::default`] arms every rule
-/// with conservative thresholds (tuned so a healthy or merely jittery
-/// run stays silent); [`HealthConfig::disabled`] turns every rule off.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What the monitor needs that the event stream does not carry. The
+/// rules themselves are the constant table above.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HealthConfig {
-    /// Sliding-window span for rate rules (µs).
-    pub window_us: u64,
-    /// Rule-evaluation grid: rules are (re)judged at most this often
-    /// (µs), piggybacked on event arrival — no timer of its own.
-    pub eval_interval_us: u64,
     /// The protocol's `probe_failure_limit`, for the imminent-ejection
-    /// rule (0 disables that rule regardless of its config).
+    /// rule (below 2 the rule never raises).
     pub probe_failure_limit: u32,
-    /// NAK-storm rule (value: windowed NAKs per delivered segment).
-    pub nak_storm: RuleConfig,
-    /// Window-stall rule (value: µs since last progress, in ms).
-    pub window_stall: RuleConfig,
-    /// Livelock rule (value: windowed events per delivered segment).
-    pub livelock: RuleConfig,
-    /// RTT-divergence rule (value: srtt / rolling-min ratio, evaluated
-    /// only while recovery work is outstanding).
-    pub rtt_divergence: RuleConfig,
-    /// Backlog-growth rule (value: outstanding NAKed segments).
-    pub backlog_growth: RuleConfig,
-    /// Imminent-ejection rule (value: consecutive unanswered PROBEs;
-    /// raise threshold derived from `probe_failure_limit`).
-    pub ejection_imminent: RuleConfig,
-    /// False-ejection rule (event-driven, raises once, never clears).
-    pub false_ejection: RuleConfig,
-}
-
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
-        HealthConfig {
-            window_us: 1_000_000,
-            eval_interval_us: 100_000,
-            probe_failure_limit: 0,
-            nak_storm: RuleConfig {
-                enabled: true,
-                severity: Severity::Warning,
-                raise_m: 1_000, // ≥ 1 NAK per delivered segment
-                sustain_us: 200_000,
-                clear_m: 250,
-                min_hold_us: 500_000,
-            },
-            window_stall: RuleConfig {
-                enabled: true,
-                severity: Severity::Critical,
-                raise_m: 2_000, // 2 s without progress, work pending
-                sustain_us: 0,  // the value *is* a duration
-                clear_m: 500,
-                min_hold_us: 500_000,
-            },
-            livelock: RuleConfig {
-                enabled: true,
-                severity: Severity::Critical,
-                raise_m: 50_000, // ≥ 50 events per delivered segment
-                sustain_us: 300_000,
-                clear_m: 10_000,
-                min_hold_us: 500_000,
-            },
-            rtt_divergence: RuleConfig {
-                enabled: true,
-                severity: Severity::Warning,
-                raise_m: 8_000, // srtt ≥ 8 × its rolling minimum …
-                // … for 2 s: a burst of delay spikes inflates srtt for
-                // about its own duration (latency is not death); only a
-                // standing queue keeps it pinned this long.
-                sustain_us: 2_000_000,
-                clear_m: 3_000,
-                min_hold_us: 1_000_000,
-            },
-            backlog_growth: RuleConfig {
-                enabled: true,
-                severity: Severity::Warning,
-                raise_m: 150_000, // ≥ 150 NAKed-but-unrecovered segments
-                sustain_us: 300_000,
-                clear_m: 30_000,
-                min_hold_us: 500_000,
-            },
-            ejection_imminent: RuleConfig {
-                enabled: true,
-                severity: Severity::Warning,
-                raise_m: 0, // derived from probe_failure_limit
-                sustain_us: 0,
-                clear_m: 0,
-                min_hold_us: 0,
-            },
-            false_ejection: RuleConfig {
-                enabled: true,
-                severity: Severity::Critical,
-                raise_m: 0, // event-driven
-                sustain_us: 0,
-                clear_m: 0,
-                min_hold_us: 0,
-            },
-        }
-    }
-}
-
-impl HealthConfig {
-    /// Every rule off: the provably zero-cost configuration (the
-    /// monitor's event hook reduces to one branch).
-    pub fn disabled() -> HealthConfig {
-        HealthConfig {
-            window_us: 1_000_000,
-            eval_interval_us: 100_000,
-            probe_failure_limit: 0,
-            nak_storm: RuleConfig::off(),
-            window_stall: RuleConfig::off(),
-            livelock: RuleConfig::off(),
-            rtt_divergence: RuleConfig::off(),
-            backlog_growth: RuleConfig::off(),
-            ejection_imminent: RuleConfig::off(),
-            false_ejection: RuleConfig::off(),
-        }
-    }
-
-    /// The config for one rule.
-    pub fn rule(&self, rule: AlertRule) -> &RuleConfig {
-        match rule {
-            AlertRule::NakStorm => &self.nak_storm,
-            AlertRule::WindowStall => &self.window_stall,
-            AlertRule::Livelock => &self.livelock,
-            AlertRule::RttDivergence => &self.rtt_divergence,
-            AlertRule::BacklogGrowth => &self.backlog_growth,
-            AlertRule::EjectionImminent => &self.ejection_imminent,
-            AlertRule::FalseEjection => &self.false_ejection,
-        }
-    }
-
-    /// `true` when at least one rule is enabled.
-    pub fn armed(&self) -> bool {
-        AlertRule::ALL.into_iter().any(|r| self.rule(r).enabled)
-    }
 }
 
 /// One sliding-window time bucket.
@@ -315,10 +255,8 @@ struct RuleState {
 /// [`TelemetrySample`]s; drain alert transitions with
 /// [`HealthMonitor::take_alerts`].
 pub struct HealthMonitor {
-    cfg: HealthConfig,
-    armed: bool,
-    bucket_us: u64,
-    /// Index (now / bucket_us) of the bucket currently written.
+    probe_failure_limit: u32,
+    /// Index (now / BUCKET_US) of the bucket currently written.
     cur_bucket: u64,
     buckets: [Bucket; WINDOW_BUCKETS],
     last_now: u64,
@@ -345,14 +283,10 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// A monitor with the given configuration.
+    /// A monitor judging ejections against `cfg`'s probe limit.
     pub fn new(cfg: HealthConfig) -> HealthMonitor {
-        let armed = cfg.armed();
-        let bucket_us = (cfg.window_us / WINDOW_BUCKETS as u64).max(1);
         HealthMonitor {
-            cfg,
-            armed,
-            bucket_us,
+            probe_failure_limit: cfg.probe_failure_limit,
             cur_bucket: 0,
             buckets: [Bucket::default(); WINDOW_BUCKETS],
             last_now: 0,
@@ -369,16 +303,6 @@ impl HealthMonitor {
             history: VecDeque::new(),
             raised_total: 0,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
-    /// `true` when at least one rule is enabled.
-    pub fn armed(&self) -> bool {
-        self.armed
     }
 
     /// Number of rules currently in the raised state.
@@ -410,7 +334,7 @@ impl HealthMonitor {
             .map(|(rule, s)| Alert {
                 t_us: s.raised_at,
                 rule,
-                severity: self.cfg.rule(rule).severity,
+                severity: rule.spec().severity,
                 raised: true,
                 value_m: s.last_value_m,
                 limit_m: self.raise_threshold(rule),
@@ -423,9 +347,6 @@ impl HealthMonitor {
     /// streams still evaluate every rule except false-ejection, which
     /// needs to know *who* spoke.
     pub fn on_event_tagged(&mut self, now: Micros, ev: &Event, member: Option<u32>) {
-        if !self.armed {
-            return;
-        }
         self.last_now = self.last_now.max(now);
         self.advance_window(self.last_now);
         let b = &mut self.buckets[(self.cur_bucket % WINDOW_BUCKETS as u64) as usize];
@@ -495,7 +416,7 @@ impl HealthMonitor {
         }
         if self.last_now >= self.next_eval {
             self.eval(self.last_now);
-            self.next_eval = self.last_now + self.cfg.eval_interval_us;
+            self.next_eval = self.last_now + EVAL_INTERVAL_US;
         }
     }
 
@@ -504,9 +425,6 @@ impl HealthMonitor {
     /// observed RTT events. Sample timestamps that run behind the event
     /// clock are ignored (clock domains may differ).
     pub fn observe_sample(&mut self, s: &TelemetrySample) {
-        if !self.armed {
-            return;
-        }
         if let Some(&srtt) = s.gauges.get("srtt_us") {
             if srtt > 0 {
                 self.srtt_us = srtt;
@@ -520,7 +438,7 @@ impl HealthMonitor {
             self.advance_window(s.t_us);
             if s.t_us >= self.next_eval {
                 self.eval(s.t_us);
-                self.next_eval = s.t_us + self.cfg.eval_interval_us;
+                self.next_eval = s.t_us + EVAL_INTERVAL_US;
             }
         }
     }
@@ -528,7 +446,7 @@ impl HealthMonitor {
     /// Rotate the bucket ring forward to cover `now`, zeroing buckets
     /// that fell out of the window.
     fn advance_window(&mut self, now: u64) {
-        let target = now / self.bucket_us;
+        let target = now / BUCKET_US;
         if target <= self.cur_bucket {
             return;
         }
@@ -557,9 +475,9 @@ impl HealthMonitor {
     fn raise_threshold(&self, rule: AlertRule) -> u64 {
         match rule {
             AlertRule::EjectionImminent => {
-                u64::from(self.cfg.probe_failure_limit.saturating_sub(1)) * 1_000
+                u64::from(self.probe_failure_limit.saturating_sub(1)) * 1_000
             }
-            _ => self.cfg.rule(rule).raise_m,
+            _ => rule.spec().raise_m,
         }
     }
 
@@ -609,16 +527,13 @@ impl HealthMonitor {
         }
     }
 
-    /// Judge every enabled rule against its hysteresis state.
+    /// Judge every rule against its hysteresis state.
     fn eval(&mut self, now: u64) {
         for (i, rule) in AlertRule::ALL.into_iter().enumerate() {
-            let rc = *self.cfg.rule(rule);
-            if !rc.enabled {
-                continue;
-            }
+            let rc = rule.spec();
             // Imminent ejection needs a configured limit of ≥ 2 to have
             // a meaningful "approaching" threshold.
-            if rule == AlertRule::EjectionImminent && self.cfg.probe_failure_limit < 2 {
+            if rule == AlertRule::EjectionImminent && self.probe_failure_limit < 2 {
                 continue;
             }
             let value = self.value_m(rule, now);
@@ -762,6 +677,14 @@ mod tests {
         Event::Delivered { first: 0, count }
     }
 
+    fn recovered(count: u32) -> Event {
+        Event::Recovered {
+            first: 0,
+            count,
+            elapsed_us: 1,
+        }
+    }
+
     #[test]
     fn rule_and_severity_names_round_trip() {
         for r in AlertRule::ALL {
@@ -791,23 +714,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_monitor_emits_nothing() {
-        let mut m = HealthMonitor::new(HealthConfig::disabled());
-        assert!(!m.armed());
-        for t in 0..10_000u64 {
-            m.on_event_tagged(t * 1_000, &nak(5), None);
-        }
-        assert!(m.take_alerts().is_empty());
-        assert_eq!(m.active(), 0);
-        assert_eq!(m.raised_total(), 0);
-    }
-
-    #[test]
     fn nak_storm_raises_after_sustain_and_clears_after_hold() {
-        let mut cfg = HealthConfig::default();
-        cfg.nak_storm.sustain_us = 200_000;
-        cfg.nak_storm.min_hold_us = 500_000;
-        let mut m = HealthMonitor::new(cfg);
+        // nak_storm holds for 200 ms before raising, 500 ms before
+        // clearing.
+        let mut m = HealthMonitor::new(HealthConfig::default());
         // A storm: NAKs every ms, nothing delivered.
         let mut t = 0u64;
         while t < 150_000 {
@@ -833,15 +743,7 @@ mod tests {
         // Recovery: deliveries resume, NAKs stop; backlog drains.
         let healed_at = t;
         while t < healed_at + 2_000_000 {
-            m.on_event_tagged(
-                t,
-                &Event::Recovered {
-                    first: 0,
-                    count: 5,
-                    elapsed_us: 1,
-                },
-                None,
-            );
+            m.on_event_tagged(t, &recovered(5), None);
             m.on_event_tagged(t, &delivered(5), None);
             t += 10_000;
         }
@@ -868,56 +770,53 @@ mod tests {
 
     #[test]
     fn hysteresis_prevents_flapping() {
-        let mut cfg = HealthConfig::disabled();
-        cfg.backlog_growth = RuleConfig {
-            enabled: true,
-            severity: Severity::Warning,
-            raise_m: 10_000, // 10 segments
-            sustain_us: 0,
-            clear_m: 2_000,
-            min_hold_us: 1_000_000,
-        };
-        let mut m = HealthMonitor::new(cfg);
-        // Oscillate the backlog across the raise threshold every 200 ms;
-        // with a 1 s hold the alert must not flap.
+        // backlog_growth raises at 150 segments held for 300 ms and
+        // clears at 30, never sooner than 500 ms after raising.
+        let mut m = HealthMonitor::new(HealthConfig::default());
         let mut t = 0u64;
-        let mut transitions: Vec<Alert> = Vec::new();
-        for cycle in 0..20u64 {
-            let grow = cycle % 2 == 0;
-            for _ in 0..10 {
-                if grow {
-                    m.on_event_tagged(t, &nak(2), None);
-                } else {
-                    m.on_event_tagged(
-                        t,
-                        &Event::Recovered {
-                            first: 0,
-                            count: 2,
-                            elapsed_us: 1,
-                        },
-                        None,
-                    );
-                }
+        // One swing: ten 20 ms NAK steps take the backlog 0 → 300, `hold`
+        // more steps keep it there, one repair drops it to 0, and 200 ms
+        // idle follow. Every swing crosses both thresholds. Returns the
+        // swing's backlog_growth transitions and the repair's time.
+        let mut swing = |m: &mut HealthMonitor, hold: u64| {
+            for step in 0..10 + hold {
+                let ev = if step < 10 { nak(30) } else { delivered(1) };
+                m.on_event_tagged(t, &ev, None);
                 t += 20_000;
             }
-            transitions.extend(m.take_alerts());
-        }
-        // The 5 Hz oscillation crosses the threshold ~20 times; the 1 s
-        // hold must cap transitions near one raise/clear pair per second.
-        assert!(
-            transitions.len() <= 8,
-            "alert flapped: {} transitions in 4 s",
-            transitions.len()
-        );
-        let mut raised_at = None;
-        for a in &transitions {
-            if a.raised {
-                raised_at = Some(a.t_us);
-            } else {
-                let up = raised_at.expect("clear without raise");
-                assert!(a.t_us - up >= 1_000_000, "hold violated: {a:?}");
+            let repaired_at = t;
+            m.on_event_tagged(t, &recovered(300), None);
+            for _ in 0..10 {
+                t += 20_000;
+                m.on_event_tagged(t, &delivered(1), None);
             }
+            let alerts = m.take_alerts().into_iter();
+            let flaps = alerts.filter(|a| a.rule == AlertRule::BacklogGrowth);
+            (flaps.collect::<Vec<_>>(), repaired_at)
+        };
+        // Peaks of ~120 ms never outlast the sustain.
+        for _ in 0..10 {
+            let (flaps, _) = swing(&mut m, 0);
+            assert!(flaps.is_empty(), "a short peak raised: {flaps:?}");
         }
+        // A peak held for 400 ms raises once, and its repair follows the
+        // raise by less than the hold. Ten more swings then clear it
+        // once, after the hold, and never raise it again.
+        let (mut transitions, repaired_at) = swing(&mut m, 20);
+        for _ in 0..10 {
+            transitions.extend(swing(&mut m, 0).0);
+        }
+        assert_eq!(transitions.len(), 2, "alert flapped: {transitions:?}");
+        let (up, down) = (transitions[0], transitions[1]);
+        assert!(up.raised && !down.raised, "{transitions:?}");
+        assert!(repaired_at - up.t_us < 500_000, "{up:?} at {repaired_at}");
+        assert!(down.t_us - up.t_us >= 500_000, "hold violated");
+        // The first evaluation after the repair saw the backlog at 0
+        // and still held the alert.
+        assert!(
+            down.t_us > repaired_at + EVAL_INTERVAL_US,
+            "cleared at the first evaluation after the repair: {down:?}"
+        );
     }
 
     #[test]
@@ -950,11 +849,9 @@ mod tests {
 
     #[test]
     fn ejection_imminent_warns_before_limit_and_clears_on_answer() {
-        let cfg = HealthConfig {
+        let mut m = HealthMonitor::new(HealthConfig {
             probe_failure_limit: 3,
-            ..HealthConfig::default()
-        };
-        let mut m = HealthMonitor::new(cfg);
+        });
         let probe = Event::ProbeSent {
             seq: 7,
             multicast: false,
@@ -988,13 +885,16 @@ mod tests {
 
     #[test]
     fn rtt_divergence_needs_sustained_inflation() {
-        let mut cfg = HealthConfig::default();
-        cfg.rtt_divergence.raise_m = 4_000;
-        cfg.rtt_divergence.sustain_us = 600_000;
-        // Keep the stall rule out of the picture: this test leaves a
-        // backlog open (the divergence gate) without ever progressing.
-        cfg.window_stall = RuleConfig::off();
-        let mut m = HealthMonitor::new(cfg);
+        // rtt_divergence raises at 8 × the rolling minimum held for 2 s.
+        // The open backlog (the divergence gate) also trips the stall
+        // rule, so only divergence alerts are read.
+        let mut m = HealthMonitor::new(HealthConfig::default());
+        let divergence = |m: &mut HealthMonitor| {
+            let alerts = m.take_alerts().into_iter();
+            alerts
+                .filter(|a| a.rule == AlertRule::RttDivergence)
+                .collect::<Vec<_>>()
+        };
         let sample = |srtt_us| Event::RttSample {
             sample_us: srtt_us,
             srtt_us,
@@ -1002,26 +902,21 @@ mod tests {
         };
         m.on_event_tagged(0, &nak(1), None);
         m.on_event_tagged(0, &sample(10_000), None);
-        // A short spike (200 ms over threshold) must not raise.
-        m.on_event_tagged(1_000_000, &sample(80_000), None);
-        m.on_event_tagged(1_200_000, &sample(10_000), None);
+        // A 1 s spike to 9 × must not raise.
+        m.on_event_tagged(1_000_000, &sample(90_000), None);
         m.on_event_tagged(2_000_000, &sample(10_000), None);
-        assert!(m.take_alerts().is_empty(), "transient spike raised");
+        m.on_event_tagged(3_000_000, &sample(10_000), None);
+        assert!(divergence(&mut m).is_empty(), "transient spike raised");
         // Sustained inflation must.
-        for i in 0..12u64 {
-            m.on_event_tagged(3_000_000 + i * 100_000, &sample(90_000), None);
+        for i in 0..30u64 {
+            m.on_event_tagged(4_000_000 + i * 100_000, &sample(90_000), None);
         }
-        assert!(m
-            .take_alerts()
-            .iter()
-            .any(|a| a.rule == AlertRule::RttDivergence && a.raised));
+        assert!(divergence(&mut m).iter().any(|a| a.raised));
     }
 
     #[test]
     fn telemetry_sample_feeds_srtt_between_events() {
-        let mut cfg = HealthConfig::default();
-        cfg.rtt_divergence.sustain_us = 0;
-        let mut m = HealthMonitor::new(cfg);
+        let mut m = HealthMonitor::new(HealthConfig::default());
         m.on_event_tagged(0, &nak(1), None);
         m.on_event_tagged(
             0,
@@ -1032,9 +927,11 @@ mod tests {
             },
             None,
         );
+        // Samples alone carry srtt at 12 × the minimum past the 2 s
+        // sustain; no further event arrives.
         let mut s = TelemetrySample {
             seq: 0,
-            t_us: 1_000_000,
+            t_us: 0,
             interval_us: 0,
             counters: Default::default(),
             totals: Default::default(),
@@ -1042,7 +939,10 @@ mod tests {
             hists: Default::default(),
         };
         s.gauges.insert("srtt_us".to_string(), 60_000);
-        m.observe_sample(&s);
+        for t_us in [1_000_000, 2_000_000, 3_000_000] {
+            s.t_us = t_us;
+            m.observe_sample(&s);
+        }
         assert!(m
             .take_alerts()
             .iter()
@@ -1067,11 +967,8 @@ mod tests {
 
     #[test]
     fn window_rotation_forgets_old_counts() {
-        let cfg = HealthConfig {
-            window_us: 1_000_000,
-            ..HealthConfig::default()
-        };
-        let mut m = HealthMonitor::new(cfg);
+        // The window spans 1 s.
+        let mut m = HealthMonitor::new(HealthConfig::default());
         for t in 0..20u64 {
             m.on_event_tagged(t * 1_000, &nak(1), None);
         }

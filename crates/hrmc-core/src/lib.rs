@@ -79,9 +79,7 @@ pub mod update;
 
 pub use config::{ProbePolicy, ProbeTransport, ProtocolConfig, ReliabilityMode, UpdateMode};
 pub use fec::FecConfig;
-pub use health::{
-    Alert, AlertRule, HealthConfig, HealthMonitor, RuleConfig, Severity, SharedMonitor,
-};
+pub use health::{Alert, AlertRule, HealthConfig, HealthMonitor, Severity, SharedMonitor};
 pub use metrics::{Histogram, HistogramSummary, MetricsRegistry};
 pub use obs::{
     Event, FlightRecorder, JsonlObserver, MetricsObserver, MultiObserver, NakTrigger,

@@ -16,7 +16,7 @@
 //!    regimes must still finish the transfer.
 
 use hrmc_app::Scenario;
-use hrmc_core::{AlertRule, HealthConfig};
+use hrmc_core::AlertRule;
 use hrmc_sim::{CharacteristicGroup, GroupSpec, LinkAction, LinkSchedule, SimReport};
 use serde_json::{json, Map, Value};
 
@@ -61,9 +61,8 @@ fn migrate(path: Vec<usize>) -> LinkAction {
 /// The pinned matrix: one cell per regime, rows labelled by regime.
 /// `baseline` comes first, carries an empty schedule and anchors the
 /// degradation comparisons. Every regime runs with the online health
-/// monitor armed at default thresholds — the matrix doubles as the
-/// monitor's calibration fixture (quiet regimes must stay silent,
-/// violent ones must alert).
+/// monitor armed — the matrix doubles as the monitor's calibration
+/// fixture (quiet regimes must stay silent, violent ones must alert).
 pub fn cells(opts: &ExpOptions) -> Vec<Cell> {
     let (receivers, transfer) = (opts.receivers.unwrap_or(RECEIVERS), opts.transfer(MB_10));
     let base = || Scenario::lan(receivers, MBPS_10, 256 * 1024, transfer).with_loss(0.01);
@@ -111,14 +110,7 @@ pub fn cells(opts: &ExpOptions) -> Vec<Cell> {
         ("mobile-churn", mobile),
         ("hostile-combined", base().with_links(combined)),
     ]
-    .map(|(label, s)| {
-        let probe_failure_limit = s.protocol.probe_failure_limit;
-        let health = HealthConfig {
-            probe_failure_limit,
-            ..HealthConfig::default()
-        };
-        Cell::new("", "", label.into(), s.with_health(health))
-    })
+    .map(|(label, s)| Cell::new("", "", label.into(), s.with_health()))
     .into()
 }
 

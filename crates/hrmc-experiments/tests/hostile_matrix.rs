@@ -9,9 +9,13 @@
 //! 2. A scenario whose schedule is *empty* serializes identically to
 //!    the plain scenario it was built from: the dynamics layer is
 //!    provably free when unused.
+//!
+//! It also pins the health monitor's full alert stream on the two
+//! regimes that raise, so a change to any rule threshold, hold or
+//! severity shows here as a changed transition, not just a count.
 
 use hrmc_app::Scenario;
-use hrmc_experiments::{runner, sweep, ExpOptions};
+use hrmc_experiments::{hostile, runner, sweep, ExpOptions};
 use hrmc_sim::{LinkAction, LinkSchedule};
 
 fn scheduled_scenario() -> Scenario {
@@ -85,4 +89,52 @@ fn matrix_invariants_hold_at_alternate_population() {
     assert!(v["capacity-collapse"]["rate_halvings"].as_u64().unwrap() >= 1);
     assert!(v["mobile-churn"]["migration_drops"].as_u64().unwrap() > 0);
     assert_eq!(v["baseline"]["false_ejections"].as_u64().unwrap(), 0);
+}
+
+/// One alert transition as `(t_us, rule, severity, raised, value_m,
+/// limit_m)`.
+type AlertRow = (u64, &'static str, &'static str, bool, u64, u64);
+
+/// The complete `SimReport::alerts` of the quick-length, seed-1 hostile
+/// regimes that raise: every transition, in order, with its evidence.
+#[test]
+fn hostile_alert_streams_match_fixture() {
+    const CAPACITY_COLLAPSE: &[AlertRow] = &[
+        (1_410_000, "nak_storm", "warning", true, 15_454, 1_000),
+        (2_990_000, "nak_storm", "warning", false, 0, 1_000),
+    ];
+    const HOSTILE_COMBINED: &[AlertRow] = &[
+        (1_410_000, "nak_storm", "warning", true, 9_656, 1_000),
+        (
+            1_410_000,
+            "backlog_growth",
+            "warning",
+            true,
+            240_000,
+            150_000,
+        ),
+        (1_940_000, "backlog_growth", "warning", false, 0, 150_000),
+        (2_990_000, "nak_storm", "warning", false, 0, 1_000),
+    ];
+    let opts = ExpOptions {
+        scale_down: 10,
+        ..ExpOptions::default()
+    };
+    let cells = hostile::cells(&opts);
+    for (label, want) in [
+        ("capacity-collapse", CAPACITY_COLLAPSE),
+        ("hostile-combined", HOSTILE_COMBINED),
+    ] {
+        let cell = cells.iter().find(|c| c.row == label).expect("regime");
+        let report = cell.scenario.clone().with_seed(1).run();
+        let got: Vec<AlertRow> = report
+            .alerts
+            .iter()
+            .map(|a| {
+                let (rule, severity) = (a.rule.name(), a.severity.name());
+                (a.t_us, rule, severity, a.raised, a.value_m, a.limit_m)
+            })
+            .collect();
+        assert_eq!(got, want, "{label}: alert stream moved");
+    }
 }

@@ -13,7 +13,7 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use hrmc_core::{MetricsRegistry, SharedRecorder};
+use hrmc_core::MetricsRegistry;
 use hrmc_wire::{Packet, WireError};
 
 use crate::clock::DriverClock;
@@ -202,7 +202,6 @@ pub(crate) struct Handle<E: Endpoint> {
     /// thread.
     core: Arc<Core>,
     id: u64,
-    flight: Option<SharedRecorder>,
     /// The private reactor of a session built without `.reactor(..)`.
     /// Declared last: its thread is joined after `drop` deregistered.
     _own_reactor: Option<Reactor>,
@@ -218,7 +217,6 @@ impl<E: Endpoint> Handle<E> {
         sockets: Vec<McastSocket>,
         clock: DriverClock,
         reactor: Option<Reactor>,
-        flight: Option<SharedRecorder>,
     ) -> Result<Handle<E>, NetError> {
         let (reactor, own) = match reactor {
             Some(r) => (r, None),
@@ -243,7 +241,6 @@ impl<E: Endpoint> Handle<E> {
             driver,
             core,
             id,
-            flight,
             _own_reactor: own,
         })
     }
@@ -307,10 +304,6 @@ impl<E: Endpoint> Handle<E> {
             let _ = sock.send_unicast(&bytes, dest);
             bytes.len()
         });
-    }
-
-    pub(crate) fn flight_recorder(&self) -> Option<&SharedRecorder> {
-        self.flight.as_ref()
     }
 
     /// The socket error that terminally failed the session, if that is

@@ -9,7 +9,7 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use hrmc_core::metrics::MetricsRegistry;
-use hrmc_core::{Dest, ReceiverEngine, ReceiverStats, SharedRecorder};
+use hrmc_core::{Dest, ReceiverEngine, ReceiverStats};
 use hrmc_wire::{Packet, PacketType};
 
 use crate::clock::DriverClock;
@@ -137,7 +137,7 @@ pub(crate) fn join(r: Resolved) -> Result<ReceiverHandle, NetError> {
         lost: false,
         closed: false,
     };
-    Handle::start(endpoint, vec![mcast, ucast], clock, r.reactor, r.flight).map(ReceiverHandle)
+    Handle::start(endpoint, vec![mcast, ucast], clock, r.reactor).map(ReceiverHandle)
 }
 
 /// Owner handle for a live receiving endpoint; dropping it sends LEAVE
@@ -179,12 +179,6 @@ impl ReceiverHandle {
     /// Snapshot of the engine's counters.
     pub fn stats(&self) -> ReceiverStats {
         self.0.lock().ep.engine.stats.clone()
-    }
-
-    /// The flight recorder attached at build time
-    /// ([`crate::ReceiverBuilder::flight_recorder`]), if any.
-    pub fn flight_recorder(&self) -> Option<&SharedRecorder> {
-        self.0.flight_recorder()
     }
 
     /// The socket error that terminally failed the session, if that is

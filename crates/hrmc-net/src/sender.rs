@@ -10,7 +10,7 @@ use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use hrmc_core::metrics::MetricsRegistry;
-use hrmc_core::{Dest, PeerId, SenderEngine, SenderStats, SharedRecorder};
+use hrmc_core::{Dest, PeerId, SenderEngine, SenderStats};
 use hrmc_wire::Packet;
 
 use crate::clock::DriverClock;
@@ -141,7 +141,7 @@ pub(crate) fn bind(r: Resolved) -> Result<SenderHandle, NetError> {
         group: SocketAddr::V4(r.group),
         housekeeping_at: NO_JIFFY,
     };
-    Handle::start(endpoint, vec![socket], clock, r.reactor, r.flight).map(SenderHandle)
+    Handle::start(endpoint, vec![socket], clock, r.reactor).map(SenderHandle)
 }
 
 /// Owner handle for a live sending endpoint; dropping it deregisters
@@ -201,12 +201,6 @@ impl SenderHandle {
     /// Snapshot of the engine's counters.
     pub fn stats(&self) -> SenderStats {
         self.0.lock().ep.engine.stats.clone()
-    }
-
-    /// The flight recorder attached at build time
-    /// ([`crate::SenderBuilder::flight_recorder`]), if any.
-    pub fn flight_recorder(&self) -> Option<&SharedRecorder> {
-        self.0.flight_recorder()
     }
 
     /// The socket error that terminally failed the session, if that is

@@ -1,23 +1,28 @@
 //! The session builder: one construction path for both endpoint roles.
 //! Everything a session needs (interface, protocol config, observers,
-//! flight recorder, reactor) is declared *before* `bind()`, so the
-//! engine is fully instrumented before the reactor can deliver its
-//! first packet or tick.
+//! reactor) is declared *before* `bind()`, so the engine is fully
+//! instrumented before the reactor can deliver its first packet or
+//! tick.
 //!
 //! ```no_run
+//! use hrmc_core::SharedRecorder;
 //! use hrmc_net::Session;
 //! use std::net::SocketAddrV4;
 //!
 //! let group: SocketAddrV4 = "239.255.1.1:45000".parse().unwrap();
 //! let tx = Session::sender(group).bind().unwrap();
-//! let rx = Session::receiver(group).flight_recorder(4096).bind().unwrap();
+//! let flight = SharedRecorder::new(4096).with_label("recv");
+//! let rx = Session::receiver(group)
+//!     .observer(Box::new(flight.clone()))
+//!     .bind()
+//!     .unwrap();
 //! tx.send(b"hello, group").unwrap();
 //! # let _ = rx;
 //! ```
 
 use std::net::{Ipv4Addr, SocketAddrV4};
 
-use hrmc_core::{MultiObserver, ProtocolConfig, ProtocolObserver, SharedRecorder};
+use hrmc_core::{MultiObserver, ProtocolConfig, ProtocolObserver};
 
 use crate::reactor::Reactor;
 use crate::receiver::{self, ReceiverHandle};
@@ -49,7 +54,6 @@ struct Common {
     interface: Ipv4Addr,
     config: ProtocolConfig,
     observers: Vec<Box<dyn ProtocolObserver>>,
-    flight_capacity: Option<usize>,
     reactor: Option<Reactor>,
 }
 
@@ -60,21 +64,14 @@ impl Common {
             interface: Ipv4Addr::UNSPECIFIED,
             config: ProtocolConfig::hrmc(),
             observers: Vec::new(),
-            flight_capacity: None,
             reactor: None,
         }
     }
 
-    /// Build the flight recorder and compose the observer stack (user
-    /// observers first, recorder last).
-    fn finish(self, flight_label: &str) -> Resolved {
-        let flight = self
-            .flight_capacity
-            .map(|cap| SharedRecorder::new(cap).with_label(flight_label));
-        let mut stack: Vec<Box<dyn ProtocolObserver>> = self.observers;
-        if let Some(rec) = &flight {
-            stack.push(Box::new(rec.clone()));
-        }
+    /// Compose the observer stack, in the order the observers were
+    /// added.
+    fn finish(self) -> Resolved {
+        let mut stack = self.observers;
         let observer: Option<Box<dyn ProtocolObserver>> = match stack.len() {
             0 => None,
             1 => stack.pop(),
@@ -91,7 +88,6 @@ impl Common {
             interface: self.interface,
             config: self.config,
             observer,
-            flight,
             reactor: self.reactor,
         }
     }
@@ -103,13 +99,12 @@ pub(crate) struct Resolved {
     pub(crate) interface: Ipv4Addr,
     pub(crate) config: ProtocolConfig,
     pub(crate) observer: Option<Box<dyn ProtocolObserver>>,
-    pub(crate) flight: Option<SharedRecorder>,
     /// `None`: the handle owns a reactor of its own.
     pub(crate) reactor: Option<Reactor>,
 }
 
 macro_rules! builder_options {
-    ($Builder:ident, $Handle:ident) => {
+    ($Builder:ident) => {
         impl $Builder {
             /// Local interface to use (default: `0.0.0.0`, the kernel's
             /// choice — loopback setups pass `127.0.0.1`).
@@ -124,20 +119,13 @@ macro_rules! builder_options {
                 self
             }
 
-            /// Add a protocol observer. May be called repeatedly; all
-            /// observers (plus the flight recorder, if any) see every
-            /// event from the session's very first packet — installed
-            /// before the reactor learns the session exists.
+            /// Add a protocol observer (a flight recorder, a
+            /// [`crate::Telemetry::observer`], a JSONL trace, …). May be
+            /// called repeatedly; all observers see every event from the
+            /// session's very first packet — installed before the
+            /// reactor learns the session exists.
             pub fn observer(mut self, observer: Box<dyn ProtocolObserver>) -> Self {
                 self.common.observers.push(observer);
-                self
-            }
-
-            /// Attach a bounded flight recorder keeping the last
-            /// `capacity` protocol events; retrieve it from the handle
-            /// via its `flight_recorder()` accessor.
-            pub fn flight_recorder(mut self, capacity: usize) -> Self {
-                self.common.flight_capacity = Some(capacity);
                 self
             }
 
@@ -152,14 +140,6 @@ macro_rules! builder_options {
                 self.common.reactor = Some(reactor);
                 self
             }
-
-            /// Feed this session's protocol events into a running
-            /// [`crate::Telemetry`] pipeline (shorthand for
-            /// `.observer(telemetry.observer())`).
-            pub fn telemetry(mut self, telemetry: &crate::Telemetry) -> Self {
-                self.common.observers.push(telemetry.observer());
-                self
-            }
         }
     };
 }
@@ -169,14 +149,14 @@ pub struct SenderBuilder {
     common: Common,
 }
 
-builder_options!(SenderBuilder, SenderHandle);
+builder_options!(SenderBuilder);
 
 impl SenderBuilder {
     /// Bind the sender ("binds to a local port, connects to a known
     /// multicast address and port number") and register it with the
     /// reactor.
     pub fn bind(self) -> Result<SenderHandle, NetError> {
-        sender::bind(self.common.finish("sender"))
+        sender::bind(self.common.finish())
     }
 }
 
@@ -185,13 +165,13 @@ pub struct ReceiverBuilder {
     common: Common,
 }
 
-builder_options!(ReceiverBuilder, ReceiverHandle);
+builder_options!(ReceiverBuilder);
 
 impl ReceiverBuilder {
     /// Join the multicast group ("the receiving application uses
     /// setsockopt to join the multicast group") and register the session
     /// with the reactor.
     pub fn bind(self) -> Result<ReceiverHandle, NetError> {
-        receiver::join(self.common.finish("recv"))
+        receiver::join(self.common.finish())
     }
 }

@@ -5,9 +5,9 @@
 //! [`Telemetry`] owns three things:
 //!
 //! 1. a shared [`MetricsRegistry`] fed by per-session
-//!    [`MetricsObserver`]s (attach with
-//!    [`crate::SenderBuilder::telemetry`] /
-//!    [`crate::ReceiverBuilder::telemetry`]) and by the reactor's
+//!    [`MetricsObserver`]s (attach [`Telemetry::observer`] with
+//!    [`crate::SenderBuilder::observer`] /
+//!    [`crate::ReceiverBuilder::observer`]) and by the reactor's
 //!    health gauges ([`Reactor::publish_metrics`], re-published on
 //!    every sampling interval);
 //! 2. a sampling thread that turns the registry into a bounded time
@@ -81,7 +81,9 @@ impl TelemetryBuilder {
         self
     }
 
-    /// Arm the online [`hrmc_core::HealthMonitor`] with this rule set.
+    /// Arm the online [`hrmc_core::HealthMonitor`], judging ejections
+    /// against `cfg`'s probe limit (pass the sessions' own
+    /// `ProtocolConfig::probe_failure_limit`).
     /// Session observers obtained from [`Telemetry::observer`] then fan
     /// into the monitor as well, each sample is fed to it, and alert
     /// transitions surface as `hrmc_alerts_*` metrics, on the `/alerts`
@@ -101,10 +103,7 @@ impl TelemetryBuilder {
             obs: MetricsObserver::new(),
             sampler: Mutex::new(self.sampler),
             reactor,
-            monitor: self
-                .health
-                .filter(HealthConfig::armed)
-                .map(SharedMonitor::new),
+            monitor: self.health.map(SharedMonitor::new),
             epoch: Instant::now(),
             shutdown: AtomicBool::new(false),
         });
@@ -276,7 +275,8 @@ impl Telemetry {
     }
 
     /// A protocol observer feeding this pipeline's registry; attach one
-    /// per session ([`crate::SenderBuilder::telemetry`] does this).
+    /// per session with [`crate::SenderBuilder::observer`] /
+    /// [`crate::ReceiverBuilder::observer`].
     /// With a health monitor armed, the observer fans into it too, so
     /// session events drive the online invariant rules.
     pub fn observer(&self) -> Box<dyn ProtocolObserver> {

@@ -6,6 +6,7 @@
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::{Duration, Instant};
 
+use hrmc_core::SharedRecorder;
 use hrmc_net::{McastSocket, Session};
 
 mod common;
@@ -215,20 +216,20 @@ fn flight_recorder_captures_a_live_transfer() {
     // Bounded recorders on both live endpoints, attached at build time
     // so not even the first JOIN escapes the window: production-cheap,
     // no unbounded trace file, window dumped after the fact.
+    let rx_rec = SharedRecorder::new(512).with_label("recv");
+    let tx_rec = SharedRecorder::new(512).with_label("sender");
     let r = Session::receiver(group)
         .interface(LO)
         .config(config())
-        .flight_recorder(512)
+        .observer(Box::new(rx_rec.clone()))
         .bind()
         .expect("join receiver");
     let sender = Session::sender(group)
         .interface(LO)
         .config(config())
-        .flight_recorder(512)
+        .observer(Box::new(tx_rec.clone()))
         .bind()
         .expect("bind sender");
-    let tx_rec = sender.flight_recorder().expect("tx recorder").clone();
-    let rx_rec = r.flight_recorder().expect("rx recorder").clone();
 
     let data = pattern(100_000);
     sender.send(&data).expect("send");

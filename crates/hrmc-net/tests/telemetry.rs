@@ -37,14 +37,14 @@ fn loopback_transfer_serves_prometheus_and_json() {
         .interface(LO)
         .config(config())
         .reactor(reactor.clone())
-        .telemetry(&telemetry)
+        .observer(telemetry.observer())
         .bind()
         .expect("join receiver");
     let tx = Session::sender(group)
         .interface(LO)
         .config(config())
         .reactor(reactor.clone())
-        .telemetry(&telemetry)
+        .observer(telemetry.observer())
         .bind()
         .expect("bind sender");
 

@@ -222,18 +222,21 @@ mod tests {
         assert_eq!(s.recovery.max(), Some(4_000));
     }
 
+    /// A JSONL sink the test can read back.
+    struct Tee(Arc<Mutex<Vec<u8>>>);
+
+    impl Write for Tee {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(b);
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn log_lines_carry_the_host_field() {
-        struct Tee(Arc<Mutex<Vec<u8>>>);
-        impl Write for Tee {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
         let buf = Arc::new(Mutex::new(Vec::new()));
         let shared = Arc::new(Mutex::new(SharedObs::new()));
         shared.lock().unwrap().set_log(Box::new(Tee(buf.clone())));
@@ -246,6 +249,53 @@ mod tests {
             lines[1],
             "{\"t_us\":42,\"host\":3,\"event\":\"delivered\",\"first\":0,\"count\":1}"
         );
+    }
+
+    /// [`SharedObs::alerts`] (the run's `SimReport::alerts`) is every
+    /// transition, not the monitor's 256-entry history ring: a
+    /// `backlog_growth` alert that flaps 130 times still matches the
+    /// logged `health_alert` lines one for one.
+    #[test]
+    fn alerts_keep_every_transition_past_the_history_ring() {
+        use hrmc_core::NakTrigger;
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        let shared = Arc::new(Mutex::new(SharedObs::new()));
+        shared.lock().unwrap().set_log(Box::new(Tee(buf.clone())));
+        shared.lock().unwrap().set_monitor(HealthConfig::default());
+        let mut r = HostObserver::new(1, shared.clone());
+        let mut t = 0;
+        // Each 2 s cycle opens 300 NAKed segments for 1 s (past the rule's
+        // 300 ms sustain and 500 ms hold) and repairs them for 1 s.
+        for _ in 0..130 {
+            let gap = Event::NakSent {
+                first: 0,
+                count: 300,
+                trigger: NakTrigger::Gap,
+            };
+            r.on_event(t, &gap);
+            for _ in 0..10 {
+                t += 100_000;
+                r.on_event(t, &Event::Delivered { first: 0, count: 1 });
+            }
+            let repair = Event::Recovered {
+                first: 0,
+                count: 300,
+                elapsed_us: 1,
+            };
+            r.on_event(t, &repair);
+            for _ in 0..10 {
+                t += 100_000;
+                r.on_event(t, &Event::Delivered { first: 0, count: 1 });
+            }
+        }
+        let alerts = shared.lock().unwrap().alerts.len();
+        let log = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let logged = log
+            .lines()
+            .filter(|l| l.contains("\"event\":\"health_alert\""))
+            .count();
+        assert!(alerts > 256, "only {alerts} transitions");
+        assert_eq!(alerts, logged);
     }
 
     #[test]

@@ -88,12 +88,13 @@ pub struct SimParams {
     /// [`SimReport::latency`].
     pub observe: bool,
     /// Arm the online [`hrmc_core::HealthMonitor`] over the pooled event
-    /// stream with this rule set (implies observation). Alert
-    /// transitions land in [`SimReport::alerts`] and, when an event log
-    /// or flight recorder is attached, as host-less `health_alert`
-    /// lines. `None` (the default) leaves the run bit-for-bit identical
-    /// to an unmonitored one.
-    pub health: Option<hrmc_core::HealthConfig>,
+    /// stream (implies observation), judging ejections against
+    /// `protocol.probe_failure_limit`. Alert transitions land in
+    /// [`SimReport::alerts`] and, when an event log or flight recorder
+    /// is attached, as host-less `health_alert` lines. `false` (the
+    /// default) leaves the run bit-for-bit identical to an unmonitored
+    /// one.
+    pub health: bool,
     /// Injected faults: link misbehavior, partitions, host churn. The
     /// default (empty) plan leaves the run bit-for-bit identical to a
     /// fault-free simulation under the same seed.
@@ -120,7 +121,7 @@ impl SimParams {
             cpu_scale: 1.0,
             sample_interval_us: None,
             observe: false,
-            health: None,
+            health: false,
             faults: FaultPlan::default(),
             links: LinkSchedule::default(),
         }
@@ -322,7 +323,7 @@ impl Simulation {
             pending_rx: Vec::new(),
             batched_rx: 0,
         };
-        if sim.params.observe || sim.params.health.as_ref().is_some_and(|h| h.armed()) {
+        if sim.params.observe || sim.params.health {
             sim.install_observers();
         }
         sim
@@ -332,7 +333,9 @@ impl Simulation {
     /// shared collector (with the online health monitor armed when
     /// [`SimParams::health`] asks for it). Idempotent.
     fn install_observers(&mut self) {
-        let health = self.params.health.clone().filter(|h| h.armed());
+        let health = self.params.health.then_some(hrmc_core::HealthConfig {
+            probe_failure_limit: self.params.protocol.probe_failure_limit,
+        });
         let shared = self
             .obs
             .get_or_insert_with(|| {
@@ -1535,7 +1538,7 @@ mod tests {
     /// Arming the online health monitor must be pure observation: the
     /// protocol event stream (and thus the trajectory) is byte-identical
     /// to an unmonitored run — the monitored log only gains host-less
-    /// `health_alert` lines, and a disabled rule set gains nothing.
+    /// `health_alert` lines.
     #[test]
     fn armed_health_monitor_does_not_perturb_the_trajectory() {
         use std::sync::{Arc as A, Mutex as M};
@@ -1549,7 +1552,7 @@ mod tests {
                 Ok(())
             }
         }
-        let run = |health: Option<hrmc_core::HealthConfig>| {
+        let run = |health: bool| {
             let buf = A::new(M::new(Vec::new()));
             let mut params = lan_params(2, 10_000_000, 0.01, 200_000, 128 * 1024);
             params.health = health;
@@ -1560,11 +1563,8 @@ mod tests {
             let log = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
             (log, report)
         };
-        let (base_log, base) = run(None);
-        let (disabled_log, _) = run(Some(hrmc_core::HealthConfig::disabled()));
-        assert_eq!(base_log, disabled_log, "disabled rule set must be free");
-
-        let (armed_log, armed) = run(Some(hrmc_core::HealthConfig::default()));
+        let (base_log, base) = run(false);
+        let (armed_log, armed) = run(true);
         let protocol_lines: Vec<&str> = armed_log
             .lines()
             .filter(|l| !l.contains("\"event\":\"health_alert\""))
@@ -1583,34 +1583,6 @@ mod tests {
         assert_eq!(armed.alerts.len(), alert_lines);
         assert_eq!(base.elapsed_us, armed.elapsed_us);
         assert_eq!(base.sender.retransmissions, armed.sender.retransmissions);
-    }
-
-    /// `SimReport::alerts` is every transition of the run, not the
-    /// monitor's bounded history: a rule that flaps on every evaluation
-    /// tick outruns the 256-entry ring, and the report still matches the
-    /// recorded event log one for one.
-    #[test]
-    fn report_keeps_every_alert_past_the_history_ring() {
-        let mut params = lan_params(4, 10_000_000, 0.05, 10_000_000, 128 * 1024);
-        params.health = Some(hrmc_core::HealthConfig {
-            eval_interval_us: 1_000,
-            backlog_growth: hrmc_core::RuleConfig {
-                enabled: true,
-                raise_m: 1_000,
-                ..hrmc_core::RuleConfig::off()
-            },
-            ..hrmc_core::HealthConfig::disabled()
-        });
-        let mut sim = Simulation::new(params);
-        let rec = sim.set_flight_recorder(1 << 16);
-        let report = sim.run();
-        let logged = rec.with_recorder(|r| {
-            assert_eq!(r.dropped_events(), 0, "the recorder holds the whole log");
-            let alerts = r.events().map(|e| e.event.name());
-            alerts.filter(|&name| name == "health_alert").count()
-        });
-        assert!(logged > 256, "only {logged} alert lines");
-        assert_eq!(report.alerts.len(), logged);
     }
 
     #[test]

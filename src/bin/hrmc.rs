@@ -127,10 +127,12 @@ impl Obs {
             Some(addr) => {
                 let mut b = hrmc::net::Telemetry::builder()
                     .listen(addr)
-                    .sample_interval(Duration::from_millis(opts.sample_interval_ms.max(10)))
+                    .sample_interval(Duration::from_millis(opts.sample_interval_ms))
                     .reactor(reactor.clone());
                 if opts.health {
-                    b = b.health(hrmc::HealthConfig::default());
+                    b = b.health(hrmc::HealthConfig {
+                        probe_failure_limit: config(opts).probe_failure_limit,
+                    });
                 }
                 if let Some(path) = &opts.telemetry_jsonl {
                     b = b

@@ -43,12 +43,14 @@
 //!
 //! ```no_run
 //! use hrmc::net::{Reactor, Session};
+//! use hrmc::SharedRecorder;
 //! let group: std::net::SocketAddrV4 = "239.255.1.1:45000".parse().unwrap();
 //! let reactor = Reactor::new().unwrap();
 //! let rx = Session::receiver(group).reactor(reactor.clone()).bind().unwrap();
+//! let flight = SharedRecorder::new(4096).with_label("sender");
 //! let tx = Session::sender(group)
 //!     .reactor(reactor.clone())
-//!     .flight_recorder(4096)
+//!     .observer(Box::new(flight.clone()))
 //!     .bind()
 //!     .unwrap();
 //! tx.send(b"reliable bytes").unwrap();
