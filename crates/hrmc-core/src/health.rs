@@ -269,9 +269,11 @@ pub struct HealthMonitor {
     backlog: u64,
     srtt_us: u64,
     min_rtt_us: u64,
-    /// Consecutive PROBEs without an intervening answer (probe RTT
-    /// sample, UPDATE, or release progress).
+    /// Consecutive PROBE rounds without an intervening answer (probe
+    /// RTT sample, UPDATE, or release progress).
     probe_streak: u32,
+    /// The instant of the last counted PROBE round.
+    last_probe_round: Option<Micros>,
     /// Peers ejected so far (bounded; false-ejection evidence).
     ejected: Vec<u32>,
     /// Peer whose post-ejection activity proved an ejection false.
@@ -296,6 +298,7 @@ impl HealthMonitor {
             srtt_us: 0,
             min_rtt_us: 0,
             probe_streak: 0,
+            last_probe_round: None,
             ejected: Vec::new(),
             false_ejection_peer: None,
             states: [RuleState::default(); AlertRule::ALL.len()],
@@ -387,7 +390,13 @@ impl HealthMonitor {
                     self.probe_streak = 0;
                 }
             }
-            Event::ProbeSent { .. } => {
+            // The sender emits one `ProbeSent` per lacking member, and
+            // ejects on a per-member count of unanswered PROBEs: count
+            // rounds (distinct instants), not packets. Exact at the
+            // default `probe_batch_limit` 0; a round batched over several
+            // ticks over-counts.
+            Event::ProbeSent { .. } if self.last_probe_round != Some(now) => {
+                self.last_probe_round = Some(now);
                 self.probe_streak = self.probe_streak.saturating_add(1);
             }
             Event::UpdateSent { .. } => {
@@ -881,6 +890,40 @@ mod tests {
             .take_alerts()
             .iter()
             .any(|a| a.rule == AlertRule::EjectionImminent && !a.raised));
+    }
+
+    #[test]
+    fn ejection_imminent_counts_probe_rounds_not_probes() {
+        let limit = 4;
+        let imminent = |m: &mut HealthMonitor| {
+            m.take_alerts()
+                .iter()
+                .any(|a| a.rule == AlertRule::EjectionImminent && a.raised)
+        };
+        let probe = Event::ProbeSent {
+            seq: 7,
+            multicast: false,
+        };
+        // One round PROBEs six lacking members at one instant: one
+        // unanswered round, not six.
+        let mut m = HealthMonitor::new(HealthConfig {
+            probe_failure_limit: limit,
+        });
+        for member in 0..6 {
+            m.on_event_tagged(0, &probe, Some(member));
+        }
+        m.on_event_tagged(200_000, &delivered(1), None);
+        assert!(!imminent(&mut m), "one round to six members is fine");
+        // Re-probing one member: `limit - 1` rounds raise the warning,
+        // one fewer does not.
+        let mut m = HealthMonitor::new(HealthConfig {
+            probe_failure_limit: limit,
+        });
+        for round in 0..u64::from(limit) - 1 {
+            assert!(!imminent(&mut m), "round {round}");
+            m.on_event_tagged(round * 200_000, &probe, Some(0));
+        }
+        assert!(imminent(&mut m), "limit - 1 rounds must warn");
     }
 
     #[test]

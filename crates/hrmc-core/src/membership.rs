@@ -7,42 +7,22 @@
 //! IP address and the sequence number that the receiver is expecting
 //! next."
 //!
-//! The kernel's linked-list-plus-hash idiom collapsed to a single
-//! `HashMap` in the first cut of this crate; that is faithful to the
-//! paper but O(n) for every release-gate check and PROBE-target scan,
-//! which the sender runs several times per jiffy. At the paper's 1–30
-//! receivers that is noise; at the ROADMAP's 10⁵–10⁶ it is the first
-//! scaling wall. This version keeps the flat per-peer record table but
-//! adds a sequence-bucketed index over it:
+//! Two ordered maps stand in for the kernel's list-plus-hash:
 //!
-//! * **Shards.** Members are bucketed by the high bits of their
-//!   `next_expected` (`seq >> SHARD_SHIFT`). All members of a shard share
-//!   those high bits exactly, so ordering *within* a shard is plain
-//!   integer order on the low bits — no serial-number arithmetic needed —
-//!   and each shard keeps an exact multiset of its members' low bits in a
-//!   `BTreeMap`, making the shard minimum an O(log) lookup under every
-//!   mutation. Receivers cluster inside the sender's active window, so
-//!   the live shard count stays proportional to the window span (a few
-//!   dozen), not the receiver count.
-//! * **Release-gate heap.** A lazy-deletion min-heap (the same idiom as
-//!   the reactor's deadline heap) over per-shard minima. Every time a
-//!   shard's minimum changes, a fresh entry is pushed; stale entries are
-//!   discarded when they surface at the top. `all_have` and
-//!   `min_next_expected` are therefore heap-peeks — amortized O(log n) —
-//!   instead of full-table walks.
-//! * **Wraparound.** Heap keys must be totally ordered, but serial
-//!   comparison (`seq_lt`) is not a total order over all of `u32`. Keys
-//!   are *virtual sequences*: a `u64` line anchored at the group minimum
-//!   (`vseq(s) = vbase + serial_distance(vbase_seq, s)`), re-anchored at
-//!   the current minimum on every successful peek. All live members sit
-//!   within a serial half-space of the group minimum (they are all inside
-//!   the active window), so every computed key is in range and keys never
-//!   need recomputation — the mapping is a single consistent line.
-//! * **Aggregate bounds.** Each shard carries a conservative lower bound
-//!   on its members' `last_heard` and an upper bound on their
-//!   `probe_failures`. `stale`/`probe_failed` skip shards whose bound
-//!   proves the shard cannot match and re-tighten the bound whenever they
-//!   do descend, so the idle-tick cost is O(shards), not O(members).
+//! * **The member table**, keyed by peer. `lacking`, `stale` and
+//!   `probe_failed` walk it in peer order, so answers come out sorted.
+//! * **A position count**: how many members sit at each `next_expected`.
+//!   Its first key is the group minimum, so the release gate touches no
+//!   member, and `update` is one lookup plus two count edits.
+//!
+//! Count keys are *virtual sequences*, because serial order is not a
+//! total order over `u32`: `vseq(s) = vbase + serial_distance(vbase_seq,
+//! s)`, re-anchored at the group minimum on every read of it. That is
+//! sound while every member is within a serial half-space of the
+//! minimum, which holds because the sender refuses feedback claiming a
+//! sequence it has not assigned. Two table-wide bounds (oldest
+//! `last_heard`, largest `probe_failures`) let `stale` and
+//! `probe_failed` skip the walk when no member can match.
 //!
 //! In the original RMC protocol membership is anonymous — the sender
 //! keeps only a count — but the Figure 3(a) experiment instruments RMC
@@ -51,39 +31,17 @@
 //! [`ReliabilityMode`](crate::config::ReliabilityMode) decides whether the
 //! sender consults it.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
-use hrmc_wire::{seq_le, Seq};
+use hrmc_wire::{seq_le, seq_lt, Seq};
 
 use crate::time::Micros;
 use crate::PeerId;
 
-/// Shard width exponent: members whose `next_expected` agree on all but
-/// the low `SHARD_SHIFT` bits share a shard (64-sequence buckets). Wide
-/// enough that a congestion-window's worth of receivers spans a handful
-/// of shards; narrow enough that a gate descent touches few non-matching
-/// members.
-const SHARD_SHIFT: u32 = 6;
-
 /// Virtual-sequence origin: far from zero so transient undershoot (a
 /// member joining slightly behind the anchor) stays positive.
 const VBASE_ORIGIN: u64 = 1 << 34;
-
-#[inline]
-fn bucket(seq: Seq) -> u32 {
-    seq >> SHARD_SHIFT
-}
-
-#[inline]
-fn low_bits(seq: Seq) -> u32 {
-    seq & ((1 << SHARD_SHIFT) - 1)
-}
-
-#[inline]
-fn shard_seq(bucket: u32, low: u32) -> Seq {
-    (bucket << SHARD_SHIFT) | low
-}
 
 /// Per-receiver state kept by the sender — deliberately minimal, matching
 /// the paper's two fields plus bookkeeping for probes.
@@ -101,73 +59,38 @@ pub struct Member {
     /// whose previous probe is still outstanding counts one failure; any
     /// feedback resets the count. Drives stall ejection.
     pub probe_failures: u32,
-    /// When this receiver joined.
-    pub joined_at: Micros,
 }
 
-/// One sequence bucket: the peers whose `next_expected` currently falls in
-/// it, an exact low-bits multiset (first key = exact shard minimum), and
-/// conservative aggregate bounds for the staleness/probe-failure scans.
-#[derive(Debug, Clone)]
-struct Shard {
-    peers: HashSet<PeerId>,
-    /// `low_bits(next_expected)` → member count. Exact; never stale.
-    by_low: BTreeMap<u32, u32>,
-    /// Lower bound on the members' `last_heard` (feedback only moves
-    /// `last_heard` forward, so the bound stays valid and is re-tightened
-    /// on descent).
-    oldest_last_heard: Micros,
-    /// Upper bound on the members' `probe_failures` (feedback resets the
-    /// member counter to zero, leaving the bound stale-high until the
-    /// next descent re-tightens it).
-    max_probe_failures: u32,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            peers: HashSet::new(),
-            by_low: BTreeMap::new(),
-            oldest_last_heard: Micros::MAX,
-            max_probe_failures: 0,
-        }
-    }
-
-    #[inline]
-    fn min_low(&self) -> Option<u32> {
-        self.by_low.keys().next().copied()
-    }
-}
-
-/// Running cost counters for the sharded index: how much work the
-/// release gate and the PROBE/staleness scans actually did. Exposed so
-/// telemetry can show membership pressure (and so the bench can assert
-/// sub-linear growth).
+/// Running cost counters: how much work the release gate and the
+/// PROBE/staleness walks actually did. Exposed so telemetry can show
+/// membership pressure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MembershipCosts {
     /// Release-gate (`all_have`) evaluations.
     pub gate_checks: u64,
-    /// Shards descended into by `lacking`/`stale`/`probe_failed` (shards
-    /// skipped by their aggregate bound are not counted).
-    pub shards_scanned: u64,
-    /// Members touched by those descents.
+    /// Members touched by `lacking`/`stale`/`probe_failed` walks (a call
+    /// answered without a walk adds nothing).
     pub members_scanned: u64,
-    /// Stale heap entries discarded by lazy deletion.
-    pub heap_lazy_pops: u64,
 }
 
 /// The sender's membership table.
 #[derive(Debug, Clone)]
 pub struct Membership {
-    members: HashMap<PeerId, Member>,
-    shards: HashMap<u32, Shard>,
-    /// Lazy-deletion min-heap over `(vseq(shard minimum), bucket)`.
-    /// Invariant: every non-empty shard has at least one entry whose key
-    /// equals the virtual sequence of its *current* minimum.
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    members: BTreeMap<PeerId, Member>,
+    /// `vseq(next_expected)` → number of members there. Exact; its first
+    /// key is the group minimum.
+    by_seq: BTreeMap<u64, u32>,
     /// Virtual-sequence anchor: `vseq(vbase_seq) == vbase`.
     vbase: u64,
     vbase_seq: Seq,
+    /// Lower bound on every member's `last_heard` (feedback only moves
+    /// `last_heard` forward, so the bound stays valid until a walk
+    /// re-tightens it).
+    oldest_last_heard: Micros,
+    /// Upper bound on every member's `probe_failures` (feedback resets a
+    /// member's count, leaving the bound stale-high until a walk
+    /// re-tightens it).
+    max_probe_failures: u32,
     costs: MembershipCosts,
     /// Total JOINs processed (paper: RMC "approximates the number of
     /// receivers" from joins; kept as a stat in both modes).
@@ -188,11 +111,12 @@ impl Membership {
     /// Empty table.
     pub fn new() -> Membership {
         Membership {
-            members: HashMap::new(),
-            shards: HashMap::new(),
-            heap: BinaryHeap::new(),
+            members: BTreeMap::new(),
+            by_seq: BTreeMap::new(),
             vbase: VBASE_ORIGIN,
             vbase_seq: 0,
+            oldest_last_heard: Micros::MAX,
+            max_probe_failures: 0,
             costs: MembershipCosts::default(),
             total_joins: 0,
             total_leaves: 0,
@@ -210,12 +134,6 @@ impl Membership {
         self.members.is_empty()
     }
 
-    /// Number of live sequence shards (a window-span gauge, not a
-    /// receiver-count gauge).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The running scan-cost counters.
     pub fn costs(&self) -> MembershipCosts {
         self.costs
@@ -230,72 +148,32 @@ impl Membership {
         (self.vbase as i64 + delta) as u64
     }
 
-    /// Insert `peer` (already in `members`) into the shard index.
-    fn shard_insert(&mut self, peer: PeerId, seq: Seq, last_heard: Micros, probe_failures: u32) {
-        let b = bucket(seq);
-        let l = low_bits(seq);
+    /// Count one member at `seq`.
+    fn count(&mut self, seq: Seq) {
         let key = self.vseq(seq);
-        let shard = self.shards.entry(b).or_insert_with(Shard::new);
-        shard.peers.insert(peer);
-        let new_min = shard.min_low().is_none_or(|m| l < m);
-        *shard.by_low.entry(l).or_insert(0) += 1;
-        shard.oldest_last_heard = shard.oldest_last_heard.min(last_heard);
-        shard.max_probe_failures = shard.max_probe_failures.max(probe_failures);
-        if new_min {
-            self.heap.push(Reverse((key, b)));
-        }
+        *self.by_seq.entry(key).or_insert(0) += 1;
     }
 
-    /// Remove `peer` from the shard index position `seq`.
-    fn shard_remove(&mut self, peer: PeerId, seq: Seq) {
-        let b = bucket(seq);
-        let l = low_bits(seq);
-        let Some(shard) = self.shards.get_mut(&b) else {
-            return;
-        };
-        shard.peers.remove(&peer);
-        if let Some(cnt) = shard.by_low.get_mut(&l) {
-            *cnt -= 1;
-            if *cnt == 0 {
-                shard.by_low.remove(&l);
-            }
-        }
-        if shard.peers.is_empty() {
-            // Stale heap entries for the dead bucket are discarded lazily.
-            self.shards.remove(&b);
-        } else if let Some(m) = shard.min_low() {
-            if m > l {
-                // The minimum advanced: restore the heap invariant with a
-                // fresh entry for the new minimum.
-                let key = self.vseq(shard_seq(b, m));
-                self.heap.push(Reverse((key, b)));
+    /// Uncount one member at `seq`.
+    fn uncount(&mut self, seq: Seq) {
+        let key = self.vseq(seq);
+        if let Entry::Occupied(mut e) = self.by_seq.entry(key) {
+            *e.get_mut() -= 1;
+            if *e.get() == 0 {
+                e.remove();
             }
         }
     }
 
-    /// The exact group minimum via the lazy heap: discard stale entries
-    /// until the top one matches its shard's current minimum, then
-    /// re-anchor the virtual line there.
+    /// The exact group minimum, read off the first count key; the
+    /// virtual line is re-anchored there.
     fn refresh_min(&mut self) -> Option<Seq> {
-        loop {
-            let &Reverse((key, b)) = self.heap.peek()?;
-            let cur = self
-                .shards
-                .get(&b)
-                .and_then(|s| s.min_low())
-                .map(|l| shard_seq(b, l));
-            match cur {
-                Some(seq) if self.vseq(seq) == key => {
-                    self.vbase = key;
-                    self.vbase_seq = seq;
-                    return Some(seq);
-                }
-                _ => {
-                    self.heap.pop();
-                    self.costs.heap_lazy_pops += 1;
-                }
-            }
-        }
+        let (&key, _) = self.by_seq.first_key_value()?;
+        self.vbase_seq = self
+            .vbase_seq
+            .wrapping_add(key.wrapping_sub(self.vbase) as Seq);
+        self.vbase = key;
+        Some(self.vbase_seq)
     }
 
     /// Add a member (the sender's `add_member` routine). `next_expected`
@@ -326,10 +204,10 @@ impl Membership {
                 last_heard: now,
                 last_probed: None,
                 probe_failures: 0,
-                joined_at: now,
             },
         );
-        self.shard_insert(peer, next_expected, now, 0);
+        self.count(next_expected);
+        self.oldest_last_heard = self.oldest_last_heard.min(now);
     }
 
     /// Remove a member (the sender's `rm_member` routine). Returns `true`
@@ -338,7 +216,7 @@ impl Membership {
         let Some(m) = self.members.remove(&peer) else {
             return false;
         };
-        self.shard_remove(peer, m.next_expected);
+        self.uncount(m.next_expected);
         self.total_leaves += 1;
         true
     }
@@ -355,33 +233,12 @@ impl Membership {
         m.last_probed = None; // any feedback satisfies a pending probe
         m.probe_failures = 0;
         let old = m.next_expected;
-        if !hrmc_wire::seq_lt(old, next_expected) {
+        if !seq_lt(old, next_expected) {
             return;
         }
         m.next_expected = next_expected;
-        let (ob, nb) = (bucket(old), bucket(next_expected));
-        if ob == nb {
-            // Same shard: adjust the low-bits multiset in place. An
-            // advance only ever raises the shard minimum.
-            let (ol, nl) = (low_bits(old), low_bits(next_expected));
-            let shard = self.shards.get_mut(&ob).expect("member shard exists");
-            if let Some(cnt) = shard.by_low.get_mut(&ol) {
-                *cnt -= 1;
-                if *cnt == 0 {
-                    shard.by_low.remove(&ol);
-                }
-            }
-            *shard.by_low.entry(nl).or_insert(0) += 1;
-            if let Some(m) = shard.min_low() {
-                if m > ol {
-                    let key = self.vseq(shard_seq(ob, m));
-                    self.heap.push(Reverse((key, ob)));
-                }
-            }
-        } else {
-            self.shard_remove(peer, old);
-            self.shard_insert(peer, next_expected, now, 0);
-        }
+        self.uncount(old);
+        self.count(next_expected);
     }
 
     /// Forcibly remove a member (stall ejection) — the failure-domain
@@ -394,68 +251,50 @@ impl Membership {
         let Some(m) = self.members.remove(&peer) else {
             return false;
         };
-        self.shard_remove(peer, m.next_expected);
+        self.uncount(m.next_expected);
         self.total_ejections += 1;
         true
     }
 
     /// Members from whom nothing has been heard for at least `deadline`
-    /// microseconds, sorted for deterministic ejection order. `deadline`
-    /// of zero matches no one (staleness pruning disabled). Shards whose
-    /// oldest-feedback bound proves every member recent are skipped
-    /// without touching their members; descended shards get their bound
-    /// re-tightened for free.
+    /// microseconds, in peer order. `deadline` of zero matches no one
+    /// (staleness pruning disabled). When the oldest-feedback bound
+    /// proves every member recent, no member is touched.
     pub fn stale(&mut self, now: Micros, deadline: Micros) -> Vec<PeerId> {
         let mut v: Vec<PeerId> = Vec::new();
-        if deadline == 0 {
+        if deadline == 0 || now.saturating_sub(self.oldest_last_heard) < deadline {
             return v;
         }
-        for shard in self.shards.values_mut() {
-            if now.saturating_sub(shard.oldest_last_heard) < deadline {
-                continue;
+        self.costs.members_scanned += self.members.len() as u64;
+        let mut oldest = Micros::MAX;
+        for (&p, m) in &self.members {
+            if now.saturating_sub(m.last_heard) >= deadline {
+                v.push(p);
             }
-            self.costs.shards_scanned += 1;
-            self.costs.members_scanned += shard.peers.len() as u64;
-            let mut oldest = Micros::MAX;
-            for &p in &shard.peers {
-                let m = &self.members[&p];
-                if now.saturating_sub(m.last_heard) >= deadline {
-                    v.push(p);
-                }
-                oldest = oldest.min(m.last_heard);
-            }
-            shard.oldest_last_heard = oldest;
+            oldest = oldest.min(m.last_heard);
         }
-        v.sort_unstable();
+        self.oldest_last_heard = oldest;
         v
     }
 
     /// Members whose consecutive unanswered-probe count has reached
-    /// `limit`, sorted for deterministic ejection order. `limit` of zero
-    /// matches no one (probe-failure ejection disabled). Shards whose
-    /// failure-count bound sits below `limit` are skipped whole.
+    /// `limit`, in peer order. `limit` of zero matches no one
+    /// (probe-failure ejection disabled). When the failure-count bound
+    /// sits below `limit`, no member is touched.
     pub fn probe_failed(&mut self, limit: u32) -> Vec<PeerId> {
         let mut v: Vec<PeerId> = Vec::new();
-        if limit == 0 {
+        if limit == 0 || self.max_probe_failures < limit {
             return v;
         }
-        for shard in self.shards.values_mut() {
-            if shard.max_probe_failures < limit {
-                continue;
+        self.costs.members_scanned += self.members.len() as u64;
+        let mut max_pf = 0;
+        for (&p, m) in &self.members {
+            if m.probe_failures >= limit {
+                v.push(p);
             }
-            self.costs.shards_scanned += 1;
-            self.costs.members_scanned += shard.peers.len() as u64;
-            let mut max_pf = 0;
-            for &p in &shard.peers {
-                let m = &self.members[&p];
-                if m.probe_failures >= limit {
-                    v.push(p);
-                }
-                max_pf = max_pf.max(m.probe_failures);
-            }
-            shard.max_probe_failures = max_pf;
+            max_pf = max_pf.max(m.probe_failures);
         }
-        v.sort_unstable();
+        self.max_probe_failures = max_pf;
         v
     }
 
@@ -464,18 +303,12 @@ impl Membership {
         self.members.get(&peer)
     }
 
-    /// Iterate over members.
-    pub fn iter(&self) -> impl Iterator<Item = (PeerId, &Member)> {
-        self.members.iter().map(|(p, m)| (*p, m))
-    }
-
     /// `true` when the sender has information that **all** receivers have
     /// received every packet up to and including `seq` — the release-gate
     /// predicate of paper §3 (Probe Messages): "before releasing buffer
     /// space, the sender checks the state of all the receivers with
     /// respect to the sequence number past which it intends to advance
-    /// the window." A heap-peek against the group minimum, not a table
-    /// walk.
+    /// the window." A read of the group minimum, not a table walk.
     ///
     /// With no members the release is trivially safe (there is no one to
     /// owe the data to; matches IP-multicast anonymous semantics before
@@ -497,12 +330,20 @@ impl Membership {
     }
 
     /// Collect the receivers lacking confirmation of `seq` into `out`
-    /// (cleared first), sorted for deterministic probe order. The
-    /// allocation-free variant for the sender's tick path: only shards
-    /// whose minimum fails the gate are descended — at most one shard
-    /// straddles the gate; the rest either pass whole (skipped) or lag
-    /// whole (every member is a target).
+    /// (cleared first), in peer order. The allocation-free variant: when
+    /// the group minimum passes the gate no member is touched; otherwise
+    /// the whole table is walked.
     pub fn lacking_into(&mut self, seq: Seq, out: &mut Vec<PeerId>) {
+        self.lacking_where(seq, out, |_| true);
+    }
+
+    /// `lacking_into`, keeping only members that pass `keep`.
+    pub(crate) fn lacking_where(
+        &mut self,
+        seq: Seq,
+        out: &mut Vec<PeerId>,
+        keep: impl Fn(&Member) -> bool,
+    ) {
         out.clear();
         let gate = seq.wrapping_add(1);
         match self.refresh_min() {
@@ -510,20 +351,12 @@ impl Membership {
             Some(min) if seq_le(gate, min) => return, // everyone has it
             Some(_) => {}
         }
-        for (&b, shard) in self.shards.iter() {
-            let smin = shard_seq(b, shard.min_low().expect("non-empty shard"));
-            if seq_le(gate, smin) {
-                continue; // the whole shard passes the gate
-            }
-            self.costs.shards_scanned += 1;
-            self.costs.members_scanned += shard.peers.len() as u64;
-            for &p in &shard.peers {
-                if !seq_le(gate, self.members[&p].next_expected) {
-                    out.push(p);
-                }
+        self.costs.members_scanned += self.members.len() as u64;
+        for (&p, m) in &self.members {
+            if !seq_le(gate, m.next_expected) && keep(m) {
+                out.push(p);
             }
         }
-        out.sort_unstable(); // deterministic probe order
     }
 
     /// The group-wide minimum next-expected sequence number, or `None`
@@ -540,11 +373,7 @@ impl Membership {
         };
         if m.last_probed.is_some() {
             m.probe_failures += 1;
-            let b = bucket(m.next_expected);
-            let pf = m.probe_failures;
-            if let Some(shard) = self.shards.get_mut(&b) {
-                shard.max_probe_failures = shard.max_probe_failures.max(pf);
-            }
+            self.max_probe_failures = self.max_probe_failures.max(m.probe_failures);
         }
         m.last_probed = Some(now);
     }
@@ -732,32 +561,27 @@ mod tests {
     }
 
     #[test]
-    fn gate_is_exact_across_shard_boundaries() {
-        // Members straddling several 64-sequence buckets: the gate must
-        // stay member-exact even when whole shards are skipped or lag.
+    fn gate_is_exact_across_spread_positions() {
+        // Members spread over hundreds of sequences: the gate and the
+        // PROBE target set must stay member-exact.
         let mut m = Membership::new();
         for i in 0..10u32 {
             m.add(PeerId(i), 0, 0);
-            m.update(PeerId(i), i * 50, 1); // buckets 0..=7
+            m.update(PeerId(i), i * 50, 1);
         }
         assert_eq!(m.min_next_expected(), Some(0));
         assert!(!m.all_have(0));
         // Everyone with next_expected <= 200 lacks seq 200: peers 0..=4.
-        assert_eq!(
-            m.lacking(200),
-            (0..5).map(PeerId).collect::<Vec<_>>(),
-            "shard-skipping descent must still be member-exact"
-        );
+        assert_eq!(m.lacking(200), (0..5).map(PeerId).collect::<Vec<_>>());
         m.update(PeerId(0), 451, 2);
         assert_eq!(m.min_next_expected(), Some(50));
         assert!(m.all_have(49));
         assert!(!m.all_have(50));
-        assert!(m.shard_count() >= 2);
     }
 
     #[test]
     fn wraparound_group_min_advances_through_zero() {
-        // March a small group's minimum across the u32 wrap; the heap's
+        // March a small group's minimum across the u32 wrap; the count's
         // virtual keys must keep the gate exact the whole way.
         let mut m = Membership::new();
         let start = u32::MAX - 300;
@@ -780,22 +604,32 @@ mod tests {
     }
 
     #[test]
-    fn scan_costs_skip_clean_shards() {
+    fn scan_costs_skip_the_walk_when_no_member_can_match() {
         let mut m = Membership::new();
         for i in 0..100u32 {
             m.add(PeerId(i), 0, 0);
             m.update(PeerId(i), 1000, 5);
         }
         let before = m.costs();
-        // Nobody is stale and no shard bound can match: zero descents.
+        // Nobody is stale and neither bound can match: no walk.
         assert_eq!(m.stale(10, 100), Vec::<PeerId>::new());
         assert_eq!(m.probe_failed(1), Vec::<PeerId>::new());
         let after = m.costs();
         assert_eq!(after.members_scanned, before.members_scanned);
-        // Everyone already has seq 500: the gate answers by heap-peek,
-        // descending into no shard at all.
+        // Everyone already has seq 500: the gate answers from the group
+        // minimum, touching no member.
         assert!(m.all_have(500));
         assert_eq!(m.lacking(500), Vec::<PeerId>::new());
         assert_eq!(m.costs().members_scanned, before.members_scanned);
+        // One re-probe raises the failure bound: the next pass walks once,
+        // then the answer re-tightens the bound and the walk stops again.
+        m.mark_probed(PeerId(7), 20);
+        m.mark_probed(PeerId(7), 30);
+        assert_eq!(m.probe_failed(1), vec![PeerId(7)]);
+        assert_eq!(m.costs().members_scanned, before.members_scanned + 100);
+        m.update(PeerId(7), 1001, 40);
+        assert_eq!(m.probe_failed(1), Vec::<PeerId>::new());
+        assert_eq!(m.probe_failed(1), Vec::<PeerId>::new());
+        assert_eq!(m.costs().members_scanned, before.members_scanned + 200);
     }
 }

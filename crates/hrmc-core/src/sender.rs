@@ -318,8 +318,27 @@ impl SenderEngine {
         }
     }
 
+    /// Feedback may not claim a sequence the sender has not assigned. A
+    /// JOIN echo or a `next_expected` past `window.next_seq()` (in serial
+    /// order) comes from a faulty or foreign peer, or from a damaged
+    /// packet that passed the checksum; believing it would release data
+    /// that member never received. Such a packet is counted as malformed
+    /// and dropped whole: it reaches no membership state and does not
+    /// refresh `last_heard`, so a peer that sends nothing else ends in
+    /// the stall ejection.
+    fn claims_unsent(&mut self, seq: Seq) -> bool {
+        let unsent = hrmc_wire::seq_lt(self.window.next_seq(), seq);
+        if unsent {
+            self.stats.malformed_packets += 1;
+        }
+        unsent
+    }
+
     fn on_join(&mut self, pkt: &Packet, from: PeerId, now: Micros) {
         let echoed = pkt.header.seq;
+        if self.claims_unsent(echoed) {
+            return;
+        }
         let is_new = self.membership.get(from).is_none();
         self.membership.add(from, echoed, now);
         self.stats.joins += 1;
@@ -352,6 +371,9 @@ impl SenderEngine {
         self.stats.naks_received += 1;
         // NAKs piggyback the receiver's next-expected sequence number in
         // the rate-advertisement field (see the Header docs).
+        if self.claims_unsent(pkt.header.rate_adv) {
+            return;
+        }
         self.membership.update(from, pkt.header.rate_adv, now);
         let first = pkt.header.seq;
         // The span is attacker-controlled: clamp before looping. Honest
@@ -413,6 +435,9 @@ impl SenderEngine {
 
     fn on_control(&mut self, pkt: &Packet, from: PeerId, now: Micros) {
         self.stats.rate_requests_received += 1;
+        if self.claims_unsent(pkt.header.seq) {
+            return;
+        }
         self.membership.update(from, pkt.header.seq, now);
         if pkt.header.flags.urg {
             self.stats.urgent_rate_requests_received += 1;
@@ -427,6 +452,9 @@ impl SenderEngine {
 
     fn on_update(&mut self, pkt: &Packet, from: PeerId, now: Micros) {
         self.stats.updates_received += 1;
+        if self.claims_unsent(pkt.header.seq) {
+            return;
+        }
         self.membership.update(from, pkt.header.seq, now);
         // A nonzero length echoes a probe nonce: an RTT sample.
         let nonce = pkt.header.length;
@@ -822,12 +850,8 @@ impl SenderEngine {
     fn send_probes(&mut self, seq: Seq, now: Micros) {
         let retry = scale(self.rtt.rtt(), PROBE_RETRY_RTTS).max(JIFFY_US);
         let mut lacking = std::mem::take(&mut self.probe_scratch);
-        self.membership.lacking_into(seq, &mut lacking);
-        lacking.retain(|p| {
-            self.membership
-                .get(*p)
-                .and_then(|m| m.last_probed)
-                .is_none_or(|t| now.saturating_sub(t) >= retry)
+        self.membership.lacking_where(seq, &mut lacking, |m| {
+            m.last_probed.is_none_or(|t| now.saturating_sub(t) >= retry)
         });
         if lacking.is_empty() {
             self.probe_scratch = lacking;
@@ -978,22 +1002,15 @@ impl SenderEngine {
         &self.ejected
     }
 
-    /// Read-only view of the membership table (for instrumentation).
-    pub fn membership(&self) -> &Membership {
-        &self.membership
-    }
-
     /// Publish membership-pressure gauges into `reg` — the continuous-
     /// telemetry hook. Drivers call this while gathering a sample so
-    /// `hrmc top` and `/metrics` show group size, shard count, and what
-    /// the release gate's scans actually cost.
+    /// `hrmc top` and `/metrics` show group size and what the release
+    /// gate's scans actually cost.
     pub fn publish_metrics(&self, reg: &mut crate::metrics::MetricsRegistry) {
         let costs = self.membership.costs();
         reg.set_gauge("membership_size", self.membership.len() as u64);
-        reg.set_gauge("membership_shards", self.membership.shard_count() as u64);
         reg.set_gauge("membership_gate_checks", costs.gate_checks);
         reg.set_gauge("membership_gate_members_scanned", costs.members_scanned);
-        reg.set_gauge("membership_heap_lazy_pops", costs.heap_lazy_pops);
         reg.set_gauge("probes_last_tick", self.stats.probes_last_tick);
         reg.set_gauge(
             "probes_deferred_by_batch",
@@ -1683,6 +1700,40 @@ mod tests {
         honest.header.length = 2;
         s.handle_packet(&honest, P1, 70_000);
         assert_eq!(s.stats.malformed_packets, 1);
+    }
+
+    #[test]
+    fn feedback_past_the_assigned_sequences_is_refused() {
+        let mut s = engine(ReliabilityMode::Hybrid);
+        join(&mut s, P1, 0, 0);
+        s.submit(&[7u8; 4096], 0);
+        drain(&mut s);
+        let next = s.window.next_seq();
+        // Every feedback kind, claiming one past the last assigned
+        // sequence, from the member and from an unknown peer.
+        let claim = next.wrapping_add(1);
+        let mut nak = Packet::control(PacketType::Nak, 9, 7000, 0);
+        nak.header.rate_adv = claim;
+        let forged = [
+            Packet::control(PacketType::Join, 9, 7000, claim),
+            nak,
+            Packet::control(PacketType::Control, 9, 7000, claim),
+            Packet::control(PacketType::Update, 9, 7000, claim),
+        ];
+        for pkt in &forged {
+            s.handle_packet(pkt, P1, 100);
+            s.handle_packet(pkt, PeerId(2), 100);
+        }
+        assert_eq!(s.stats.malformed_packets, 8);
+        assert!(drain(&mut s).is_empty(), "a refused packet is not answered");
+        assert_eq!(s.member_count(), 1, "a refused JOIN adds no member");
+        let m = s.membership.get(P1).unwrap();
+        assert_eq!(m.next_expected, 0);
+        assert_eq!(m.last_heard, 0, "refused feedback is no sign of life");
+        // A claim of exactly `next_seq` is honest: the member has it all.
+        update(&mut s, P1, next, 200);
+        assert_eq!(s.stats.malformed_packets, 8);
+        assert_eq!(s.membership.get(P1).unwrap().next_expected, next);
     }
 
     impl SenderEngine {

@@ -59,12 +59,12 @@ pub struct SenderStats {
     /// Incoming datagrams discarded for checksum failure.
     #[serde(skip)]
     pub checksum_failures: u64,
-    /// Release-gate (`all_have`) evaluations — each is a heap-peek.
+    /// Release-gate (`all_have`) evaluations — each reads the group
+    /// minimum, touching no member.
     #[serde(skip)]
     pub gate_checks: u64,
-    /// Members touched by `lacking`/`stale`/`probe_failed` descents: the
-    /// release gate's total scan cost. Sub-linear growth in the receiver
-    /// count is the point of the sharded index.
+    /// Members touched by `lacking`/`stale`/`probe_failed` walks: the
+    /// release gate's total scan cost.
     #[serde(skip)]
     pub gate_members_scanned: u64,
     /// PROBEs emitted during the most recent tick (gauge).

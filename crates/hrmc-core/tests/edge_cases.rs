@@ -214,6 +214,47 @@ fn feedback_from_unknown_peer_does_not_create_membership() {
 }
 
 #[test]
+fn feedback_claiming_unsent_data_cannot_release_it() {
+    let mut s = sender();
+    for p in [1u32, 2] {
+        let join = Packet::control(PacketType::Join, 9, 7000, 0);
+        s.handle_packet(&join, PeerId(p), 0);
+    }
+    let segment = ProtocolConfig::hrmc().segment_size;
+    s.submit(&vec![0u8; 10 * segment], 0);
+    // Member 1 claims sequence 1000 before seq 0 is sent.
+    let forged = Packet::control(PacketType::Update, 9, 7000, 1000);
+    s.handle_packet(&forged, PeerId(1), 0);
+    assert_eq!(s.stats.updates_received, 1);
+    assert_eq!(s.stats.malformed_packets, 1, "the claim is refused");
+    // Member 2 confirms all ten segments honestly; member 1 nothing.
+    let mut t = 0;
+    while t < 400_000 {
+        t += JIFFY_US;
+        s.on_tick(t);
+        drain_s(&mut s);
+    }
+    let honest = Packet::control(PacketType::Update, 9, 7000, 10);
+    s.handle_packet(&honest, PeerId(2), t);
+    while t < 800_000 {
+        t += JIFFY_US;
+        s.on_tick(t);
+        drain_s(&mut s);
+    }
+    assert_eq!(
+        s.stats.segments_released, 0,
+        "nothing may be released before member 1 confirms it"
+    );
+    s.handle_packet(&honest, PeerId(1), t);
+    while t < 1_200_000 {
+        t += JIFFY_US;
+        s.on_tick(t);
+        drain_s(&mut s);
+    }
+    assert_eq!(s.stats.segments_released, 10);
+}
+
+#[test]
 fn leave_from_unknown_peer_is_answered_idempotently() {
     let mut s = sender();
     let leave = Packet::control(PacketType::Leave, 9, 7000, 0);

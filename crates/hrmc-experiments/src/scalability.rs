@@ -185,11 +185,11 @@ pub fn fanout(opts: &ExpOptions, done: &[Done]) -> Output {
     out.table(&table);
     out.text.push_str(
         "Sender ticks per receiver fall as the population grows 1k -> 100k:\n\
-         per-receiver sender cost is bounded by the O(log n) membership\n\
-         index and the deadline-heap sweep, not by the group size. (Events\n\
-         per delivered KB track raw control traffic — the receivers'\n\
-         periodic UPDATE waves are inherently O(n) — so that column grows\n\
-         with the feedback volume, not with sender-side work.)\n",
+         the release gate reads the group minimum and the simulator sweeps\n\
+         a deadline heap, so sender ticks track activity, not the group\n\
+         size. (Events per delivered KB track raw control traffic — the\n\
+         receivers' periodic UPDATE waves are inherently O(n) — so that\n\
+         column grows with the feedback volume, not with sender-side work.)\n",
     );
     out.files
         .push(("scalability_fanout", Value::Object(series)));

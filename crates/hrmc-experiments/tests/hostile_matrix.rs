@@ -138,3 +138,27 @@ fn hostile_alert_streams_match_fixture() {
         assert_eq!(got, want, "{label}: alert stream moved");
     }
 }
+
+/// The full-length `jitter-spikes` regime at seeds 1–3 holds every
+/// invariant, its silence included: the monitor counts PROBE rounds,
+/// not PROBE packets, so one unanswered round to every receiver does
+/// not read as a member nearing ejection. `baseline` armed with the same
+/// `probe_failure_limit` 3 stays silent too.
+#[test]
+fn full_length_jitter_spikes_stay_silent() {
+    let cells = hostile::cells(&ExpOptions::default());
+    let cell = |label: &str| {
+        let cell = cells.iter().find(|c| c.row == label).expect("regime");
+        cell.scenario.clone()
+    };
+    let jitter = cell("jitter-spikes");
+    let mut baseline = cell("baseline");
+    baseline.protocol.probe_failure_limit = 3;
+    for seed in 1..=3 {
+        let run = jitter.clone().with_seed(seed).run();
+        let violations = hostile::check_invariants("jitter-spikes", &[run], &[]);
+        assert_eq!(violations, Vec::<String>::new(), "seed {seed}");
+        let quiet = baseline.clone().with_seed(seed).run();
+        assert_eq!(quiet.alerts, Vec::new(), "baseline, seed {seed}");
+    }
+}

@@ -334,10 +334,6 @@ fn membership_gauges_flow_through_reactor_metrics() {
         );
         std::thread::sleep(Duration::from_millis(20));
     };
-    assert!(
-        reg.gauge("membership_shards").is_some_and(|s| s >= 1),
-        "at least one live shard"
-    );
     assert!(reg.gauge("probes_last_tick").is_some());
     tx.close_and_wait(Duration::from_secs(30)).expect("close");
     assert_eq!(reader.join().expect("reader"), payload.len());
