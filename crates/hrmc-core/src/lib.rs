@@ -58,6 +58,8 @@
 //! observer is installed. [`metrics`] provides the matching aggregation
 //! primitives (counters, gauges, log2 histograms with p50/p90/p99).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod fec;
 pub mod health;

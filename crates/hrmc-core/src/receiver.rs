@@ -492,15 +492,22 @@ impl ReceiverEngine {
         // NAK_ERR answers one of our own NAK ranges, which the pending
         // cap already bounds).
         let count = pkt.header.length.max(1);
-        if count > crate::MAX_CONTROL_SPAN {
-            self.stats.malformed_packets += 1;
-        }
+        let mut malformed = count > crate::MAX_CONTROL_SPAN;
         let count = count.min(crate::MAX_CONTROL_SPAN);
         for i in 0..count {
             let seq = first.wrapping_add(i);
             let useq = unwrap_seq(seq, self.window.next_u64());
-            self.naks.satisfy(useq);
-            let _ = self.window.offer(seq, bytes::Bytes::new(), false);
+            // Only a hole we NAKed is given up: a NAK_ERR we never asked
+            // for (a stale session, a forged or damaged packet) must not
+            // discard data still on its way. Below `rcv_nxt` it is moot.
+            if self.naks.satisfy(useq).is_some() {
+                let _ = self.window.offer(seq, bytes::Bytes::new(), false);
+            } else if useq >= self.window.next_u64() {
+                malformed = true;
+            }
+        }
+        if malformed {
+            self.stats.malformed_packets += 1;
         }
         self.naks.satisfy_below(self.window.next_u64());
         let _ = now;
@@ -848,13 +855,14 @@ impl ReceiverEngine {
         n
     }
 
-    /// Discard up to `n` readable bytes (a measuring sink that does not
-    /// need the data). Returns the count discarded.
-    pub fn consume(&mut self, n: usize, now: Micros) -> usize {
-        let taken = self.window.consume(n);
-        self.stats.bytes_delivered += taken as u64;
+    /// Hand up to `max` in-order bytes to `f` as borrowed slices of the
+    /// received payloads, in stream order (see
+    /// [`ReceiveWindow::read_with`]). Returns the byte count.
+    pub fn read_with(&mut self, max: usize, now: Micros, f: impl FnMut(&[u8])) -> usize {
+        let n = self.window.read_with(max, f);
+        self.stats.bytes_delivered += n as u64;
         self.note_region(now);
-        taken
+        n
     }
 
     /// Close the connection: "a receiver informs the supporting network
@@ -1429,6 +1437,55 @@ mod tests {
         r.on_tick(1_000_000);
         assert!(packets_of(&drain(&mut r), PacketType::Nak).is_empty());
         assert_eq!(r.stats.nak_errs_received, 1);
+    }
+
+    #[test]
+    fn unsolicited_nak_err_discards_nothing() {
+        let mut r = engine();
+        r.handle_packet(&data(0, 100), 0);
+        drain(&mut r);
+        // NAK_ERR for 1–2 before any loss: this receiver never asked.
+        let mut err = Packet::control(PacketType::NakErr, 7000, 7001, 1);
+        err.header.length = 2;
+        r.handle_packet(&err, 1_000);
+        assert_eq!(r.stats.malformed_packets, 1);
+        assert_eq!(r.rcv_nxt(), Some(1));
+        for seq in 1..4 {
+            r.handle_packet(&data(seq, 100), 2_000);
+        }
+        let mut buf = [0u8; 1024];
+        assert_eq!(r.read(&mut buf, 3_000), 400);
+        assert_eq!(r.stats.duplicates_dropped, 0);
+        assert_eq!(r.stats.naks_sent, 0);
+        // Half-solicited: the NAKed hole 5 is given up, the unNAKed 7
+        // is not, 4 (already delivered) is moot, and the packet counts
+        // once.
+        r.handle_packet(&data(4, 100), 4_000);
+        r.handle_packet(&data(6, 100), 5_000);
+        drain(&mut r);
+        let mut err = Packet::control(PacketType::NakErr, 7000, 7001, 4);
+        err.header.length = 5;
+        r.handle_packet(&err, 6_000);
+        assert_eq!(r.stats.malformed_packets, 2);
+        assert_eq!(r.rcv_nxt(), Some(7));
+        r.handle_packet(&data(7, 100), 7_000);
+        assert_eq!(r.read(&mut buf, 8_000), 300);
+        assert_eq!(r.stats.duplicates_dropped, 0);
+    }
+
+    #[test]
+    fn read_with_lends_payloads_and_counts_delivered_bytes() {
+        let mut r = engine();
+        for seq in 0..3 {
+            r.handle_packet(&data(seq, 100), 0);
+        }
+        let mut lent = Vec::new();
+        assert_eq!(r.read_with(250, 1_000, |c| lent.extend_from_slice(c)), 250);
+        assert_eq!(lent, [[0u8; 100], [1; 100], [2; 100]].concat()[..250]);
+        assert_eq!(r.stats.bytes_delivered, 250);
+        assert_eq!(r.read_with(1_000, 2_000, |_| ()), 50);
+        assert_eq!(r.stats.bytes_delivered, 300);
+        assert_eq!(r.readable_bytes(), 0);
     }
 
     #[test]

@@ -268,50 +268,38 @@ impl ReceiveWindow {
         self.next = Some(self.next.unwrap() + 1);
     }
 
+    /// Hand up to `max` in-order bytes to `f`, in order, as borrowed
+    /// slices of the buffered payloads, freeing window space. `f` never
+    /// sees an empty slice. Returns the byte count (0 when nothing is
+    /// ready); `read_with(n, |_| ())` discards without touching payload.
+    pub fn read_with(&mut self, max: usize, mut f: impl FnMut(&[u8])) -> usize {
+        let mut taken = 0;
+        while taken < max {
+            let Some(front) = self.ready.front() else {
+                break;
+            };
+            let take = (front.len() - self.front_offset).min(max - taken);
+            f(&front[self.front_offset..self.front_offset + take]);
+            taken += take;
+            self.front_offset += take;
+            if self.front_offset == front.len() {
+                self.ready.pop_front();
+                self.front_offset = 0;
+            }
+        }
+        self.buffered -= taken;
+        self.readable -= taken;
+        taken
+    }
+
     /// Copy up to `buf.len()` in-order bytes to the application, freeing
     /// window space. Returns the byte count (0 when nothing is ready).
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
         let mut copied = 0;
-        while copied < buf.len() {
-            let Some(front) = self.ready.front() else {
-                break;
-            };
-            let avail = front.len() - self.front_offset;
-            let take = avail.min(buf.len() - copied);
-            buf[copied..copied + take]
-                .copy_from_slice(&front[self.front_offset..self.front_offset + take]);
-            copied += take;
-            self.front_offset += take;
-            self.buffered -= take;
-            self.readable -= take;
-            if self.front_offset == front.len() {
-                self.ready.pop_front();
-                self.front_offset = 0;
-            }
-        }
-        copied
-    }
-
-    /// Discard up to `n` readable bytes without copying (an application
-    /// sink that only measures). Returns the count discarded.
-    pub fn consume(&mut self, n: usize) -> usize {
-        let mut left = n;
-        while left > 0 {
-            let Some(front) = self.ready.front() else {
-                break;
-            };
-            let avail = front.len() - self.front_offset;
-            let take = avail.min(left);
-            left -= take;
-            self.front_offset += take;
-            self.buffered -= take;
-            self.readable -= take;
-            if self.front_offset == front.len() {
-                self.ready.pop_front();
-                self.front_offset = 0;
-            }
-        }
-        n - left
+        self.read_with(buf.len(), |chunk| {
+            buf[copied..copied + chunk.len()].copy_from_slice(chunk);
+            copied += chunk.len();
+        })
     }
 
     /// The gaps below `limit` (unwrapped, exclusive): maximal runs of
@@ -534,12 +522,37 @@ mod tests {
     }
 
     #[test]
-    fn consume_discards_without_copy() {
+    fn read_with_discards_without_copy() {
         let mut w = window();
         w.offer(0, b(100), false);
         w.offer(1, b(100), false);
-        assert_eq!(w.consume(150), 150);
+        assert_eq!(w.read_with(150, |_| ()), 150);
         assert_eq!(w.readable_bytes(), 50);
-        assert_eq!(w.consume(150), 50);
+        assert_eq!(w.read_with(150, |_| ()), 50);
+        assert_eq!(w.buffered_bytes(), 0);
+    }
+
+    #[test]
+    fn read_with_lends_segments_in_order_and_skips_empty_ones() {
+        let mut w = window();
+        w.offer(0, Bytes::from_static(b"abcdef"), false);
+        // A NAK_ERR hole filler and the FIN marker: sequence numbers
+        // with nothing for the application.
+        w.offer(1, Bytes::new(), false);
+        w.offer(2, Bytes::from_static(b"ghij"), false);
+        w.offer(3, Bytes::new(), true);
+        assert!(w.stream_complete());
+        let mut seen: Vec<Vec<u8>> = Vec::new();
+        // `max` ends mid-segment: the rest of it is the next read's.
+        assert_eq!(w.read_with(8, |c| seen.push(c.to_vec())), 8);
+        assert_eq!(seen, [&b"abcdef"[..], b"gh"]);
+        assert_eq!(w.readable_bytes(), 2);
+        assert!(!w.fully_consumed());
+        seen.clear();
+        assert_eq!(w.read_with(100, |c| seen.push(c.to_vec())), 2);
+        assert_eq!(seen, [b"ij"]);
+        assert!(w.fully_consumed());
+        assert_eq!(w.read_with(100, |_| panic!("nothing is ready")), 0);
+        assert_eq!(w.buffered_bytes(), 0);
     }
 }

@@ -391,7 +391,9 @@ impl SenderEngine {
         if !self.retrans_set.contains(&first) {
             self.rtt_sample_against_slot(first, now);
         }
-        let mut released_start: Option<Seq> = None;
+        // Released sequences are a prefix of the span; the rest is still
+        // in the window and is being retransmitted.
+        let mut released: Option<(Seq, u32)> = None;
         let ready_at = if self.config.local_recovery {
             // Capped: a wild RTT estimate must not park repairs forever.
             now + scale(self.rtt.rtt(), LOCAL_REPAIR_WAIT_RTTS).min(1_000_000)
@@ -404,11 +406,11 @@ impl SenderEngine {
                 if self.retrans_set.insert(seq) {
                     self.retrans_queue.push_back((seq, ready_at, from));
                 }
-            } else if self.window.is_released(seq) && released_start.is_none() {
-                released_start = Some(seq);
+            } else if self.window.is_released(seq) {
+                released.get_or_insert((seq, 0)).1 += 1;
             }
         }
-        if let Some(seq) = released_start {
+        if let Some((seq, released_count)) = released {
             // In Hybrid mode a release normally required this receiver's
             // own confirmation, so a NAK for released data is usually
             // stale feedback that raced the confirmation — droppable. The
@@ -423,7 +425,7 @@ impl SenderEngine {
             let stale = self.config.mode == ReliabilityMode::Hybrid && confirmed_by_sender_state;
             if !stale {
                 let mut err = self.make_control(PacketType::NakErr, seq);
-                err.header.length = count;
+                err.header.length = released_count;
                 self.push_out(Dest::Unicast(from), err);
                 self.stats.nak_errs_sent += 1;
             }

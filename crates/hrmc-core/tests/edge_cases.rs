@@ -201,6 +201,50 @@ fn nak_for_never_sent_data_is_safe() {
 }
 
 #[test]
+fn nak_err_names_only_the_released_part_of_a_nak() {
+    // RMC: seq 0 is released unconfirmed, seqs 1–2 are still in the
+    // window, and the receiver lost all three.
+    let cfg = ProtocolConfig::rmc().with_buffer(64 * 1024);
+    let mut s = SenderEngine::new(cfg.clone(), 7000, 7001, 0, 0);
+    let mut r = ReceiverEngine::new(cfg, 8000, 7001, 0);
+    r.expect_stream_start(0);
+    s.handle_packet(&Packet::control(PacketType::Join, 9, 7000, 0), PeerId(1), 0);
+    s.submit(&vec![0u8; 1400], 0);
+    let mut t = 0;
+    while s.stats.segments_released == 0 {
+        t += JIFFY_US;
+        s.on_tick(t);
+        drain_s(&mut s);
+    }
+    s.submit(&vec![0u8; 2800], t);
+    s.on_tick(t);
+    drain_s(&mut s);
+    // The tail's KEEPALIVE reveals the loss: one NAK for 0–2.
+    r.handle_packet(&Packet::control(PacketType::Keepalive, 7000, 7001, 2), t);
+    let naks: Vec<Packet> = drain_r(&mut r)
+        .into_iter()
+        .filter(|p| p.header.ptype == PacketType::Nak)
+        .collect();
+    assert_eq!(naks.len(), 1);
+    assert_eq!((naks[0].header.seq, naks[0].header.length), (0, 3));
+    s.handle_packet(&naks[0], PeerId(1), t + 1_000);
+    s.on_tick(t + JIFFY_US);
+    let answer = drain_s(&mut s);
+    let err = answer
+        .iter()
+        .find(|o| o.packet.header.ptype == PacketType::NakErr)
+        .expect("released data is answered with NAK_ERR");
+    assert_eq!((err.packet.header.seq, err.packet.header.length), (0, 1));
+    for o in &answer {
+        r.handle_packet(&o.packet, t + 2_000);
+    }
+    // Only the released segment is a hole; the repairs are delivered.
+    let mut buf = vec![0u8; 8192];
+    assert_eq!(r.read(&mut buf, t + 3_000), 2800);
+    assert_eq!(r.stats.duplicates_dropped, 0);
+}
+
+#[test]
 fn feedback_from_unknown_peer_does_not_create_membership() {
     let mut s = sender();
     let upd = Packet::control(PacketType::Update, 9, 7000, 50);

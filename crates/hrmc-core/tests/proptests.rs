@@ -243,8 +243,8 @@ proptest! {
     // The sequence-indexed ring agrees with the BTreeMap window it
     // replaced on one random script of offers (in order, out of order,
     // duplicate, zero-length, FIN, beyond the window, overflowing),
-    // reads, consumes and attaches, started 40 packets before the 32-bit
-    // sequence wrap so the wrap lands mid-script.
+    // copying and borrowing reads and attaches, started 40 packets
+    // before the 32-bit sequence wrap so the wrap lands mid-script.
     #[test]
     fn rxwindow_ring_agrees_with_the_map_window(
         capacity in 100usize..1_200,
@@ -285,7 +285,16 @@ proptest! {
                     prop_assert_eq!(n, map.take(len, Some(&mut want)), "step {} read", i);
                     prop_assert_eq!(&buf[..n], &want[..], "step {} bytes", i);
                 }
-                8 => prop_assert_eq!(ring.consume(len * 3), map.take(len * 3, None)),
+                8 => {
+                    let mut lent = Vec::new();
+                    let n = ring.read_with(len * 3, |c| {
+                        assert!(!c.is_empty());
+                        lent.extend_from_slice(c);
+                    });
+                    let mut want = Vec::new();
+                    prop_assert_eq!(n, map.take(len * 3, Some(&mut want)), "step {} read_with", i);
+                    prop_assert_eq!(lent, want, "step {} lent bytes", i);
+                }
                 _ => {
                     ring.attach_at(BASE);
                     map.attach_at(BASE);

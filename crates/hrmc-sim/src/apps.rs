@@ -18,8 +18,10 @@
 //! integrity by comparing each byte it absorbs with the pattern byte at
 //! that stream offset instead of storing the whole stream. The pattern
 //! has period 251, so both ends touch payload a slice at a time against
-//! one two-period table: the source copies out of it, the sink compares
-//! with it.
+//! one table holding an 8-period run at every phase: the source copies
+//! out of it, and the sink compares the receiver engine's own buffered
+//! payloads, lent by `ReceiverEngine::read_with`, with it, one compare
+//! per segment of up to 2 008 bytes.
 
 /// Deterministic stream pattern: byte `i` of the stream.
 #[inline]
@@ -34,10 +36,15 @@ const PERIOD: usize = 251;
 /// past it `i * 31` wraps and [`PATTERN`] no longer describes the stream.
 const PERIODIC_END: u64 = u64::MAX / 31;
 
-/// Two periods of the pattern, so the period starting at any phase
-/// `0..PERIOD` is one contiguous slice.
-static PATTERN: [u8; 2 * PERIOD] = {
-    let mut table = [0u8; 2 * PERIOD];
+/// Length of the run [`run_at`] returns: whole periods, so consecutive
+/// runs start at the same phase, and longer than a full-size segment, so
+/// one compare checks one segment.
+const RUN: usize = 8 * PERIOD;
+
+/// One period plus a run, so the run starting at any phase `0..PERIOD`
+/// is one contiguous slice.
+static PATTERN: [u8; PERIOD + RUN] = {
+    let mut table = [0u8; PERIOD + RUN];
     let mut i = 0;
     while i < table.len() {
         table[i] = pattern_byte(i as u64);
@@ -46,10 +53,11 @@ static PATTERN: [u8; 2 * PERIOD] = {
     table
 };
 
-/// The pattern period that starts at stream offset `offset`, for a run of
-/// `len` bytes. Panics rather than mis-verify if the run reaches offsets
-/// where the pattern stops being periodic (~5.9e17 bytes into a stream).
-fn period_at(offset: u64, len: usize) -> &'static [u8] {
+/// The [`RUN`] pattern bytes that start at stream offset `offset`, for a
+/// stretch of `len` bytes. Panics rather than mis-verify if the stretch
+/// reaches offsets where the pattern stops being periodic (~5.9e17 bytes
+/// into a stream).
+fn run_at(offset: u64, len: usize) -> &'static [u8] {
     assert!(
         offset
             .checked_add(len as u64)
@@ -57,26 +65,26 @@ fn period_at(offset: u64, len: usize) -> &'static [u8] {
         "stream offset {offset} + {len} leaves the pattern's periodic range"
     );
     let phase = (offset % PERIOD as u64) as usize;
-    &PATTERN[phase..phase + PERIOD]
+    &PATTERN[phase..phase + RUN]
 }
 
 /// Append stream bytes `offset..offset + len` to `out`.
 fn fill_pattern(offset: u64, len: usize, out: &mut Vec<u8>) {
-    let period = period_at(offset, len);
+    let run = run_at(offset, len);
     out.reserve(len);
-    for _ in 0..len / PERIOD {
-        out.extend_from_slice(period);
+    for _ in 0..len / RUN {
+        out.extend_from_slice(run);
     }
-    out.extend_from_slice(&period[..len % PERIOD]);
+    out.extend_from_slice(&run[..len % RUN]);
 }
 
 /// `true` iff every byte of `data` equals the pattern byte at its stream
 /// offset, `data[0]` being stream byte `offset`.
 fn matches_pattern(offset: u64, data: &[u8]) -> bool {
-    let period = period_at(offset, data.len());
-    // Every chunk but the last is a whole period, so all start at the
-    // same phase.
-    data.chunks(PERIOD).all(|c| c == &period[..c.len()])
+    let run = run_at(offset, data.len());
+    // Every chunk but the last is a whole run, so all start at the same
+    // phase.
+    data.chunks(RUN).all(|c| c == &run[..c.len()])
 }
 
 /// I/O behaviour of an application endpoint.
@@ -274,14 +282,20 @@ impl SinkApp {
         self.budget.available(now, want as u64) as usize
     }
 
-    /// Absorb `data` (the application's `recv` return), verifying it
-    /// against the expected pattern position.
-    pub fn absorb(&mut self, data: &[u8], now: u64) {
+    /// Take the next `data` of the stream, verifying it against the
+    /// expected pattern position. The bytes are charged to the I/O
+    /// profile separately, by [`SinkApp::charge`].
+    pub fn verify(&mut self, data: &[u8]) {
         if !matches_pattern(self.received, data) {
             self.corrupt = true;
         }
         self.received += data.len() as u64;
-        self.budget.spend(data.len() as u64, now);
+    }
+
+    /// Charge one application read of `bytes` to the I/O profile (may
+    /// start a stall).
+    pub fn charge(&mut self, bytes: usize, now: u64) {
+        self.budget.spend(bytes as u64, now);
     }
 
     /// Total bytes absorbed.
@@ -326,7 +340,7 @@ mod tests {
         let mut stream = Vec::new();
         while !src.exhausted() {
             let chunk = take(&mut src, 700, 0);
-            sink.absorb(&chunk, 0);
+            sink.verify(&chunk);
             stream.extend_from_slice(&chunk);
         }
         assert_eq!(sink.received(), 5_000);
@@ -339,7 +353,7 @@ mod tests {
         let mut sink = SinkApp::new(IoProfile::Memory, 0);
         let mut data: Vec<u8> = (0..100).map(pattern_byte).collect();
         data[50] ^= 0xff;
-        sink.absorb(&data, 0);
+        sink.verify(&data);
         assert!(!sink.intact());
         assert_eq!(sink.received(), 100);
     }
@@ -347,7 +361,9 @@ mod tests {
     #[test]
     fn table_fill_and_verify_equal_pattern_byte_at_every_phase() {
         for start in 0..PERIOD as u64 {
-            for len in [0usize, 1, 250, 251, 252, 502, 1400, 65_536] {
+            for len in [
+                0usize, 1, 250, 251, 252, 502, 1400, 2007, 2008, 2009, 65_536,
+            ] {
                 // A non-empty prefix checks that fill appends.
                 let mut out = vec![0xee];
                 fill_pattern(start, len, &mut out);
@@ -377,7 +393,7 @@ mod tests {
         let mut at = 0;
         while at < stream.len() {
             let n = (rng.gen_range_u64(0, 1500) as usize | 1).min(stream.len() - at);
-            sink.absorb(&stream[at..at + n], 0);
+            sink.verify(&stream[at..at + n]);
             at += n;
             bounds.push(at);
         }
@@ -458,7 +474,8 @@ mod tests {
         let mut sink = SinkApp::new(IoProfile::disk_write(), 0);
         // 6 MB/s for 10 ms = 60 KB.
         assert_eq!(sink.capacity(10_000, 1 << 20), 60_000);
-        sink.absorb(&[pattern_byte(0)], 10_000);
+        sink.charge(60_000, 10_000);
+        assert_eq!(sink.capacity(10_000, 1 << 20), 0);
         // Memory sink is unbounded.
         let mut m = SinkApp::new(IoProfile::Memory, 0);
         assert_eq!(m.capacity(0, 12345), 12345);

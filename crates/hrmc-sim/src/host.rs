@@ -13,9 +13,8 @@ use hrmc_core::{ReceiverEngine, SenderEngine};
 use crate::apps::{SinkApp, SourceApp};
 use crate::{protocol_delay_us, LOWER_LAYER_DELAY_US};
 
-/// Largest single application read in [`Host::pump_sink`]; the scratch
-/// buffer lent to it must be at least this long.
-pub const SINK_READ_MAX: usize = 64 * 1024;
+/// Largest single application read in [`Host::pump_sink`].
+const SINK_READ_MAX: usize = 64 * 1024;
 
 /// The protocol engine running on a host.
 pub enum Engine {
@@ -152,9 +151,9 @@ impl Host {
     }
 
     /// Pump the receiving application: read as much as the sink's I/O
-    /// profile allows, through `scratch` (at least [`SINK_READ_MAX`]
-    /// bytes; contents are not preserved), and absorb it.
-    pub fn pump_sink(&mut self, now: u64, scratch: &mut [u8]) {
+    /// profile allows, verifying the engine's buffered payloads in place
+    /// and charging each read to the profile once.
+    pub fn pump_sink(&mut self, now: u64) {
         let Engine::Receiver(engine) = &mut self.engine else {
             return;
         };
@@ -168,11 +167,11 @@ impl Host {
             if cap == 0 {
                 break;
             }
-            let n = engine.read(&mut scratch[..cap], now);
+            let n = engine.read_with(cap, now, |chunk| sink.verify(chunk));
             if n == 0 {
                 break;
             }
-            sink.absorb(&scratch[..n], now);
+            sink.charge(n, now);
         }
         if self.completed_at.is_none() && engine.fully_consumed() {
             self.completed_at = Some(now);
@@ -253,36 +252,32 @@ mod tests {
         let engine =
             ReceiverEngine::new(ProtocolConfig::hrmc().with_buffer(64 * 1024), 8000, 7001, 0);
         let mut h = Host::receiver(engine, SinkApp::new(IoProfile::Memory, 0));
-        // Feed two in-order packets, the second carrying FIN.
+        let segment = |seq, bytes: std::ops::Range<u64>| {
+            let payload: Vec<u8> = bytes.map(crate::apps::pattern_byte).collect();
+            Packet::data(7000, 7001, seq, Bytes::from(payload))
+        };
         let Engine::Receiver(r) = &mut h.engine else {
             unreachable!()
         };
-        let p0 = Packet::data(
-            7000,
-            7001,
-            0,
-            Bytes::from(
-                (0..100u64)
-                    .map(crate::apps::pattern_byte)
-                    .collect::<Vec<_>>(),
-            ),
-        );
-        let mut p1 = Packet::data(
-            7000,
-            7001,
-            1,
-            Bytes::from(
-                (100..150u64)
-                    .map(crate::apps::pattern_byte)
-                    .collect::<Vec<_>>(),
-            ),
-        );
-        p1.header.flags.fin = true;
-        r.handle_packet(&p0, 10);
-        r.handle_packet(&p1, 20);
-        h.pump_sink(30, &mut [0u8; SINK_READ_MAX]);
+        r.handle_packet(&segment(0, 0..100), 10);
+        r.handle_packet(&segment(1, 100..150), 20);
+        h.pump_sink(30);
         assert_eq!(h.sink.as_ref().unwrap().received(), 150);
         assert!(h.sink.as_ref().unwrap().intact());
-        assert_eq!(h.completed_at, Some(30));
+        assert_eq!(h.completed_at, None);
+        // The last segment carries FIN and one flipped byte.
+        let mut last = segment(2, 150..200);
+        let mut payload = last.payload.to_vec();
+        payload[20] ^= 0x01;
+        last.payload = Bytes::from(payload);
+        last.header.flags.fin = true;
+        let Engine::Receiver(r) = &mut h.engine else {
+            unreachable!()
+        };
+        r.handle_packet(&last, 35);
+        h.pump_sink(40);
+        assert_eq!(h.sink.as_ref().unwrap().received(), 200);
+        assert!(!h.sink.as_ref().unwrap().intact());
+        assert_eq!(h.completed_at, Some(40));
     }
 }

@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use crate::apps::{IoProfile, SinkApp, SourceApp};
 use crate::dynamics::{LinkAction, LinkSchedule};
 use crate::faults::{ChurnAction, FaultPlan};
-use crate::host::{Engine, Host, SINK_READ_MAX};
+use crate::host::{Engine, Host};
 use crate::nic::{Nic, TxOutcome};
 use crate::obs::{HostObserver, SharedObs};
 use crate::queue::EventQueue;
@@ -213,10 +213,6 @@ pub struct Simulation {
     /// [`SimParams::sample_interval_us`] is set. Its latest sample fixes
     /// the next grid instant.
     sampler: Option<Sampler>,
-    /// Read buffer lent to whichever receiver host is pumping its sink
-    /// (one per simulation, not per host: at 2000 receivers a per-host
-    /// buffer would be 128 MB of resident zeroes).
-    sink_scratch: Vec<u8>,
     /// Receiver deliveries of the `Forward` being dispatched, grouped by
     /// arrival instant in scheduling order; flushed as
     /// [`Ev::ReceiverRx`] batches before the `Forward` returns, so it is
@@ -319,7 +315,6 @@ impl Simulation {
             up_extra_delay_us: 0,
             up_extra_loss: 0.0,
             sampler,
-            sink_scratch: vec![0; SINK_READ_MAX],
             pending_rx: Vec::new(),
             batched_rx: 0,
         };
@@ -684,7 +679,7 @@ impl Simulation {
     /// sender may already be idle with no deadline of its own).
     fn pump_sink_arming(&mut self, host: usize, now: u64) {
         let was_complete = self.hosts[host].completed_at.is_some();
-        self.hosts[host].pump_sink(now, &mut self.sink_scratch);
+        self.hosts[host].pump_sink(now);
         if !was_complete && self.hosts[host].completed_at.is_some() {
             self.arm_no_later(0, next_grid(now));
         }

@@ -29,6 +29,8 @@
 //! bits of the final byte alongside the 6-bit type code, which is the only
 //! packing consistent with both the figure and the stated size.
 
+#![forbid(unsafe_code)]
+
 pub mod checksum;
 pub mod header;
 pub mod packet;
