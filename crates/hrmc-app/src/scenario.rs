@@ -247,22 +247,6 @@ impl Scenario {
         self
     }
 
-    /// Set the failure-domain detectors explicitly (0 disables each):
-    /// PROBE-failure ejection, silence ejection, and sender-death
-    /// presumption (the keepalive cap × `sender_death_factor`).
-    pub fn with_failure_domains(
-        mut self,
-        probe_failure_limit: u32,
-        member_silence_us: u64,
-        sender_death_factor: u32,
-    ) -> Scenario {
-        let p = &mut self.protocol;
-        p.probe_failure_limit = probe_failure_limit;
-        p.member_silence_us = member_silence_us;
-        p.sender_death_factor = sender_death_factor;
-        self
-    }
-
     /// Build the simulator parameters. The protocol's rate cap (the
     /// kernel's `max_snd_rate_wnd` bound) is the smaller of
     /// `max_rate_factor` × the wire speed and the host-CPU transmit
@@ -380,7 +364,10 @@ mod tests {
         let armed = crash(lan());
         assert_eq!(armed.probe_failure_limit, 3);
         assert_eq!(armed.member_silence_us, 3_000_000);
-        let kept = crash(lan().with_failure_domains(5, 7, 0));
+        let mut set = lan();
+        set.protocol.probe_failure_limit = 5;
+        set.protocol.member_silence_us = 7;
+        let kept = crash(set);
         assert_eq!(kept.probe_failure_limit, 5);
         assert_eq!(kept.member_silence_us, 7);
 

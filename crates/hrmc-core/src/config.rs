@@ -1,17 +1,20 @@
 //! Protocol configuration.
 //!
-//! A field exists here only if a caller sets it: a driver, the
-//! benchmark, a figure cell, an ablation or a test. Every other protocol
-//! constant is a named `const` beside the one module that reads it,
-//! citing the paper where the paper states it: WARNBUF and the urgent
-//! stop in [`crate::receiver`] and [`crate::rate`], the 2 s keepalive cap
-//! in [`crate::keepalive`], the 50-jiffy initial update period and its
-//! clamps in [`crate::update`], the NAK suppression interval in
-//! [`crate::nak`]. A constant that a new caller needs to vary comes back
-//! as a field with that caller.
+//! A field exists here only if a production caller sets it: a driver,
+//! the CLI, an example, the benchmark, a figure cell or an ablation. A
+//! test does not count; tests set the fields directly. Two fields are
+//! kept without one, `join_retry_limit` and `sender_death_factor`: they
+//! are the only ways into the receiver's failed state for a dead sender.
+//! Every other protocol constant is a named `const` beside the one
+//! module that reads it, citing the paper where the paper states it:
+//! WARNBUF and the urgent stop in [`crate::receiver`] and
+//! [`crate::rate`], the 2 s keepalive cap in [`crate::keepalive`], the
+//! JOIN retry period in [`crate::receiver`], the 50-jiffy initial update
+//! period and its clamps in [`crate::update`], the NAK suppression
+//! interval in [`crate::nak`]. A constant that a new caller needs to
+//! vary comes back as a field with that caller.
 
 use crate::fec::FecConfig;
-use crate::receiver::JOIN_RETRY_US;
 use crate::time::{Micros, MS, SEC};
 use crate::update::{MAX_PERIOD_JIFFIES, MIN_PERIOD_JIFFIES};
 
@@ -46,36 +49,6 @@ pub enum UpdateMode {
     Fixed(u64),
     /// No updates at all (RMC baseline).
     Disabled,
-}
-
-/// When the sender probes receivers it lacks information from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbePolicy {
-    /// Probe at the moment buffer release is attempted and blocked
-    /// (H-RMC as published).
-    AtRelease,
-    /// Probe `lead_rtts` round-trip times *before* a block is predicted to
-    /// become release-eligible, so the answer is usually in hand by
-    /// release time. This is the paper's future-work item (1): "probing
-    /// receivers prior to buffer release time to avoid a stop-and-wait
-    /// scenario for small buffers".
-    Early {
-        /// How many RTTs of lead time to give the probe.
-        lead_rtts: u32,
-    },
-}
-
-/// How PROBE packets are transported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeTransport {
-    /// Unicast one PROBE per lacking receiver (H-RMC as published).
-    Unicast,
-    /// Multicast a single PROBE when the number of lacking receivers
-    /// exceeds the threshold; receivers that already confirmed simply
-    /// answer with an UPDATE they would have sent anyway. This is the
-    /// paper's future-work item (2): "multicasting probes when the number
-    /// of receivers to be probed is greater than some threshold".
-    MulticastAbove(usize),
 }
 
 /// Complete protocol configuration shared by sender and receiver engines.
@@ -129,18 +102,12 @@ pub struct ProtocolConfig {
     pub update_mode: UpdateMode,
 
     // ------------------------------------------------------------------
-    // Probes (H-RMC)
+    // Probes (H-RMC): unicast, at release time, as published
     // ------------------------------------------------------------------
-    /// When to probe; see [`ProbePolicy`].
-    pub probe_policy: ProbePolicy,
-    /// How to transport probes; see [`ProbeTransport`].
-    pub probe_transport: ProbeTransport,
     /// Cap on unicast PROBEs emitted per tick. `0` (the default) probes
     /// every eligible laggard each tick — the published protocol. Above
     /// the cap, the sender round-robins through the laggard set across
-    /// successive ticks, bounding per-jiffy fan-out at large scale; the
-    /// [`ProbeTransport::MulticastAbove`] decision is judged on the full
-    /// laggard count *before* capping.
+    /// successive ticks, bounding per-jiffy fan-out at large scale.
     pub probe_batch_limit: u32,
 
     // ------------------------------------------------------------------
@@ -152,25 +119,12 @@ pub struct ProtocolConfig {
     // ------------------------------------------------------------------
     // Connection management
     // ------------------------------------------------------------------
-    /// Cap for the JOIN retry exponential backoff, whose first step is
-    /// [`JOIN_RETRY_US`]. Defaults to that step, which degenerates to the
-    /// original fixed-interval retry; raise it to spread retries out on
-    /// lossy paths.
-    pub join_retry_max: Micros,
-    /// Maximum JOIN attempts before the receiver gives up and fails the
-    /// session ([`ReceiverEngine::has_failed`](crate::ReceiverEngine::has_failed)).
+    /// Maximum JOIN attempts, one every
+    /// [`JOIN_RETRY_US`](crate::receiver::JOIN_RETRY_US), before the
+    /// receiver gives up and fails the session
+    /// ([`ReceiverEngine::has_failed`](crate::ReceiverEngine::has_failed)).
     /// `0` retries forever (the original behaviour).
     pub join_retry_limit: u32,
-    /// Deterministic jitter fraction applied to each JOIN retry backoff
-    /// step, in `[0, 1]`: the effective delay is the backoff step scaled
-    /// by `1 ± join_jitter`, with the offset hashed from the receiver's
-    /// local port and attempt number. A group of receivers that lost the
-    /// same JOIN_RESPONSE burst (a partition heal, a sender restart)
-    /// would otherwise retry in lock-step and collide again; the hash
-    /// spreads them without drawing from any RNG, so runs stay
-    /// reproducible. `0.0` (the default) keeps the original unjittered
-    /// backoff.
-    pub join_jitter: f64,
 
     // ------------------------------------------------------------------
     // Failure domains (ejection / death detection)
@@ -225,13 +179,9 @@ impl Default for ProtocolConfig {
             min_rate: 64 * 1024,
             max_rate: 1 << 40,
             update_mode: UpdateMode::Dynamic,
-            probe_policy: ProbePolicy::AtRelease,
-            probe_transport: ProbeTransport::Unicast,
             probe_batch_limit: 0,
             initial_rtt: 10 * MS,
-            join_retry_max: JOIN_RETRY_US,
             join_retry_limit: 0,
-            join_jitter: 0.0,
             probe_failure_limit: 0,
             member_silence_us: 0,
             sender_death_factor: 0,
@@ -277,23 +227,6 @@ impl ProtocolConfig {
         self
     }
 
-    /// Builder-style JOIN-retry jitter setter (fraction in `[0, 1]`).
-    pub fn join_jitter(mut self, jitter: f64) -> Self {
-        self.join_jitter = jitter;
-        self
-    }
-
-    /// Builder-style segment size setter.
-    pub fn with_segment_size(mut self, bytes: usize) -> Self {
-        self.segment_size = bytes;
-        self
-    }
-
-    /// Number of whole segments the send buffer can hold.
-    pub fn sndbuf_segments(&self) -> usize {
-        (self.sndbuf / self.segment_size).max(1)
-    }
-
     /// Validate invariants; engines call this on construction.
     pub fn validate(&self) -> Result<(), String> {
         if self.segment_size == 0 {
@@ -315,12 +248,6 @@ impl ProtocolConfig {
         }
         if self.mode == ReliabilityMode::RmcNakOnly && self.update_mode != UpdateMode::Disabled {
             return Err("RMC mode requires UpdateMode::Disabled".into());
-        }
-        if self.join_retry_max < JOIN_RETRY_US {
-            return Err(format!("join_retry_max must be >= {JOIN_RETRY_US} µs"));
-        }
-        if !(0.0..=1.0).contains(&self.join_jitter) {
-            return Err("join_jitter must be within [0, 1]".into());
         }
         if let Some(fec) = &self.fec {
             fec.validate()?;
@@ -360,14 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn sndbuf_segments_counts_whole_segments() {
-        let c = ProtocolConfig::default()
-            .with_buffer(64 * 1024)
-            .with_segment_size(1400);
-        assert_eq!(c.sndbuf_segments(), 64 * 1024 / 1400);
-    }
-
-    #[test]
     #[allow(clippy::field_reassign_with_default)] // each case mutates one field
     fn validate_rejects_bad_configs() {
         let mut c = ProtocolConfig::default();
@@ -396,16 +315,6 @@ mod tests {
         c.update_mode = UpdateMode::Fixed(0);
         let msg = c.validate().unwrap_err();
         assert!(msg.contains("[2, 500]"), "{msg}");
-
-        let mut c = ProtocolConfig::default();
-        c.join_retry_max = JOIN_RETRY_US - 1;
-        assert!(c.validate().is_err());
-
-        let mut c = ProtocolConfig::default();
-        c.join_jitter = 1.5;
-        assert!(c.validate().is_err());
-        c.join_jitter = -0.1;
-        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -415,7 +324,6 @@ mod tests {
         assert_eq!(c.member_silence_us, 0);
         assert_eq!(c.sender_death_factor, 0);
         assert_eq!(c.join_retry_limit, 0);
-        assert_eq!(c.join_retry_max, JOIN_RETRY_US);
         assert!(c.validate().is_ok());
     }
 }

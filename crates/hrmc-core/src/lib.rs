@@ -79,13 +79,13 @@ pub mod time;
 pub mod txwindow;
 pub mod update;
 
-pub use config::{ProbePolicy, ProbeTransport, ProtocolConfig, ReliabilityMode, UpdateMode};
+pub use config::{ProtocolConfig, ReliabilityMode, UpdateMode};
 pub use fec::FecConfig;
 pub use health::{Alert, AlertRule, HealthConfig, HealthMonitor, Severity, SharedMonitor};
 pub use metrics::{Histogram, HistogramSummary, MetricsRegistry};
 pub use obs::{
     Event, FlightRecorder, JsonlObserver, MetricsObserver, MultiObserver, NakTrigger,
-    ProtocolObserver, RecordedEvent, SharedRecorder, SCHEMA_VERSION,
+    ProtocolObserver, SharedRecorder, SCHEMA_VERSION,
 };
 pub use receiver::ReceiverEngine;
 pub use sender::SenderEngine;
@@ -118,8 +118,7 @@ impl std::fmt::Display for PeerId {
 /// Where an outgoing packet should be delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dest {
-    /// Send to the multicast group (DATA, retransmissions, KEEPALIVE, and
-    /// optionally PROBE when [`ProbeTransport::MulticastAbove`] applies).
+    /// Send to the multicast group (DATA, retransmissions, KEEPALIVE).
     Multicast,
     /// Unicast to one receiver (JOIN_RESPONSE, LEAVE_RESPONSE, NAK_ERR,
     /// PROBE).

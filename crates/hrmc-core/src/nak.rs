@@ -192,12 +192,6 @@ impl NakManager {
         self.naks_generated += out.len() as u64;
         out
     }
-
-    /// Highest retransmission count across pending entries (stat; useful
-    /// for failure-injection tests).
-    pub fn max_tries(&self) -> u8 {
-        self.pending.values().map(|e| e.tries).max().unwrap_or(0)
-    }
 }
 
 /// Collapse a sorted list of sequence numbers into maximal `(first,
@@ -249,7 +243,7 @@ mod tests {
         assert_eq!(due, vec![(10, 2)]);
         // Clock restarts after the re-send.
         assert!(m.due(2_500, 1_000).is_empty());
-        assert_eq!(m.max_tries(), 1);
+        assert_eq!(m.pending.values().map(|e| e.tries).max(), Some(1));
     }
 
     #[test]

@@ -382,26 +382,6 @@ schema! {
 }
 
 impl Event {
-    /// The unwrapped sequence range `[first, first + count)` this event
-    /// refers to, if it names sequence numbers at all — the stable join
-    /// key trace analyzers use to stitch per-sequence lifecycles
-    /// together. Single-sequence events report `count == 1`.
-    ///
-    /// Simulated streams start at sequence 0, so the wire [`Seq`] carried
-    /// by sender-side events and the receivers' unwrapped 64-bit numbers
-    /// coincide there; over real sockets the caller must unwrap.
-    pub fn seq_range(&self) -> Option<(u64, u32)> {
-        match *self {
-            Event::ProbeSent { seq, .. }
-            | Event::ReleaseAttempt { seq, .. }
-            | Event::DataSent { seq, .. } => Some((u64::from(seq), 1)),
-            Event::NakSent { first, count, .. }
-            | Event::Recovered { first, count, .. }
-            | Event::Delivered { first, count } => Some((first, count)),
-            _ => None,
-        }
-    }
-
     /// The group member this event refers to, if any — the stable join
     /// key for membership-lifecycle analysis (`"member"` in JSONL).
     pub fn member(&self) -> Option<PeerId> {
@@ -624,15 +604,10 @@ impl ProtocolObserver for MetricsObserver {
 
 /// One event captured by a [`FlightRecorder`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecordedEvent {
+struct RecordedEvent {
     /// Engine clock at emission (µs).
-    pub t_us: Micros,
-    /// Simulation host tag (`None` for single-engine recorders); rendered
-    /// as `"host":N` by [`FlightRecorder::dump`] so a dump is line-
-    /// compatible with the streaming sim event log.
-    pub host: Option<u32>,
-    /// The event itself.
-    pub event: Event,
+    t_us: Micros,
+    event: Event,
 }
 
 /// Bounded in-memory ring of the most recent protocol events — a flight
@@ -671,20 +646,14 @@ impl FlightRecorder {
         self
     }
 
-    /// Record one event (no host tag).
+    /// Record one event.
     pub fn record(&mut self, now: Micros, ev: &Event) {
-        self.record_tagged(now, ev, None);
-    }
-
-    /// Record one event tagged with a simulation host id.
-    pub fn record_tagged(&mut self, now: Micros, ev: &Event, host: Option<u32>) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
             self.dropped += 1;
         }
         self.buf.push_back(RecordedEvent {
             t_us: now,
-            host,
             event: *ev,
         });
         self.peak = self.peak.max(self.buf.len());
@@ -716,11 +685,6 @@ impl FlightRecorder {
         self.peak
     }
 
-    /// The surviving events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &RecordedEvent> {
-        self.buf.iter()
-    }
-
     /// Render the surviving window as JSONL: one schema header line
     /// (role `flight_recorder`, carrying the label if set and the drop
     /// count), then one line per event in record order, formatted exactly
@@ -737,11 +701,7 @@ impl FlightRecorder {
             .map(|l| format!("\"src\":\"{l}\","))
             .unwrap_or_default();
         for rec in &self.buf {
-            let extra = match rec.host {
-                Some(h) => format!("\"host\":{h},"),
-                None => label_extra.clone(),
-            };
-            out.push_str(&event_json_with(rec.t_us, &rec.event, &extra));
+            out.push_str(&event_json_with(rec.t_us, &rec.event, &label_extra));
             out.push('\n');
         }
         out
@@ -787,14 +747,6 @@ impl SharedRecorder {
             *rec = owned.with_label(label);
         }
         self
-    }
-
-    /// Record one event tagged with a simulation host id.
-    pub fn record_tagged(&self, now: Micros, ev: &Event, host: Option<u32>) {
-        self.inner
-            .lock()
-            .expect("flight recorder poisoned")
-            .record_tagged(now, ev, host);
     }
 
     /// Run `f` against the underlying recorder (dump, gauges, …).
@@ -909,26 +861,7 @@ mod tests {
     }
 
     #[test]
-    fn seq_range_and_member_join_keys() {
-        assert_eq!(
-            Event::DataSent {
-                seq: 9,
-                bytes: 1,
-                retransmission: false
-            }
-            .seq_range(),
-            Some((9, 1))
-        );
-        assert_eq!(
-            Event::Recovered {
-                first: 40,
-                count: 3,
-                elapsed_us: 1
-            }
-            .seq_range(),
-            Some((40, 3))
-        );
-        assert_eq!(Event::SessionFailed.seq_range(), None);
+    fn member_join_key() {
         assert_eq!(
             Event::MemberEjected { peer: PeerId(2) }.member(),
             Some(PeerId(2))
@@ -946,26 +879,28 @@ mod tests {
         assert_eq!(rec.capacity(), 3);
         assert_eq!(rec.dropped_events(), 2);
         assert_eq!(rec.peak_len(), 3);
-        let firsts: Vec<u64> = rec.events().map(|r| r.t_us).collect();
+        let firsts: Vec<u64> = rec.buf.iter().map(|r| r.t_us).collect();
         assert_eq!(firsts, vec![2, 3, 4], "oldest entries are overwritten");
     }
 
     #[test]
     fn flight_recorder_dump_matches_streaming_format() {
+        let ev = Event::Delivered { first: 0, count: 1 };
         let mut rec = FlightRecorder::new(16);
-        rec.record_tagged(42, &Event::Delivered { first: 0, count: 1 }, Some(3));
+        rec.record(42, &ev);
         let dump = rec.dump();
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(
             lines[0],
             "{\"schema\":2,\"role\":\"flight_recorder\",\"dropped_events\":0}"
         );
-        // The event line is byte-identical to what the sim's streaming
-        // log emits for the same event.
+        // The event line is byte-identical to what the streaming paths
+        // emit for the same event.
         assert_eq!(
             lines[1],
-            "{\"t_us\":42,\"host\":3,\"event\":\"delivered\",\"first\":0,\"count\":1}"
+            "{\"t_us\":42,\"event\":\"delivered\",\"first\":0,\"count\":1}"
         );
+        assert_eq!(lines[1], event_json(42, &ev));
     }
 
     #[test]
@@ -1003,7 +938,8 @@ mod tests {
         let rec = SharedRecorder::new(8).with_label("recv");
         let mut obs: Box<dyn ProtocolObserver> = Box::new(rec.clone());
         obs.on_event(1, &Event::UpdateSent { nonce: 0 });
-        rec.record_tagged(2, &Event::Delivered { first: 0, count: 1 }, None);
+        let mut other = rec.clone();
+        other.on_event(2, &Event::Delivered { first: 0, count: 1 });
         assert_eq!(rec.with_recorder(|r| r.len()), 2);
         assert!(rec.dump().contains("\"event\":\"update_sent\""));
     }

@@ -256,14 +256,6 @@ impl RateController {
         (c, granted)
     }
 
-    /// The byte allowance a transmitter pass at `at` would be granted,
-    /// without running one: rate growth, an expiring urgent stop,
-    /// overdraft repayment and the carry cap all applied as the pass
-    /// itself would apply them.
-    pub fn credit_at(&self, at: Micros, rtt: Micros, tick: Micros) -> usize {
-        self.preview(at, rtt, tick).1
-    }
-
     /// When an event-driven transmitter whose next packet is `packet`
     /// wire bytes long should next run: `now` if a pass at `now` would be
     /// granted anything at all (a pass finishes the packet it starts and
@@ -401,9 +393,9 @@ mod tests {
     }
 
     /// The preview is the pass: whatever state growth, an overdraft, a
-    /// refund, a halving or an urgent stop left behind, `credit_at`
-    /// reads exactly what `on_tick` + `budget` then grant, and leaves
-    /// the controller untouched.
+    /// refund, a halving or an urgent stop left behind, the credit
+    /// `preview` reads at an instant is exactly what `on_tick` + `budget`
+    /// then grant, and the preview leaves the controller untouched.
     #[test]
     fn credit_at_previews_exactly_what_the_pass_is_granted() {
         let mut c = ctl(0);
@@ -422,7 +414,7 @@ mod tests {
                 _ => {}
             }
             let before = format!("{c:?}");
-            let previewed = c.credit_at(t, rtt, 10_000);
+            let (_, previewed) = c.preview(t, rtt, 10_000);
             assert_eq!(format!("{c:?}"), before, "preview mutated the controller");
             c.on_tick(t, rtt);
             assert_eq!(c.budget(t, 10_000), previewed, "at {t}");

@@ -40,8 +40,7 @@ pub(crate) const WARNBUF_RTTS: f64 = 4.0;
 /// Minimum spacing between warning CONTROL packets, in RTTs.
 const CONTROL_MIN_INTERVAL_RTTS: f64 = 1.0;
 
-/// JOIN retry interval while unconfirmed: the first step of the backoff
-/// that [`ProtocolConfig::join_retry_max`] caps.
+/// JOIN retry interval while unconfirmed.
 pub const JOIN_RETRY_US: Micros = 200 * MS;
 
 /// JOIN handshake progress.
@@ -83,9 +82,6 @@ pub struct ReceiverEngine {
     /// JOINs sent since the last confirmation (bounded by
     /// `join_retry_limit` when nonzero).
     join_attempts: u32,
-    /// Current JOIN retry backoff; starts at [`JOIN_RETRY_US`], doubles per
-    /// retry up to `join_retry_max`.
-    join_delay: Micros,
     /// When we last heard anything sender-originated (death detection).
     last_sender_heard: Option<Micros>,
     /// Terminal failure latch: sender presumed dead or JOIN budget
@@ -142,7 +138,6 @@ impl ReceiverEngine {
             last_recovery_update: None,
             join: JoinState::Idle,
             join_attempts: 0,
-            join_delay: JOIN_RETRY_US,
             last_sender_heard: None,
             failed: false,
             leaving: false,
@@ -217,12 +212,6 @@ impl ReceiverEngine {
     /// Receive-window occupancy as a fraction of capacity (0.0–1.0).
     pub fn window_occupancy(&self) -> f64 {
         self.window.occupancy()
-    }
-
-    /// Current update period, in jiffies (instrumentation for the
-    /// dynamic-update-timer experiments).
-    pub fn update_period_jiffies(&self) -> u64 {
-        self.updates.period_jiffies()
     }
 
     // ------------------------------------------------------------------
@@ -590,7 +579,6 @@ impl ReceiverEngine {
             self.rtt = now.saturating_sub(at).max(MIN_RTT_US);
             self.join = JoinState::Confirmed;
             self.join_attempts = 0;
-            self.join_delay = JOIN_RETRY_US;
             emit!(self, now, Event::Joined { rtt_us: self.rtt });
         }
     }
@@ -776,18 +764,16 @@ impl ReceiverEngine {
             self.send_update(0, now);
         }
 
-        // JOIN retry while unconfirmed: exponential backoff (with
-        // optional deterministic per-member jitter), bounded by the
-        // retry budget when one is configured.
+        // JOIN retry while unconfirmed, every JOIN_RETRY_US, bounded by
+        // the retry budget when one is configured.
         if let JoinState::Sent { at, echoed } = self.join {
-            if now.saturating_sub(at) >= self.jittered_join_delay() {
+            if now.saturating_sub(at) >= JOIN_RETRY_US {
                 if self.config.join_retry_limit != 0
                     && self.join_attempts >= self.config.join_retry_limit
                 {
                     self.fail_session(now);
                     return;
                 }
-                self.join_delay = (self.join_delay * 2).min(self.config.join_retry_max);
                 self.send_join(echoed, now);
             }
         }
@@ -832,7 +818,7 @@ impl ReceiverEngine {
             arm(self.updates.next_fire());
         }
         if let JoinState::Sent { at, .. } = self.join {
-            arm(at.saturating_add(self.jittered_join_delay()));
+            arm(at.saturating_add(JOIN_RETRY_US));
         }
         if let Some(t) = self.death_deadline() {
             arm(t);
@@ -887,33 +873,6 @@ impl ReceiverEngine {
         self.join_attempts += 1;
         let pkt = Packet::control(PacketType::Join, self.local_port, self.group_port, echoed);
         self.push_out(pkt);
-    }
-
-    /// The effective JOIN retry delay: the exponential-backoff base,
-    /// optionally spread by `config.join_jitter`. The spread is a pure
-    /// FNV-1a hash of (local port, attempt number) — deterministic, no
-    /// RNG draws — so a cohort of receivers restarting in lock-step
-    /// (mobile churn, mass re-home after a partition heal) desynchronise
-    /// their retries instead of thundering at the sender together, while
-    /// any single member's schedule stays reproducible.
-    fn jittered_join_delay(&self) -> Micros {
-        if self.config.join_jitter <= 0.0 {
-            return self.join_delay;
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self
-            .local_port
-            .to_be_bytes()
-            .iter()
-            .chain(self.join_attempts.to_be_bytes().iter())
-        {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        // Top 53 bits -> uniform fraction in [0, 1); map to [-1, 1).
-        let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
-        let spread = self.config.join_jitter * (2.0 * frac - 1.0);
-        ((self.join_delay as f64 * (1.0 + spread)) as Micros).max(1)
     }
 
     fn send_update(&mut self, nonce: u32, now: Micros) {
@@ -1096,57 +1055,16 @@ mod tests {
         r.on_tick(200_000);
         let out = drain(&mut r);
         assert_eq!(packets_of(&out, PacketType::Join).len(), 1);
+        // Retries repeat every JOIN_RETRY_US.
+        r.on_tick(399_999);
+        assert!(packets_of(&drain(&mut r), PacketType::Join).is_empty());
+        r.on_tick(400_000);
+        assert_eq!(packets_of(&drain(&mut r), PacketType::Join).len(), 1);
         // Confirmed: no more retries.
         let resp = Packet::control(PacketType::JoinResponse, 7000, 7001, 0);
-        r.handle_packet(&resp, 210_000);
+        r.handle_packet(&resp, 410_000);
         r.on_tick(600_000);
         assert!(packets_of(&drain(&mut r), PacketType::Join).is_empty());
-    }
-
-    #[test]
-    fn join_jitter_spreads_retries_deterministically() {
-        let cfg = ProtocolConfig::hrmc()
-            .with_buffer(64 * 1024)
-            .join_jitter(0.25);
-        // A cohort of receivers that all heard first data at t=0 would
-        // retry JOIN in lock-step at exactly 200 ms; jitter must spread
-        // them while keeping each member's own schedule reproducible.
-        let mut delays = Vec::new();
-        for port in [8000u16, 8001, 8002, 8003, 8004, 8005, 8006, 8007] {
-            let mut r = ReceiverEngine::new(cfg.clone(), port, 7001, 0);
-            r.handle_packet(&data(0, 100), 0);
-            drain(&mut r);
-            let d = r.jittered_join_delay();
-            // Within ±25% of the 200 ms base, never zero.
-            assert!((150_000..=250_000).contains(&d), "delay {d} out of band");
-            // Deterministic: a twin engine lands on the same delay.
-            let mut twin = ReceiverEngine::new(cfg.clone(), port, 7001, 0);
-            twin.handle_packet(&data(0, 100), 0);
-            drain(&mut twin);
-            assert_eq!(twin.jittered_join_delay(), d);
-            delays.push(d);
-        }
-        let distinct: std::collections::BTreeSet<_> = delays.iter().collect();
-        assert!(
-            distinct.len() >= 6,
-            "jitter failed to spread the cohort: {delays:?}"
-        );
-        // The jittered deadline drives both the retry check and the
-        // wakeup timer, so the two stay consistent.
-        let mut r = ReceiverEngine::new(cfg, 9000, 7001, 0);
-        r.handle_packet(&data(0, 100), 0);
-        drain(&mut r);
-        let d = r.jittered_join_delay();
-        assert_eq!(r.next_wakeup(0), Some(d));
-        r.on_tick(d - 1);
-        assert!(packets_of(&drain(&mut r), PacketType::Join).is_empty());
-        r.on_tick(d);
-        assert_eq!(packets_of(&drain(&mut r), PacketType::Join).len(), 1);
-        // Default config (jitter 0.0) keeps the exact pinned schedule.
-        let mut plain = engine();
-        plain.handle_packet(&data(0, 100), 0);
-        drain(&mut plain);
-        assert_eq!(plain.jittered_join_delay(), 200_000);
     }
 
     #[test]
@@ -1298,7 +1216,7 @@ mod tests {
         let mut r = engine();
         r.handle_packet(&data(0, 100), 0);
         drain(&mut r);
-        assert_eq!(r.update_period_jiffies(), 50);
+        assert_eq!(r.updates.period() / crate::JIFFY_US, 50);
         r.on_tick(500_000);
         let out = drain(&mut r);
         let ups = packets_of(&out, PacketType::Update);
@@ -1306,14 +1224,14 @@ mod tests {
         assert_eq!(ups[0].packet.header.seq, 1);
         assert_eq!(ups[0].packet.header.length, 0); // unsolicited: no nonce
                                                     // Probe-free period: period grew by a jiffy.
-        assert_eq!(r.update_period_jiffies(), 51);
+        assert_eq!(r.updates.period() / crate::JIFFY_US, 51);
         // A probed period shrinks back.
         let probe = Packet::control(PacketType::Probe, 7000, 7001, 0);
         r.handle_packet(&probe, 600_000);
         drain(&mut r);
         r.on_tick(500_000 + 510_000);
         drain(&mut r);
-        assert_eq!(r.update_period_jiffies(), 50);
+        assert_eq!(r.updates.period() / crate::JIFFY_US, 50);
     }
 
     #[test]
@@ -1328,9 +1246,10 @@ mod tests {
     fn warning_region_sends_rate_request() {
         // Tiny buffer so occupancy rises fast; huge advertised rate so
         // rule 2 trips.
-        let cfg = ProtocolConfig::hrmc()
-            .with_buffer(4_000)
-            .with_segment_size(1_000);
+        let cfg = ProtocolConfig {
+            segment_size: 1_000,
+            ..ProtocolConfig::hrmc().with_buffer(4_000)
+        };
         let mut r = ReceiverEngine::new(cfg, 8000, 7001, 0);
         r.handle_packet(&data(0, 1_000), 0); // 25%
         r.handle_packet(&data(1, 1_000), 1_000); // 50% → warning
@@ -1345,9 +1264,10 @@ mod tests {
 
     #[test]
     fn critical_region_sends_urgent() {
-        let cfg = ProtocolConfig::hrmc()
-            .with_buffer(4_000)
-            .with_segment_size(1_000);
+        let cfg = ProtocolConfig {
+            segment_size: 1_000,
+            ..ProtocolConfig::hrmc().with_buffer(4_000)
+        };
         let mut r = ReceiverEngine::new(cfg, 8000, 7001, 0);
         for i in 0..4 {
             r.handle_packet(&data(i, 1_000), i as u64 * 100);
@@ -1372,9 +1292,10 @@ mod tests {
 
     #[test]
     fn rate_requests_throttled_per_rtt() {
-        let cfg = ProtocolConfig::hrmc()
-            .with_buffer(8_000)
-            .with_segment_size(1_000);
+        let cfg = ProtocolConfig {
+            segment_size: 1_000,
+            ..ProtocolConfig::hrmc().with_buffer(8_000)
+        };
         let mut r = ReceiverEngine::new(cfg, 8000, 7001, 0);
         // Fill to warning and keep hammering within one RTT (10 ms).
         for i in 0..6 {
@@ -1504,26 +1425,6 @@ mod tests {
     }
 
     #[test]
-    fn join_backoff_doubles_to_cap() {
-        let mut cfg = ProtocolConfig::hrmc().with_buffer(64 * 1024);
-        cfg.update_mode = UpdateMode::Disabled;
-        cfg.join_retry_max = 800_000; // 200 ms → 400 → 800 (cap)
-        let mut r = ReceiverEngine::new(cfg, 8000, 7001, 0);
-        r.handle_packet(&data(0, 100), 0);
-        drain(&mut r);
-        assert_eq!(r.next_wakeup(0), Some(200_000));
-        r.on_tick(200_000); // retry 1: delay doubles to 400 ms
-        assert_eq!(packets_of(&drain(&mut r), PacketType::Join).len(), 1);
-        assert_eq!(r.next_wakeup(200_000), Some(600_000));
-        r.on_tick(600_000); // retry 2: delay caps at 800 ms
-        drain(&mut r);
-        assert_eq!(r.next_wakeup(600_000), Some(1_400_000));
-        r.on_tick(1_400_000); // retry 3: delay stays at the cap
-        drain(&mut r);
-        assert_eq!(r.next_wakeup(1_400_000), Some(2_200_000));
-    }
-
-    #[test]
     fn join_budget_exhaustion_fails_session() {
         let mut cfg = ProtocolConfig::hrmc().with_buffer(64 * 1024);
         cfg.update_mode = UpdateMode::Disabled;
@@ -1594,9 +1495,10 @@ mod tests {
 
     #[test]
     fn duplicates_and_overflow_counted() {
-        let cfg = ProtocolConfig::hrmc()
-            .with_buffer(2_000)
-            .with_segment_size(1_000);
+        let cfg = ProtocolConfig {
+            segment_size: 1_000,
+            ..ProtocolConfig::hrmc().with_buffer(2_000)
+        };
         let mut r = ReceiverEngine::new(cfg, 8000, 7001, 0);
         r.handle_packet(&data(0, 1_000), 0);
         r.handle_packet(&data(0, 1_000), 100);

@@ -31,7 +31,6 @@ pub(crate) const MIN_RTT_US: Micros = 100;
 pub struct RttEstimator {
     srtt: f64,
     samples_taken: u64,
-    samples_discarded: u64,
 }
 
 impl RttEstimator {
@@ -41,7 +40,6 @@ impl RttEstimator {
         RttEstimator {
             srtt: initial.max(MIN_RTT_US) as f64,
             samples_taken: 0,
-            samples_discarded: 0,
         }
     }
 
@@ -56,7 +54,6 @@ impl RttEstimator {
     /// samples from retransmitted packets (`tries > 0`) are discarded.
     pub fn sample(&mut self, rtt: Micros, tries: u8) {
         if tries > 0 {
-            self.samples_discarded += 1;
             return;
         }
         let s = rtt.max(MIN_RTT_US) as f64;
@@ -74,16 +71,6 @@ impl RttEstimator {
     pub fn samples_taken(&self) -> u64 {
         self.samples_taken
     }
-
-    /// Number of samples discarded under Karn's rule.
-    pub fn samples_discarded(&self) -> u64 {
-        self.samples_discarded
-    }
-
-    /// `true` until the first valid sample arrives.
-    pub fn is_seed(&self) -> bool {
-        self.samples_taken == 0
-    }
 }
 
 #[cfg(test)]
@@ -93,10 +80,10 @@ mod tests {
     #[test]
     fn seed_until_first_sample() {
         let mut e = RttEstimator::new(10_000);
-        assert!(e.is_seed());
+        assert_eq!(e.samples_taken(), 0);
         assert_eq!(e.rtt(), 10_000);
         e.sample(4_000, 0);
-        assert!(!e.is_seed());
+        assert_eq!(e.samples_taken(), 1);
         assert_eq!(e.rtt(), 4_000); // first sample replaces the seed
     }
 
@@ -106,7 +93,6 @@ mod tests {
         e.sample(4_000, 0);
         e.sample(400_000, 3); // retransmitted: ignored
         assert_eq!(e.rtt(), 4_000);
-        assert_eq!(e.samples_discarded(), 1);
         assert_eq!(e.samples_taken(), 1);
     }
 

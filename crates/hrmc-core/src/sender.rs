@@ -24,12 +24,12 @@
 //! transfer, `stats.nak_errs_sent` for RMC's retransmission errors and
 //! [`SenderEngine::ejected_members`] for forced departures.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
 use hrmc_wire::{seq_le, Packet, PacketType, Seq};
 
-use crate::config::{ProbePolicy, ProbeTransport, ProtocolConfig, ReliabilityMode};
+use crate::config::{ProtocolConfig, ReliabilityMode};
 use crate::fec::FecEncoder;
 use crate::keepalive::KeepaliveController;
 use crate::membership::Membership;
@@ -102,13 +102,13 @@ pub struct SenderEngine {
     /// receiver confirms the data (a later requester deduplicated against
     /// the entry simply re-NAKs after its suppression interval).
     retrans_queue: VecDeque<(Seq, Micros, PeerId)>,
-    retrans_set: HashSet<Seq>,
+    retrans_set: BTreeSet<Seq>,
     /// Recent transmission timestamps (survive buffer release).
     send_times: SendTimes,
     /// Optional FEC parity builder (extension).
     fec: Option<FecEncoder>,
     /// Outstanding probe nonces → issue time, for RTT samples on echo.
-    probe_nonces: HashMap<u32, Micros>,
+    probe_nonces: BTreeMap<u32, Micros>,
     next_nonce: u32,
     /// Reused PROBE-target buffer: the tick path collects laggards here
     /// instead of allocating a fresh `Vec` per gate stall.
@@ -162,10 +162,10 @@ impl SenderEngine {
             rtt,
             keepalive,
             retrans_queue: VecDeque::new(),
-            retrans_set: HashSet::new(),
+            retrans_set: BTreeSet::new(),
             send_times: SendTimes::new(),
             fec: config.fec.map(|f| FecEncoder::new(f.k)),
-            probe_nonces: HashMap::new(),
+            probe_nonces: BTreeMap::new(),
             next_nonce: 1,
             probe_scratch: Vec::new(),
             probe_rr_cursor: 0,
@@ -411,24 +411,14 @@ impl SenderEngine {
             }
         }
         if let Some((seq, released_count)) = released {
-            // In Hybrid mode a release normally required this receiver's
-            // own confirmation, so a NAK for released data is usually
-            // stale feedback that raced the confirmation — droppable. The
-            // exception is the join race: data released while the
-            // receiver's JOIN was still in flight was never confirmed by
-            // it. The truthful answer in that case (and always in RMC
-            // mode) is NAK_ERR: the data is gone.
-            let confirmed_by_sender_state = self
-                .membership
-                .get(from)
-                .is_some_and(|m| hrmc_wire::seq_lt(seq, m.next_expected));
-            let stale = self.config.mode == ReliabilityMode::Hybrid && confirmed_by_sender_state;
-            if !stale {
-                let mut err = self.make_control(PacketType::NakErr, seq);
-                err.header.length = released_count;
-                self.push_out(Dest::Unicast(from), err);
-                self.stats.nak_errs_sent += 1;
-            }
+            // The data is gone: answer NAK_ERR. In Hybrid mode the NAK is
+            // usually stale feedback that raced the receiver's own
+            // confirmation, and the receiver, holding the data, discards
+            // nothing on the error; after a join race it never had it.
+            let mut err = self.make_control(PacketType::NakErr, seq);
+            err.header.length = released_count;
+            self.push_out(Dest::Unicast(from), err);
+            self.stats.nak_errs_sent += 1;
         }
         // A NAK signals loss: halve the rate (one congestion event per RTT).
         self.rate.on_congestion(now, self.rtt.rtt(), None);
@@ -706,7 +696,6 @@ impl SenderEngine {
         let probes_at_entry = self.stats.probes_sent;
         self.maybe_eject(now);
         self.try_release(now);
-        self.maybe_early_probe(now);
         self.maybe_keepalive(now);
         self.prune_nonces(now);
 
@@ -839,16 +828,14 @@ impl SenderEngine {
         }
     }
 
-    /// Unicast (or multicast, per policy) PROBE packets to the receivers
-    /// whose state for `seq` is unknown, rate-limited per receiver.
+    /// Unicast PROBE packets to the receivers whose state for `seq` is
+    /// unknown, rate-limited per receiver.
     ///
     /// The laggard set is collected into a reused scratch buffer (no
-    /// per-tick allocation) and, when `probe_batch_limit` is set, unicast
-    /// fan-out is capped per tick with a round-robin cursor so successive
-    /// ticks sweep the whole set instead of bursting one PROBE per
-    /// laggard per jiffy. The multicast-vs-unicast decision is judged on
-    /// the *uncapped* laggard count: demand decides the transport, the
-    /// cap only paces it.
+    /// per-tick allocation) and, when `probe_batch_limit` is set, fan-out
+    /// is capped per tick with a round-robin cursor so successive ticks
+    /// sweep the whole set instead of bursting one PROBE per laggard per
+    /// jiffy.
     fn send_probes(&mut self, seq: Seq, now: Micros) {
         let retry = scale(self.rtt.rtt(), PROBE_RETRY_RTTS).max(JIFFY_US);
         let mut lacking = std::mem::take(&mut self.probe_scratch);
@@ -859,78 +846,33 @@ impl SenderEngine {
             self.probe_scratch = lacking;
             return;
         }
-        let multicast = match self.config.probe_transport {
-            ProbeTransport::Unicast => false,
-            ProbeTransport::MulticastAbove(n) => lacking.len() > n,
+        let total = lacking.len();
+        let limit = self.config.probe_batch_limit as usize;
+        let (start, count) = if limit == 0 || total <= limit {
+            (0, total)
+        } else {
+            (self.probe_rr_cursor % total, limit)
         };
-        if multicast {
+        for i in 0..count {
+            let p = lacking[(start + i) % total];
             let pkt = self.make_probe(seq, now);
             self.stats.probes_sent += 1;
-            for p in &lacking {
-                self.membership.mark_probed(*p, now);
-            }
+            self.membership.mark_probed(p, now);
             emit!(
                 self,
                 now,
                 Event::ProbeSent {
                     seq,
-                    multicast: true
+                    multicast: false
                 }
             );
-            self.push_out(Dest::Multicast, pkt);
-        } else {
-            let total = lacking.len();
-            let limit = self.config.probe_batch_limit as usize;
-            let (start, count) = if limit == 0 || total <= limit {
-                (0, total)
-            } else {
-                (self.probe_rr_cursor % total, limit)
-            };
-            for i in 0..count {
-                let p = lacking[(start + i) % total];
-                let pkt = self.make_probe(seq, now);
-                self.stats.probes_sent += 1;
-                self.membership.mark_probed(p, now);
-                emit!(
-                    self,
-                    now,
-                    Event::ProbeSent {
-                        seq,
-                        multicast: false
-                    }
-                );
-                self.push_out(Dest::Unicast(p), pkt);
-            }
-            if count < total {
-                self.probe_rr_cursor = (start + count) % total;
-                self.stats.probes_deferred_by_batch += (total - count) as u64;
-            }
+            self.push_out(Dest::Unicast(p), pkt);
+        }
+        if count < total {
+            self.probe_rr_cursor = (start + count) % total;
+            self.stats.probes_deferred_by_batch += (total - count) as u64;
         }
         self.probe_scratch = lacking;
-    }
-
-    /// Early-probe optimization (paper future-work item 1): probe lacking
-    /// receivers `lead_rtts` before the front segment becomes
-    /// release-eligible, so the stop-and-wait stall disappears.
-    fn maybe_early_probe(&mut self, now: Micros) {
-        let ProbePolicy::Early { lead_rtts } = self.config.probe_policy else {
-            return;
-        };
-        if self.config.mode != ReliabilityMode::Hybrid {
-            return;
-        }
-        let Some(front) = self.window.front() else {
-            return;
-        };
-        let Some(last_sent) = front.last_sent else {
-            return;
-        };
-        let seq = front.seq;
-        let eligible_at = last_sent + scale(self.rtt.rtt(), self.config.minbuf_rtts as f64);
-        let lead = scale(self.rtt.rtt(), lead_rtts as f64);
-        if now + lead >= eligible_at && !self.membership.all_have(seq) {
-            self.send_probes(seq, now);
-        }
     }
 
     fn maybe_keepalive(&mut self, now: Micros) {
@@ -1401,25 +1343,6 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_ignores_stale_nak_for_released_data() {
-        let mut s = engine(ReliabilityMode::Hybrid);
-        join(&mut s, P1, 0, 0);
-        s.submit(&vec![0u8; 1400], 0);
-        run_until(&mut s, 0, 150_000);
-        update(&mut s, P1, 1, 150_000);
-        run_until(&mut s, 150_000, 300_000);
-        assert_eq!(s.stats.segments_released, 1);
-        let mut nak = Packet::control(PacketType::Nak, 9, 7000, 0);
-        nak.header.length = 1;
-        s.handle_packet(&nak, P1, 310_000);
-        let out = drain(&mut s);
-        assert!(!out
-            .iter()
-            .any(|o| o.packet.header.ptype == PacketType::NakErr));
-        assert_eq!(s.stats.nak_errs_sent, 0);
-    }
-
-    #[test]
     fn release_attempt_counted_once_per_segment() {
         let mut s = engine(ReliabilityMode::Hybrid);
         join(&mut s, P1, 0, 0);
@@ -1474,28 +1397,6 @@ mod tests {
     }
 
     #[test]
-    fn multicast_probe_above_threshold() {
-        let mut cfg = ProtocolConfig::hrmc().with_buffer(64 * 1024);
-        cfg.probe_transport = ProbeTransport::MulticastAbove(2);
-        let mut s = SenderEngine::new(cfg, 7000, 7001, 0, 0);
-        for p in 1..=4u32 {
-            join(&mut s, PeerId(p), 0, 0);
-        }
-        drain(&mut s);
-        s.submit(&vec![0u8; 1400], 0);
-        let out = run_until(&mut s, 0, 300_000);
-        let probes: Vec<_> = out
-            .iter()
-            .filter(|o| o.packet.header.ptype == PacketType::Probe)
-            .collect();
-        assert!(!probes.is_empty());
-        assert!(
-            probes.iter().all(|o| o.dest == Dest::Multicast),
-            "4 lacking receivers > threshold 2 must multicast the probe"
-        );
-    }
-
-    #[test]
     fn probe_batch_limit_paces_fanout_round_robin() {
         let mut cfg = ProtocolConfig::hrmc().with_buffer(64 * 1024);
         cfg.probe_batch_limit = 2;
@@ -1508,7 +1409,7 @@ mod tests {
         s.submit(&vec![0u8; 1400], 0);
         // Drive tick by tick: no tick may exceed the cap, yet the
         // round-robin cursor must reach every laggard.
-        let mut probed: HashSet<PeerId> = HashSet::new();
+        let mut probed: BTreeSet<PeerId> = BTreeSet::new();
         let mut t = 0;
         while t <= 400_000 {
             s.on_tick(t);
@@ -1535,49 +1436,6 @@ mod tests {
             "round-robin never reached some laggards: {probed:?}"
         );
         assert!(s.stats.probes_deferred_by_batch > 0);
-        assert_eq!(s.stats.segments_released, 0);
-    }
-
-    #[test]
-    fn probe_batch_cap_does_not_defeat_multicast_threshold() {
-        // The multicast decision sees all 4 laggards even though the cap
-        // would allow only one unicast probe per tick: demand picks the
-        // transport, the cap only paces unicast fan-out.
-        let mut cfg = ProtocolConfig::hrmc().with_buffer(64 * 1024);
-        cfg.probe_transport = ProbeTransport::MulticastAbove(2);
-        cfg.probe_batch_limit = 1;
-        let mut s = SenderEngine::new(cfg, 7000, 7001, 0, 0);
-        for p in 1..=4u32 {
-            join(&mut s, PeerId(p), 0, 0);
-        }
-        drain(&mut s);
-        s.submit(&vec![0u8; 1400], 0);
-        let out = run_until(&mut s, 0, 300_000);
-        let probes: Vec<_> = out
-            .iter()
-            .filter(|o| o.packet.header.ptype == PacketType::Probe)
-            .collect();
-        assert!(!probes.is_empty());
-        assert!(probes.iter().all(|o| o.dest == Dest::Multicast));
-        assert_eq!(s.stats.probes_deferred_by_batch, 0);
-    }
-
-    #[test]
-    fn early_probe_fires_before_eligibility() {
-        let mut cfg = ProtocolConfig::hrmc().with_buffer(64 * 1024);
-        cfg.probe_policy = ProbePolicy::Early { lead_rtts: 4 };
-        let mut s = SenderEngine::new(cfg, 7000, 7001, 0, 0);
-        join(&mut s, P1, 0, 0);
-        drain(&mut s);
-        s.submit(&vec![0u8; 1400], 0);
-        // Eligibility at first_sent + 10 RTTs ≈ 100 ms; early probe must
-        // appear by ~6 RTTs ≈ 60 ms + transmission time.
-        let out = run_until(&mut s, 0, 80_000);
-        assert!(
-            out.iter()
-                .any(|o| o.packet.header.ptype == PacketType::Probe),
-            "no early probe before release eligibility"
-        );
         assert_eq!(s.stats.segments_released, 0);
     }
 
@@ -1694,7 +1552,7 @@ mod tests {
         // holds; the forged span buys nothing extra.
         let retrans_queued = s.retrans_queue.len();
         assert!(
-            retrans_queued <= s.config.sndbuf_segments(),
+            retrans_queued <= s.config.sndbuf / s.config.segment_size,
             "forged NAK inflated the retransmission queue: {retrans_queued}"
         );
         // An honest in-window NAK is NOT flagged.

@@ -219,12 +219,6 @@ impl Sampler {
         self.sink = Some(w);
     }
 
-    /// Builder form of [`Sampler::set_sink`].
-    pub fn with_sink(mut self, w: Box<dyn std::io::Write + Send>) -> Sampler {
-        self.set_sink(w);
-        self
-    }
-
     /// Take one sample: compute the delta against the previous snapshot,
     /// append to the ring (overwriting the oldest once full), and write
     /// the JSONL line to the sink, if any. Returns the recorded sample.
@@ -466,7 +460,8 @@ mod tests {
             }
         }
         let buf = Buf(Arc::new(Mutex::new(Vec::new())));
-        let mut s = Sampler::new(2).with_sink(Box::new(buf.clone()));
+        let mut s = Sampler::new(2);
+        s.set_sink(Box::new(buf.clone()));
         let mut r = MetricsRegistry::new();
         for i in 0..5u64 {
             r.inc("n");

@@ -25,12 +25,6 @@ pub const fn jiffies(n: u64) -> Micros {
     n * JIFFY_US
 }
 
-/// Convert microseconds to a whole number of jiffies (rounding down).
-#[inline]
-pub const fn to_jiffies(us: Micros) -> u64 {
-    us / JIFFY_US
-}
-
 /// Multiply a duration by a floating scale factor, saturating at u64::MAX.
 /// Used for RTT-multiple timeouts (MINBUF × RTT, WARNBUF × RTT, ...).
 #[inline]
@@ -52,13 +46,6 @@ mod tests {
         assert_eq!(JIFFY_US, 10_000);
         assert_eq!(jiffies(50), 500_000); // initial update period: 0.5 s
         assert_eq!(jiffies(200), 2 * SEC); // keepalive cap: 2 s
-    }
-
-    #[test]
-    fn to_jiffies_rounds_down() {
-        assert_eq!(to_jiffies(9_999), 0);
-        assert_eq!(to_jiffies(10_000), 1);
-        assert_eq!(to_jiffies(25_000), 2);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl UpdateGenerator {
         }
     }
 
-    /// Current period in jiffies.
-    pub fn period_jiffies(&self) -> u64 {
-        self.period_jiffies
-    }
-
     /// Current period in microseconds.
     pub fn period(&self) -> Micros {
         self.period_jiffies * JIFFY_US
@@ -123,7 +118,7 @@ mod tests {
     #[test]
     fn initial_period_is_fifty_jiffies() {
         let g = dynamic(0);
-        assert_eq!(g.period_jiffies(), 50);
+        assert_eq!(g.period_jiffies, 50);
         assert_eq!(g.period(), 500_000); // 0.5 s
         assert_eq!(g.next_fire(), 500_000);
     }
@@ -141,7 +136,7 @@ mod tests {
     fn probe_free_period_grows_by_one_jiffy() {
         let mut g = dynamic(0);
         assert!(g.poll(500_000));
-        assert_eq!(g.period_jiffies(), 51);
+        assert_eq!(g.period_jiffies, 51);
     }
 
     #[test]
@@ -149,10 +144,10 @@ mod tests {
         let mut g = dynamic(0);
         g.on_probe();
         assert!(g.poll(500_000));
-        assert_eq!(g.period_jiffies(), 49);
+        assert_eq!(g.period_jiffies, 49);
         // The probe counter resets per period.
         assert!(g.poll(500_000 + g.period()));
-        assert_eq!(g.period_jiffies(), 50);
+        assert_eq!(g.period_jiffies, 50);
     }
 
     #[test]
@@ -164,7 +159,7 @@ mod tests {
             let now = g.next_fire();
             assert!(g.poll(now));
         }
-        assert_eq!(g.period_jiffies(), MIN_PERIOD_JIFFIES);
+        assert_eq!(g.period_jiffies, MIN_PERIOD_JIFFIES);
 
         // Never probed: steps up from 50 to the ceiling, and stays.
         let mut g = dynamic(0);
@@ -172,7 +167,7 @@ mod tests {
             let now = g.next_fire();
             assert!(g.poll(now));
         }
-        assert_eq!(g.period_jiffies(), MAX_PERIOD_JIFFIES);
+        assert_eq!(g.period_jiffies, MAX_PERIOD_JIFFIES);
     }
 
     #[test]
@@ -180,9 +175,9 @@ mod tests {
         let mut g = UpdateGenerator::new(UpdateMode::Fixed(50), 0);
         g.on_probe();
         assert!(g.poll(500_000));
-        assert_eq!(g.period_jiffies(), 50);
+        assert_eq!(g.period_jiffies, 50);
         assert!(g.poll(1_000_000));
-        assert_eq!(g.period_jiffies(), 50);
+        assert_eq!(g.period_jiffies, 50);
     }
 
     #[test]

@@ -599,6 +599,45 @@ fn late_joiner_gets_suffix_reliably() {
     );
 }
 
+#[test]
+fn stale_nak_for_released_data_gets_nak_err_and_loses_nothing() {
+    // A NAK for data the sender has already released (feedback that raced
+    // the receiver's own confirmation) is answered with NAK_ERR. The
+    // receiver already holds that data, so it gives up no hole, discards
+    // nothing and still reads every byte.
+    let cfg = ProtocolConfig::hrmc().with_buffer(64 * 1024);
+    let mut h = Harness::new(cfg, 1, 500, 0.0, 5);
+    let data = pattern(100_000);
+    let mut offset = 0;
+    let mut injected = false;
+    for _ in 0..20_000 {
+        if offset < data.len() {
+            offset += h.sender.submit(&data[offset..], h.now);
+            if offset == data.len() {
+                h.sender.close(h.now);
+            }
+        }
+        if !injected && h.sender.stats.segments_released > 0 {
+            let mut nak = hrmc_wire::Packet::control(hrmc_wire::PacketType::Nak, 8000, 7001, 0);
+            nak.header.length = 1;
+            nak.header.rate_adv = h.receivers[0].rcv_nxt().expect("attached");
+            h.sender.handle_packet(&nak, PeerId(0), h.now);
+            injected = true;
+        }
+        h.step();
+        if h.sender.is_finished() && h.receivers.iter().all(|r| r.fully_consumed()) {
+            break;
+        }
+    }
+    assert!(injected, "nothing was released");
+    assert!(h.sender.is_finished(), "transfer stalled");
+    assert_eq!(h.sender.stats.nak_errs_sent, 1);
+    let r = &h.receivers[0];
+    assert_eq!(r.stats.nak_errs_received, 1);
+    assert_eq!(r.stats.malformed_packets, 0);
+    assert_eq!(h.received[0], data, "the NAK_ERR cost the receiver data");
+}
+
 /// Shared event recorder for the observer test: every endpoint appends
 /// (role, JSON line) to one log. The harness drives all engines off one
 /// logical clock in one thread, so append order is causal order.

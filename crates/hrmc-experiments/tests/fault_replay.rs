@@ -36,12 +36,14 @@ impl std::io::Write for Tee {
 /// [150 ms, 900 ms). Ejection is silence-based (3 s) only, so the
 /// 750 ms partition is ridden out but the corpse is ejected.
 fn faulted_scenario() -> hrmc_app::Scenario {
-    hrmc_app::Scenario::lan(3, 10_000_000, 256 * 1024, 400_000)
+    let mut s = hrmc_app::Scenario::lan(3, 10_000_000, 256 * 1024, 400_000)
         .with_loss(0.01)
         .with_receiver_crash(2, 250_000)
         .with_partition(vec![0], 150_000, 900_000)
-        .with_failure_domains(0, 3_000_000, 0)
-        .with_seed(2)
+        .with_seed(2);
+    // The crash armed 3 s of silence; PROBE-failure ejection stays off.
+    s.protocol.probe_failure_limit = 0;
+    s
 }
 
 fn run_logged() -> (hrmc_sim::SimReport, Vec<u8>) {

@@ -239,86 +239,6 @@ impl LinkSchedule {
         }
         self
     }
-
-    /// Parse a trace-driven schedule: one directive per line,
-    ///
-    /// ```text
-    /// # at_us  directive  args...
-    /// 1000000  bw       0 1000000        # router 0 → 1 Mbit/s
-    /// 1200000  loss     0 0.05           # router 0 → 5% loss
-    /// 1400000  delay    0 80000          # router 0 → 80 ms
-    /// 1600000  queue    0 4096           # router 0 → 4096-packet queue
-    /// 1800000  uppath   50000 0.1        # feedback +50 ms, 10% loss
-    /// 2000000  migrate  2 0,3            # receiver 2 re-homed via routers 0,3
-    /// ```
-    ///
-    /// Blank lines and `#` comments (full-line or trailing) are ignored.
-    pub fn from_trace(text: &str) -> Result<LinkSchedule, String> {
-        let mut schedule = LinkSchedule::default();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |msg: &str| format!("trace line {}: {msg}: {raw:?}", lineno + 1);
-            let mut f = line.split_whitespace();
-            let at_us: u64 = f
-                .next()
-                .ok_or_else(|| err("missing time"))?
-                .parse()
-                .map_err(|_| err("bad time"))?;
-            let directive = f.next().ok_or_else(|| err("missing directive"))?;
-            let mut next = |what: &str| f.next().ok_or_else(|| err(what)).map(str::to_owned);
-            let action = match directive {
-                "bw" => LinkAction::SetRouterBandwidth {
-                    router: next("missing router")?
-                        .parse()
-                        .map_err(|_| err("bad router"))?,
-                    bandwidth_bps: next("missing bps")?.parse().map_err(|_| err("bad bps"))?,
-                },
-                "loss" => LinkAction::SetRouterLoss {
-                    router: next("missing router")?
-                        .parse()
-                        .map_err(|_| err("bad router"))?,
-                    loss: next("missing loss")?.parse().map_err(|_| err("bad loss"))?,
-                },
-                "delay" => LinkAction::SetRouterDelay {
-                    router: next("missing router")?
-                        .parse()
-                        .map_err(|_| err("bad router"))?,
-                    delay_us: next("missing delay")?
-                        .parse()
-                        .map_err(|_| err("bad delay"))?,
-                },
-                "queue" => LinkAction::SetRouterQueue {
-                    router: next("missing router")?
-                        .parse()
-                        .map_err(|_| err("bad router"))?,
-                    packets: next("missing packets")?
-                        .parse()
-                        .map_err(|_| err("bad packets"))?,
-                },
-                "uppath" => LinkAction::SetUpPath {
-                    extra_delay_us: next("missing delay")?
-                        .parse()
-                        .map_err(|_| err("bad delay"))?,
-                    loss: next("missing loss")?.parse().map_err(|_| err("bad loss"))?,
-                },
-                "migrate" => LinkAction::Migrate {
-                    receiver: next("missing receiver")?
-                        .parse()
-                        .map_err(|_| err("bad receiver"))?,
-                    path: next("missing path")?
-                        .split(',')
-                        .map(|s| s.parse().map_err(|_| err("bad path")))
-                        .collect::<Result<Vec<usize>, String>>()?,
-                },
-                other => return Err(err(&format!("unknown directive {other:?}"))),
-            };
-            schedule.push(at_us, action);
-        }
-        Ok(schedule)
-    }
 }
 
 #[cfg(test)]
@@ -380,46 +300,5 @@ mod tests {
             }
         );
         assert_eq!(s.events[1].at_us, 500);
-    }
-
-    #[test]
-    fn trace_round_trip() {
-        let text = "\
-# a hostile afternoon
-1000000 bw 0 1000000
-1200000 loss 0 0.05   # fade
-1400000 delay 0 80000
-1600000 queue 0 4096
-
-1800000 uppath 50000 0.1
-2000000 migrate 2 0,3
-";
-        let s = LinkSchedule::from_trace(text).unwrap();
-        assert_eq!(s.events.len(), 6);
-        assert_eq!(
-            s.events[5].action,
-            LinkAction::Migrate {
-                receiver: 2,
-                path: vec![0, 3]
-            }
-        );
-        assert_eq!(
-            s.events[4].action,
-            LinkAction::SetUpPath {
-                extra_delay_us: 50_000,
-                loss: 0.1
-            }
-        );
-    }
-
-    #[test]
-    fn trace_errors_name_the_line() {
-        let e = LinkSchedule::from_trace("5 warp 0 1").unwrap_err();
-        assert!(e.contains("line 1"), "{e}");
-        assert!(e.contains("unknown directive"), "{e}");
-        let e = LinkSchedule::from_trace("x bw 0 1").unwrap_err();
-        assert!(e.contains("bad time"), "{e}");
-        let e = LinkSchedule::from_trace("5 migrate 1 0,a").unwrap_err();
-        assert!(e.contains("bad path"), "{e}");
     }
 }

@@ -19,9 +19,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use hrmc_core::obs::{event_json_with, header_json};
-use hrmc_core::{
-    Alert, Event, HealthConfig, HealthMonitor, Histogram, Micros, ProtocolObserver, SharedRecorder,
-};
+use hrmc_core::{Alert, Event, HealthConfig, HealthMonitor, Histogram, Micros, ProtocolObserver};
 
 /// Collector shared by every host's [`HostObserver`].
 pub struct SharedObs {
@@ -34,11 +32,9 @@ pub struct SharedObs {
     pub recovery: Histogram,
     /// Optional JSONL event sink.
     log: Option<Box<dyn Write + Send>>,
-    /// Optional bounded flight recorder fed alongside the sink.
-    recorder: Option<SharedRecorder>,
     /// Optional online health monitor fed the tagged event stream.
-    /// Alert transitions it emits are mirrored to the sink and recorder
-    /// as host-less `health_alert` lines.
+    /// Alert transitions it emits are mirrored to the sink as host-less
+    /// `health_alert` lines.
     monitor: Option<HealthMonitor>,
     /// Every alert transition the monitor emitted, in time order: the
     /// run's complete [`crate::report::SimReport::alerts`].
@@ -53,7 +49,6 @@ impl SharedObs {
             delivery: Histogram::new(),
             recovery: Histogram::new(),
             log: None,
-            recorder: None,
             monitor: None,
             alerts: Vec::new(),
         }
@@ -69,24 +64,14 @@ impl SharedObs {
         self.log = Some(log);
     }
 
-    /// Attach a bounded flight recorder; every subsequent event from any
-    /// host is recorded (tagged with the host id) until the ring
-    /// overwrites it.
-    pub fn set_recorder(&mut self, recorder: SharedRecorder) {
-        self.recorder = Some(recorder);
-    }
-
     /// Arm an online [`HealthMonitor`] over the pooled event stream.
     pub fn set_monitor(&mut self, cfg: HealthConfig) {
         self.monitor = Some(HealthMonitor::new(cfg));
     }
 
-    /// Mirror one event to the sink and the recorder, tagged with the
-    /// host that emitted it (alerts come from the monitor, host-less).
+    /// Mirror one event to the sink, tagged with the host that emitted
+    /// it (alerts come from the monitor, host-less).
     fn mirror(&mut self, now: Micros, ev: &Event, host: Option<u32>) {
-        if let Some(rec) = self.recorder.as_ref() {
-            rec.record_tagged(now, ev, host);
-        }
         if let Some(w) = self.log.as_mut() {
             let extra = host.map(|h| format!("\"host\":{h},")).unwrap_or_default();
             let mut line = event_json_with(now, ev, &extra);
@@ -296,16 +281,5 @@ mod tests {
             .count();
         assert!(alerts > 256, "only {alerts} transitions");
         assert_eq!(alerts, logged);
-    }
-
-    #[test]
-    fn recorder_captures_host_tagged_events() {
-        let shared = Arc::new(Mutex::new(SharedObs::new()));
-        let rec = SharedRecorder::new(8);
-        shared.lock().unwrap().set_recorder(rec.clone());
-        let mut r = HostObserver::new(2, shared.clone());
-        r.on_event(9, &Event::Delivered { first: 5, count: 1 });
-        let dump = rec.dump();
-        assert!(dump.contains("\"host\":2,\"event\":\"delivered\",\"first\":5"));
     }
 }

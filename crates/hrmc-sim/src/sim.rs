@@ -365,26 +365,6 @@ impl Simulation {
             .set_log(w);
     }
 
-    /// Attach a bounded [`hrmc_core::FlightRecorder`] capturing the last
-    /// `capacity` protocol events from every host (tagged with the host
-    /// id), and return a shared handle that stays valid after the run —
-    /// dump it with [`hrmc_core::SharedRecorder::dump`] for a JSONL
-    /// window `hrmc analyze` reads like a full trace. Implies observation
-    /// even when [`SimParams::observe`] was not set.
-    pub fn set_flight_recorder(&mut self, capacity: usize) -> hrmc_core::SharedRecorder {
-        if self.obs.is_none() {
-            self.install_observers();
-        }
-        let rec = hrmc_core::SharedRecorder::new(capacity);
-        self.obs
-            .as_ref()
-            .expect("just installed")
-            .lock()
-            .unwrap()
-            .set_recorder(rec.clone());
-        rec
-    }
-
     /// Run to completion (or the horizon) and report.
     pub fn run(mut self) -> SimReport {
         while self.step() {}
@@ -1578,36 +1558,6 @@ mod tests {
         assert_eq!(armed.alerts.len(), alert_lines);
         assert_eq!(base.elapsed_us, armed.elapsed_us);
         assert_eq!(base.sender.retransmissions, armed.sender.retransmissions);
-    }
-
-    #[test]
-    fn flight_recorder_window_matches_streaming_log_tail() {
-        use std::sync::{Arc as A, Mutex as M};
-        struct Tee(A<M<Vec<u8>>>);
-        impl std::io::Write for Tee {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        let buf = A::new(M::new(Vec::new()));
-        let mut sim = Simulation::new(lan_params(1, 10_000_000, 0.0, 100_000, 128 * 1024));
-        sim.set_event_log(Box::new(Tee(buf.clone())));
-        let rec = sim.set_flight_recorder(32);
-        assert!(sim.run().completed);
-        let log = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let streamed: Vec<&str> = log.lines().skip(1).collect(); // skip header
-        let dump = rec.dump();
-        let recorded: Vec<&str> = dump.lines().skip(1).collect();
-        // The ring holds exactly the last `capacity` streamed lines,
-        // byte for byte.
-        assert_eq!(recorded.len(), 32.min(streamed.len()));
-        assert_eq!(&streamed[streamed.len() - recorded.len()..], &recorded[..]);
-        let dropped = rec.with_recorder(|r| r.dropped_events());
-        assert_eq!(dropped as usize, streamed.len() - recorded.len());
     }
 
     #[test]

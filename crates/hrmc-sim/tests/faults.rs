@@ -8,12 +8,26 @@
 //! audited, and everything stays deterministic under a seed.
 
 use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 use hrmc_core::keepalive::KEEPALIVE_MAX_US;
 use hrmc_core::{Event, ProtocolConfig};
 use hrmc_sim::faults::{ChurnAction, ChurnEvent, FaultModel, Partition};
 use hrmc_sim::topology::TopologyBuilder;
 use hrmc_sim::{SimParams, SimReport, Simulation};
+
+/// An event-log sink the test can read back after the run.
+struct Tee(Arc<Mutex<Vec<u8>>>);
+
+impl std::io::Write for Tee {
+    fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(b);
+        Ok(b.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
 
 /// A LAN scenario: `n` receivers on a 10 Mbps switch with `loss`
 /// Bernoulli drop probability, transferring `bytes`.
@@ -82,18 +96,20 @@ fn hair_trigger_ejection_of_live_receivers_is_audited_as_false() {
         at_us: 200_000,
         action: ChurnAction::Crash { host: 2 },
     });
+    let log = Arc::new(Mutex::new(Vec::new()));
     let mut sim = Simulation::new(params);
-    let rec = sim.set_flight_recorder(1 << 16);
+    sim.set_event_log(Box::new(Tee(log.clone())));
     let report = sim.run();
-    let ejected: BTreeSet<u32> = rec.with_recorder(|r| {
-        assert_eq!(r.dropped_events(), 0, "the recorder holds the whole log");
-        r.events()
-            .filter_map(|e| match e.event {
-                Event::MemberEjected { peer } => Some(peer.0),
-                _ => None,
-            })
-            .collect()
-    });
+    let log = String::from_utf8(log.lock().unwrap().clone()).unwrap();
+    let ejected: BTreeSet<u32> = log
+        .lines()
+        .skip(1) // schema header
+        .filter_map(|l| Event::from_json(&serde_json::from_str(l).expect("valid JSON")))
+        .filter_map(|e| match e {
+            Event::MemberEjected { peer } => Some(peer.0),
+            _ => None,
+        })
+        .collect();
     assert!(ejected.contains(&1), "the crashed receiver was not ejected");
     let live_ejected = ejected.iter().filter(|&&p| p != 1).count() as u64;
     assert!(report.false_ejections >= 1, "no live receiver was ejected");

@@ -3,12 +3,16 @@
 //! (`hrmc-sim/tests/determinism.rs`, `hrmc-experiments/tests/fault_replay.rs`),
 //! so the analyzer's reading of them must be exact and eternal: any
 //! drift below is an analyzer bug, not run-to-run noise. A third test
-//! pins the tentpole invariant that a full-capacity flight-recorder dump
-//! analyzes identically to the streaming JSONL path.
+//! pins that a full-capacity flight-recorder dump of a live-style engine
+//! run analyzes identically to the streaming JSONL path.
 
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
-use hrmc_core::ProtocolConfig;
+use hrmc_core::{
+    Dest, JsonlObserver, MultiObserver, Outgoing, PeerId, ProtocolConfig, ProtocolObserver,
+    ReceiverEngine, SenderEngine, SharedRecorder, JIFFY_US,
+};
 use hrmc_sim::{SimParams, Simulation, TopologyBuilder};
 use hrmc_trace::analyze_str;
 
@@ -40,12 +44,14 @@ fn representative_params() -> SimParams {
 /// 250 ms, receiver 0 partitioned for [150 ms, 900 ms), silence-based
 /// ejection, seed 2.
 fn faulted_scenario() -> hrmc_app::Scenario {
-    hrmc_app::Scenario::lan(3, 10_000_000, 256 * 1024, 400_000)
+    let mut s = hrmc_app::Scenario::lan(3, 10_000_000, 256 * 1024, 400_000)
         .with_loss(0.01)
         .with_receiver_crash(2, 250_000)
         .with_partition(vec![0], 150_000, 900_000)
-        .with_failure_domains(0, 3_000_000, 0)
-        .with_seed(2)
+        .with_seed(2);
+    // The crash armed 3 s of silence; PROBE-failure ejection stays off.
+    s.protocol.probe_failure_limit = 0;
+    s
 }
 
 fn run_log(params: SimParams) -> String {
@@ -193,25 +199,102 @@ fn fault_fixture_analysis_is_exact() {
     assert!(a.lifecycle.complete);
 }
 
-/// Tentpole invariant: a flight recorder with enough capacity to hold
-/// the whole run must dump a window whose analysis is identical to the
-/// streaming JSONL path — same events, same diagnosis, byte-for-byte
-/// compatible lines.
+/// A flight recorder with enough capacity to hold the whole run dumps a
+/// window whose analysis is identical to the streaming JSONL path: same
+/// events, same diagnosis, byte-for-byte compatible lines. The endpoints
+/// are wired as the CLI wires a live session: each engine's observer
+/// stack streams labelled JSONL into one shared log and feeds its own
+/// labelled recorder, and the recorders' dumps are concatenated.
 #[test]
 fn flight_recorder_dump_analyzes_identically_to_streaming_log() {
+    const ROLES: [&str; 3] = ["sender", "recv0", "recv1"];
     let log = Arc::new(Mutex::new(Vec::new()));
-    let mut sim = Simulation::new(representative_params());
-    sim.set_event_log(Box::new(Tee(log.clone())));
-    let rec = sim.set_flight_recorder(4096);
-    let report = sim.run();
-    assert!(report.completed);
+    let recorders: Vec<SharedRecorder> = ROLES
+        .iter()
+        .map(|role| SharedRecorder::new(1 << 16).with_label(role))
+        .collect();
+    let observer = |i: usize| -> Box<dyn ProtocolObserver> {
+        Box::new(
+            MultiObserver::new()
+                .with(Box::new(
+                    JsonlObserver::new(Tee(log.clone())).with_label(ROLES[i]),
+                ))
+                .with(Box::new(recorders[i].clone())),
+        )
+    };
+    let cfg = ProtocolConfig::hrmc().with_buffer(64 * 1024);
+    let mut sender = SenderEngine::new(cfg.clone(), 7000, 7001, 0, 0);
+    sender.set_observer(observer(0));
+    let mut receivers: Vec<ReceiverEngine> = (0..2)
+        .map(|i| {
+            let mut r = ReceiverEngine::new(cfg.clone(), 8000 + i as u16, 7001, 0);
+            r.set_observer(observer(i + 1));
+            r
+        })
+        .collect();
+
+    // A 1 ms FIFO channel that drops every 29th packet to `recv1`, so
+    // the run has NAKs and recoveries to diagnose. `None` addresses the
+    // sender.
+    const DELAY_US: u64 = 1_000;
+    let mut wire: VecDeque<(u64, Option<usize>, Outgoing)> = VecDeque::new();
+    let mut to_recv1 = 0u64;
+    let data = vec![7u8; 200_000];
+    let (mut offset, mut now) = (0, 0);
+    while !(sender.is_finished() && receivers.iter().all(|r| r.fully_consumed())) {
+        assert!(now < 60_000_000, "transfer stalled");
+        while wire.front().is_some_and(|(t, _, _)| *t <= now) {
+            let (_, to, Outgoing { packet: pkt, .. }) = wire.pop_front().unwrap();
+            match to {
+                None => {
+                    let from = PeerId(u32::from(pkt.header.src_port - 8000));
+                    sender.handle_packet(&pkt, from, now);
+                }
+                Some(i) => receivers[i].handle_packet(&pkt, now),
+            }
+        }
+        if offset < data.len() {
+            offset += sender.submit(&data[offset..], now);
+            if offset == data.len() {
+                sender.close(now);
+            }
+        }
+        sender.on_tick(now);
+        while let Some(out) = sender.poll_output() {
+            let to: Vec<usize> = match out.dest {
+                Dest::Unicast(p) => vec![p.0 as usize],
+                _ => vec![0, 1],
+            };
+            for i in to {
+                if i == 1 {
+                    to_recv1 += 1;
+                    if to_recv1.is_multiple_of(29) {
+                        continue;
+                    }
+                }
+                wire.push_back((now + DELAY_US, Some(i), out.clone()));
+            }
+        }
+        for r in receivers.iter_mut() {
+            r.on_tick(now);
+            r.read_with(usize::MAX, now, |_| ());
+            while let Some(out) = r.poll_output() {
+                wire.push_back((now + DELAY_US, None, out));
+            }
+        }
+        now += JIFFY_US;
+    }
 
     let streamed = String::from_utf8(log.lock().unwrap().clone()).unwrap();
-    let dumped = rec.dump();
-    assert_eq!(rec.with_recorder(|r| r.dropped_events()), 0);
+    let dumped: String = recorders.iter().map(|r| r.dump()).collect();
+    for r in &recorders {
+        assert_eq!(r.with_recorder(|r| r.dropped_events()), 0);
+    }
 
     let a = analyze_str(&streamed).unwrap();
     let mut b = analyze_str(&dumped).unwrap();
+    assert_eq!(a.parse.skipped, 0);
+    assert!(a.transfer.retransmissions > 0, "the channel lost nothing");
     assert_eq!(a.events, b.events, "recorder missed events");
     // The two ingestion paths differ only in header shape; the whole
     // diagnosis must match field for field.

@@ -79,11 +79,6 @@ impl PacketType {
         self as u8
     }
 
-    /// `true` for the two types introduced by H-RMC (absent in RMC).
-    pub fn is_hrmc_only(self) -> bool {
-        matches!(self, PacketType::Update | PacketType::Probe)
-    }
-
     /// `true` for packets that flow from sender to receivers.
     pub fn is_sender_originated(self) -> bool {
         matches!(
@@ -95,24 +90,6 @@ impl PacketType {
                 | PacketType::Keepalive
                 | PacketType::Probe
                 | PacketType::Parity
-        )
-    }
-
-    /// `true` for packets that flow from a receiver to the sender
-    /// ("feedback" in the paper's terminology).
-    pub fn is_receiver_originated(self) -> bool {
-        !self.is_sender_originated()
-    }
-
-    /// `true` for feedback packets that carry the receiver's next-expected
-    /// sequence number, and therefore refresh the sender's per-receiver
-    /// state (paper §3: "Since both rate requests and NAKs carry the next
-    /// expected sequence number, this field is updated whenever any
-    /// feedback arrives").
-    pub fn carries_receiver_state(self) -> bool {
-        matches!(
-            self,
-            PacketType::Nak | PacketType::Control | PacketType::Update
         )
     }
 }
@@ -146,11 +123,6 @@ mod tests {
         // Table 1 lists 9 RMC types plus UPDATE and PROBE; PARITY is our
         // FEC extension (paper future-work item 4).
         assert_eq!(PacketType::ALL.len(), 12);
-        let hrmc_only: Vec<_> = PacketType::ALL
-            .iter()
-            .filter(|t| t.is_hrmc_only())
-            .collect();
-        assert_eq!(hrmc_only.len(), 2);
         assert_eq!(PacketType::Parity.to_wire(), 11);
     }
 
@@ -170,18 +142,22 @@ mod tests {
 
     #[test]
     fn direction_partition_is_total() {
-        for t in PacketType::ALL {
-            assert_ne!(t.is_sender_originated(), t.is_receiver_originated());
-        }
-    }
-
-    #[test]
-    fn feedback_types_carry_state() {
-        assert!(PacketType::Nak.carries_receiver_state());
-        assert!(PacketType::Control.carries_receiver_state());
-        assert!(PacketType::Update.carries_receiver_state());
-        assert!(!PacketType::Join.carries_receiver_state());
-        assert!(!PacketType::Data.carries_receiver_state());
+        // Every type flows one way: seven from the sender, and the five
+        // feedback types (NAK, JOIN, LEAVE, CONTROL, UPDATE) from receivers.
+        let feedback: Vec<_> = PacketType::ALL
+            .into_iter()
+            .filter(|t| !t.is_sender_originated())
+            .collect();
+        assert_eq!(
+            feedback,
+            [
+                PacketType::Nak,
+                PacketType::Join,
+                PacketType::Leave,
+                PacketType::Control,
+                PacketType::Update
+            ]
+        );
     }
 
     #[test]
